@@ -1,7 +1,7 @@
 """Learned modulation design for SWIPT over AWGN with nonlinear harvesters."""
 
 from .channel import ChannelParams, apply_awgn, make_channel, snr_to_variance, substream
-from .evaluator import EvalReport, classical_baseline, estimate_ser, evaluate_power, ml_detect
+from .evaluator import EvalReport, classical_baseline, estimate_ser, ml_detect
 from .harvester import (HarvesterModel, ModelAParams, ModelBParams, MomentSet,
                         compute_moments, pdel_exact, pdel_model_a, pdel_model_b,
                         pdel_monte_carlo_check, q_tilde)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .config import ConfigError
-from .evaluator import estimate_ser, evaluate_power
+from .evaluator import estimate_ser
+from .harvester import pdel_exact
 from .gradcheck import run_gradcheck
 from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .svgplot import write_constellation_svg
@@ -58,9 +59,7 @@ def _write_record(rec: RunRecord, resolved: dict, out_dir: Path) -> None:
         fh.write("\n")
     write_constellation_csv(rec.constellation, out_dir / "constellation.csv")
     if rec.params is not None:
-        ckpt = out_dir / "checkpoint.bin"
-        save_checkpoint(ckpt, rec.params)
-        rec.checkpoint_ref = str(ckpt)
+        save_checkpoint(out_dir / "checkpoint.bin", rec.params)
     write_constellation_svg(rec.constellation, resolved["p_a"],
                             out_dir / "plot.svg",
                             title=f"lambda={rec.lam:g}  M={resolved['M']}")
@@ -125,7 +124,7 @@ def cmd_eval(args) -> int:
     samples = args.samples or cfg.eval_samples
     report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
                           seed=args.seed)
-    report.p_del = evaluate_power(const, cfg.harvester)
+    report.p_del = pdel_exact(const, cfg.harvester)
     payload = {
         "ser": report.ser,
         "ser_stderr": report.ser_stderr,

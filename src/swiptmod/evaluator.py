@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ROLE_EVAL, sample_noise, substream
-from .harvester import HarvesterModel, pdel_exact
 from .nn import DenseLayer
 from .transceiver import EPS_LOG, Constellation, decode
 
@@ -74,11 +73,6 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     return EvalReport(ser=ser, ser_stderr=stderr, p_del=math.nan,
                       rate_bits=math.log2(m), num_samples=num_samples,
                       cross_entropy=ce)
-
-
-def evaluate_power(constellation: Constellation, model: HarvesterModel) -> float:
-    """Exact probability-weighted delivered power (finite support, no sampling)."""
-    return pdel_exact(constellation, model)
 
 
 _QAM_GRIDS = {4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (8, 4)}

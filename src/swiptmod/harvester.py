@@ -90,7 +90,8 @@ def compute_moments(points, probabilities=None) -> MomentSet:
         raise ValueError("empty input to compute_moments")
     w = _weights_for(x, probabilities)
     r, i = x.real, x.imag
-    m2 = r * r + i * i
+    r2, i2 = r * r, i * i
+    m2 = r2 + i2
     mag = np.sqrt(m2)
     return MomentSet(
         q=float(w @ (m2 * m2)),
@@ -98,12 +99,12 @@ def compute_moments(points, probabilities=None) -> MomentSet:
         p=float(w @ m2),
         mu_r=float(w @ r),
         mu_i=float(w @ i),
-        q_r=float(w @ r ** 4),
-        t_r=float(w @ r ** 3),
-        p_r=float(w @ (r * r)),
-        q_i=float(w @ i ** 4),
-        t_i=float(w @ i ** 3),
-        p_i=float(w @ (i * i)),
+        q_r=float(w @ (r2 * r2)),
+        t_r=float(w @ (r2 * r)),
+        p_r=float(w @ r2),
+        q_i=float(w @ (i2 * i2)),
+        t_i=float(w @ (i2 * i)),
+        p_i=float(w @ i2),
     )
 
 
@@ -124,11 +125,12 @@ def pdel_model_a_with_grads(points, prm: ModelAParams, probabilities=None):
     x = np.asarray(points, dtype=complex).ravel()
     w = _weights_for(x, probabilities)
     r, i = x.real, x.imag
-    m2 = r * r + i * i
+    r2, i2 = r * r, i * i
+    m2 = r2 + i2
     mu_r, mu_i = w @ r, w @ i
-    p_r, p_i = w @ (r * r), w @ (i * i)
-    t_r, t_i = w @ r ** 3, w @ i ** 3
-    q_r, q_i = w @ r ** 4, w @ i ** 4
+    p_r, p_i = w @ r2, w @ i2
+    t_r, t_i = w @ (r2 * r), w @ (i2 * i)
+    q_r, q_i = w @ (r2 * r2), w @ (i2 * i2)
     q = w @ (m2 * m2)
     p = p_r + p_i
     qt = (q_r + q_i + 2.0 * (mu_r * t_r + mu_i * t_i) + 6.0 * p_r * p_i
@@ -136,12 +138,12 @@ def pdel_model_a_with_grads(points, prm: ModelAParams, probabilities=None):
     p_del = prm.alpha * (q + qt) + prm.beta * p + prm.gamma
 
     # d(qt)/dr_k, every moment contributing a w_k factor
-    dqt_r = (4.0 * r ** 3
-             + 2.0 * (t_r + 3.0 * mu_r * r * r)
+    dqt_r = (4.0 * r2 * r
+             + 2.0 * (t_r + 3.0 * mu_r * r2)
              + 12.0 * r * p_i
              + 6.0 * (2.0 * r * (p_r - mu_r ** 2) + 2.0 * p_r * (r - mu_r))) * w / 3.0
-    dqt_i = (4.0 * i ** 3
-             + 2.0 * (t_i + 3.0 * mu_i * i * i)
+    dqt_i = (4.0 * i2 * i
+             + 2.0 * (t_i + 3.0 * mu_i * i2)
              + 12.0 * i * p_r
              + 6.0 * (2.0 * i * (p_i - mu_i ** 2) + 2.0 * p_i * (i - mu_i))) * w / 3.0
     dq_r = 4.0 * w * m2 * r

@@ -115,11 +115,11 @@ def mlp_backward(layers: list[DenseLayer], zs, post, d_last_z: np.ndarray):
 
     For a softmax+cross-entropy head the caller passes probs - onehot (already
     averaged over the batch); for a linear head the upstream gradient itself.
-    Returns ([(dW, db), ...], d_input).
+    Returns ([(dW, db), ...], d_input); an empty stack passes d_last_z through.
     """
     grads = [None] * len(layers)
     dz = d_last_z
-    dinp = None
+    dinp = d_last_z
     for li in reversed(range(len(layers))):
         inp = post[li]
         grads[li] = (dz.T @ inp, dz.sum(axis=0))

@@ -18,7 +18,7 @@ from .channel import (ROLE_DATA, ROLE_NOISE, derive_seed, make_channel,
 from .harvester import HarvesterModel, pdel_exact, pdel_with_grads
 from .nn import (AdamState, NetworkParams, adam_step, init_params,
                  mlp_backward, mlp_forward, softmax)
-from .transceiver import (EPS_LOG, EPS_NORM, Constellation,
+from .transceiver import (EPS_LOG, EPS_NORM, Constellation, encode,
                           export_constellation)
 
 EPS_PDEL = 1e-12   # clamp on P_del inside the cost
@@ -94,7 +94,6 @@ class RunRecord:
     p_del: float
     cross_entropy: float
     constellation: Constellation | None
-    checkpoint_ref: str | None = None
     failed: bool = False
     terminal: bool = False
     max_power_err: float = 0.0
@@ -120,19 +119,20 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     enc, dec = params.encoder, params.decoder
     msgs = np.asarray(messages, dtype=int)
     batch = msgs.shape[0]
-
-    # encoder forward; the one-hot input is a column selection
     first = enc[0]
-    z0 = first.weights.T[msgs] + first.biases
-    h, zs_e, post_e = mlp_forward(enc[1:], np.maximum(z0, 0.0)
-                                  if first.activation == "relu" else z0)
-    u = h  # (B, 2) pre-normalization re/im
+    counts = np.bincount(msgs, minlength=first.in_dim)
 
-    energy = float(np.sum(u * u))
+    # encoder forward on the M one-hot inputs: the first pre-activation is
+    # W0^T + b0, one row per message; the batch is a gather of these rows
+    z0 = first.weights.T + first.biases
+    relu0 = first.activation == "relu"
+    u, zs_e, post_e = mlp_forward(enc[1:], np.maximum(z0, 0.0) if relu0 else z0)
+
+    energy = float(counts @ np.sum(u * u, axis=1))
     degenerate = energy < EPS_NORM
     scale = math.sqrt(p_a * batch / max(energy, EPS_NORM))
-    x = scale * u
-    y = x + noise
+    xk = scale * u   # (M, 2) transmitted points
+    y = xk[msgs] + noise
 
     _, zs_d, post_d = mlp_forward(dec[:-1], y)
     logits = post_d[-1] @ dec[-1].weights.T + dec[-1].biases
@@ -141,21 +141,20 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     picked = probs[np.arange(batch), msgs]
     ce = float(-np.log(np.maximum(picked, EPS_LOG)).mean())
 
-    xc = x[:, 0] + 1j * x[:, 1]
-    p_del, dpdel_r, dpdel_i = pdel_with_grads(xc, harvester)
+    # per-point gradients weighted by counts/B are sums over that message's rows
+    p_del, dpdel_r, dpdel_i = pdel_with_grads(xk[:, 0] + 1j * xk[:, 1],
+                                              harvester, counts / batch)
     cost = total_cost(ce, p_del, lam)
 
-    relu_zs = ([z0] if first.activation == "relu" else []) + zs_e + zs_d
+    # encoder rows of absent messages never reach the cost: skip their kinks
+    relu_zs = [z[counts > 0] for z in ([z0] if relu0 else []) + zs_e] + zs_d
     relu_margin = min((float(np.min(np.abs(z))) for z in relu_zs if z.size),
                       default=np.inf)
     info = {
         "cross_entropy": ce,
         "p_del": p_del,
-        "scale": scale,
         "degenerate": degenerate,
-        "batch_power": float(np.mean(x[:, 0] ** 2 + x[:, 1] ** 2)),
-        "symbols": xc,
-        "probs": probs,
+        "batch_power": float(counts @ np.sum(xk * xk, axis=1)) / batch,
         "min_prob": float(picked.min()),
         "min_relu_margin": relu_margin,
     }
@@ -168,27 +167,25 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     dlogits /= batch
     dec_grads, dy = mlp_backward(dec, zs_d + [logits], post_d + [probs], dlogits)
 
-    dx = dy.copy()
+    # fold the (B, 2) channel-input gradient onto the M points
+    dx = np.stack([np.bincount(msgs, weights=dy[:, j], minlength=first.in_dim)
+                   for j in range(2)], axis=1)
     if lam > 0.0 and p_del > EPS_PDEL:
         coef = -lam / (p_del * p_del)
         dx[:, 0] += coef * dpdel_r
         dx[:, 1] += coef * dpdel_i
 
-    # power normalization: x = scale(u) * u
+    # power normalization: x_k = scale(u) * u_k, energy = sum_k counts_k |u_k|^2
     if degenerate:
         du = scale * dx
     else:
-        du = scale * (dx - (float(np.sum(dx * u)) / energy) * u)
+        du = scale * (dx - (float(np.sum(dx * u)) / energy) * counts[:, None] * u)
 
     # encoder output layer is linear, so d(cost)/d(last z) is du itself
-    if enc[1:]:
-        enc_grads_rest, dh0 = mlp_backward(enc[1:], zs_e, post_e, du)
-    else:
-        enc_grads_rest, dh0 = [], du
-    dz0 = dh0 * (z0 > 0.0) if first.activation == "relu" else dh0
-    dw0 = np.zeros_like(first.weights.T)
-    np.add.at(dw0, msgs, dz0)
-    enc_grads = [(dw0.T, dz0.sum(axis=0))] + enc_grads_rest
+    enc_grads_rest, dh0 = mlp_backward(enc[1:], zs_e, post_e, du)
+    # one row per one-hot input, so d(cost)/d(W0^T) is dz0 itself
+    dz0 = dh0 * (z0 > 0.0) if relu0 else dh0
+    enc_grads = [(dz0.T, dz0.sum(axis=0))] + enc_grads_rest
 
     grads = []
     for dw, db in enc_grads + dec_grads:
@@ -210,25 +207,33 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     noise_rng = substream(seed, ROLE_NOISE)
     steps_per_epoch = max(1, cfg.train_set_size // cfg.minibatch_size)
     max_power_err = 0.0
+    failed = RunRecord(lam=lam, seed=seed, final_cost=math.nan, ser=1.0,
+                       p_del=math.nan, cross_entropy=math.nan,
+                       constellation=None, failed=True)
 
-    for _ in range(cfg.epochs):
-        for _ in range(steps_per_epoch):
-            msgs = data_rng.integers(0, cfg.m, size=cfg.minibatch_size)
-            noise = sample_noise(cfg.minibatch_size, sigma2, noise_rng)
-            cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
-                                             lam, cfg.harvester)
-            if not math.isfinite(cost):
-                return RunRecord(lam=lam, seed=seed, final_cost=math.nan,
-                                 ser=1.0, p_del=math.nan, cross_entropy=math.nan,
-                                 constellation=None, failed=True)
-            if not info["degenerate"]:
-                max_power_err = max(max_power_err,
-                                    abs(info["batch_power"] - cfg.p_a))
-            adam_step(params.arrays(), grads, state)
+    # divergence shows as a non-finite cost or as softmax rejecting its logits
+    try:
+        for _ in range(cfg.epochs):
+            for _ in range(steps_per_epoch):
+                msgs = data_rng.integers(0, cfg.m, size=cfg.minibatch_size)
+                noise = sample_noise(cfg.minibatch_size, sigma2, noise_rng)
+                cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
+                                                 lam, cfg.harvester)
+                if not math.isfinite(cost):
+                    return failed
+                if not info["degenerate"]:
+                    max_power_err = max(max_power_err,
+                                        abs(info["batch_power"] - cfg.p_a))
+                adam_step(params.arrays(), grads, state)
 
-    const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-    report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
-                          seed=seed)
+        raw = encode(params.encoder, np.arange(cfg.m))
+        if float(np.sum(raw.real ** 2 + raw.imag ** 2)) < EPS_NORM:
+            return failed   # every point at the origin: nothing to export
+        const = export_constellation(params.encoder, cfg.m, cfg.p_a)
+        report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
+                              seed=seed)
+    except FloatingPointError:
+        return failed
     p_del = pdel_exact(const, cfg.harvester)
     final_cost = total_cost(report.cross_entropy, p_del, lam)
     return RunRecord(lam=lam, seed=seed, final_cost=final_cost, ser=report.ser,

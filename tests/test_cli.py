@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from swiptmod import cli
+from swiptmod import cli, config, trainer
 from swiptmod.transceiver import Constellation, write_constellation_csv
 
 TINY_A = {
@@ -85,6 +85,23 @@ def test_sweep_summary_and_rerun_identical(tmp_path):
     for lam in (0.0, 1e-4):
         assert (_run_dir(out1, lam) / "constellation.csv").read_bytes() == \
             (_run_dir(out2, lam) / "constellation.csv").read_bytes()
+
+
+def test_diverged_restarts_are_failed_and_sweep_exits_4(tmp_path, monkeypatch,
+                                                         capsys):
+    # a NaN decoder weight makes every logit non-finite on the first step
+    init_params = trainer.init_params
+
+    def nan_init(enc_dims, dec_dims, seed):
+        params = init_params(enc_dims, dec_dims, seed)
+        params.decoder[0].weights[0, 0] = np.nan
+        return params
+    monkeypatch.setattr("swiptmod.trainer.init_params", nan_init)
+    cfg = _write_cfg(tmp_path, TINY_A)
+    train_cfg = config.train_config_from(config.resolve(TINY_A))
+    assert trainer.train_run(train_cfg, 0.0, seed=1).failed
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "s")]) == 4
+    assert "diverged" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

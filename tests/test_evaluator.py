@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from swiptmod.evaluator import (classical_baseline, estimate_ser,
-                                evaluate_power, ml_detect)
-from swiptmod.harvester import ModelAParams, ModelBParams
+from swiptmod.evaluator import classical_baseline, estimate_ser, ml_detect
+from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer
 from swiptmod.transceiver import Constellation
 
@@ -57,10 +56,10 @@ def test_estimate_ser_sample_floor():
         estimate_ser(const, None, 0.1, 500, seed=0)
 
 
-def test_evaluate_power_zero_constellation():
+def test_pdel_exact_zero_constellation():
     const = _uniform(np.zeros(4))
-    assert evaluate_power(const, ModelAParams(0.3829, 0.0034, 0.25)) == 0.25
-    assert evaluate_power(const, ModelBParams(0.02, 6400.0, 0.003)) == 0.0
+    assert pdel_exact(const, ModelAParams(0.3829, 0.0034, 0.25)) == 0.25
+    assert pdel_exact(const, ModelBParams(0.02, 6400.0, 0.003)) == 0.0
 
 
 def test_classical_baseline_qpsk_points():

@@ -13,6 +13,7 @@ from swiptmod.trainer import (EPS_PDEL, RunRecord, TrainConfig, TrainingFailure,
                               network_cost, restart_seeds, total_cost, train_run)
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
+MODEL_B = ModelBParams(ls=0.02, a=6400.0, b=0.003)
 
 
 def _tiny_cfg(**kw):
@@ -65,13 +66,21 @@ def test_network_cost_lambda_zero_equals_cross_entropy():
     assert cost == info["cross_entropy"]
 
 
-@pytest.mark.parametrize("model", [MODEL_A, ModelBParams(ls=0.02, a=6400.0, b=0.003)])
-def test_network_cost_gradients_match_finite_differences(model):
+# (batch size, messages drawn from range(n)): a full batch, a batch in which
+# message 3 never appears (zero count) and a single-row batch
+_FD_BATCHES = {"": (8, 4), "-absent": (8, 3), "-single": (1, 4)}
+
+
+@pytest.mark.parametrize("model, batch, drawn", [
+    pytest.param(model, batch, drawn, id=f"model{k}{tag}")
+    for tag, (batch, drawn) in _FD_BATCHES.items()
+    for k, model in enumerate((MODEL_A, MODEL_B))])
+def test_network_cost_gradients_match_finite_differences(model, batch, drawn):
     p_a = 0.1 if isinstance(model, ModelAParams) else 0.004
     params = init_params([4, 8, 2], [2, 8, 4], seed=3)
     rng = substream(3, ROLE_MISC)
-    msgs = rng.integers(0, 4, size=8)
-    noise = sample_noise(8, p_a / 50.0, rng)
+    msgs = rng.integers(0, drawn, size=batch)
+    noise = sample_noise(batch, p_a / 50.0, rng)
     lam = 1e-3
     _, _, grads = network_cost(params, msgs, noise, p_a, lam, model)
     step = 1e-6
@@ -104,6 +113,20 @@ def test_train_run_learns_four_point_constellation():
     assert rec.ser < 0.01
     assert rec.constellation.size == 4
     assert rec.max_power_err < 1e-9
+
+
+def test_train_run_degenerate_encoder_is_failed(monkeypatch):
+    # an encoder whose output layer is all zeros maps every message to the
+    # origin; with the Adam update disabled it stays there to the end
+    def zero_output_init(enc_dims, dec_dims, seed):
+        params = init_params(enc_dims, dec_dims, seed)
+        params.encoder[-1].weights[:] = 0.0
+        return params
+    monkeypatch.setattr("swiptmod.trainer.init_params", zero_output_init)
+    monkeypatch.setattr("swiptmod.trainer.adam_step", lambda *args: None)
+    rec = train_run(_tiny_cfg(epochs=1), 0.0, seed=1)
+    assert rec.failed
+    assert rec.constellation is None
 
 
 def test_train_run_deterministic():
