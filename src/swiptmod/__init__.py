@@ -5,8 +5,8 @@ from .evaluator import EvalReport, classical_baseline, estimate_ser, ml_detect
 from .harvester import (HarvesterModel, ModelAParams, ModelBParams, MomentSet,
                         compute_moments, pdel_exact, pdel_model_a, pdel_model_b,
                         pdel_monte_carlo_check, q_tilde)
-from .nn import (AdamState, DenseLayer, NetworkParams, adam_step, dense_forward,
-                 init_params, load_checkpoint, save_checkpoint, softmax)
+from .nn import (AdamState, DenseLayer, NetworkParams, adam_step, init_params,
+                 load_checkpoint, save_checkpoint, softmax)
 from .trainer import (RunRecord, TrainConfig, lambda_sweep, multi_restart,
                       network_cost, total_cost, train_run)
 from .transceiver import (Constellation, cross_entropy, decode, detect, encode,

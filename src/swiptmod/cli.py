@@ -108,6 +108,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _unusable_checkpoint(path, exc: Exception) -> int:
+    print(f"unusable checkpoint {path}: {exc}", file=sys.stderr)
+    return EXIT_TRAINING
+
+
 def cmd_eval(args) -> int:
     resolved = _load_resolved(args)
     cfg = cfgmod.train_config_from(resolved)
@@ -120,10 +125,16 @@ def cmd_eval(args) -> int:
         raise CheckpointFormatError(
             f"checkpoint dims encoder={got_enc} decoder={got_dec} do not match "
             f"config dims encoder={expect_enc} decoder={expect_dec}")
-    const = export_constellation(params.encoder, cfg.m, cfg.p_a)
+    try:
+        const = export_constellation(params.encoder, cfg.m, cfg.p_a)
+    except ValueError as exc:   # every message maps to the origin
+        return _unusable_checkpoint(args.checkpoint, exc)
     samples = args.samples or cfg.eval_samples
-    report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
-                          seed=args.seed)
+    try:
+        report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
+                              seed=args.seed)
+    except FloatingPointError as exc:   # non-finite decoder output
+        return _unusable_checkpoint(args.checkpoint, exc)
     report.p_del = pdel_exact(const, cfg.harvester)
     payload = {
         "ser": report.ser,

@@ -31,8 +31,8 @@ def ml_detect(constellation: Constellation, y: complex) -> int:
 
 
 def _ml_detect_batch(points: np.ndarray, y: np.ndarray) -> np.ndarray:
-    d2 = np.abs(y[:, None] - points[None, :]) ** 2
-    return np.argmin(d2, axis=1)
+    pr, pi = points.real[:, None], points.imag[:, None]
+    return np.argmin((y.real - pr) ** 2 + (y.imag - pi) ** 2, axis=0)
 
 
 def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
@@ -62,8 +62,8 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
             s_hat = _ml_detect_batch(points, y)
         else:
             probs = decode(decoder, y)
-            s_hat = np.argmax(probs, axis=1)
-            ce_sum += float(-np.log(np.maximum(probs[np.arange(n), s],
+            s_hat = np.argmax(probs, axis=0)
+            ce_sum += float(-np.log(np.maximum(probs[s, np.arange(n)],
                                                EPS_LOG)).sum())
         shard_errors[blk % num_shards] += int(np.sum(s_hat != s))
     errors = int(shard_errors.sum())

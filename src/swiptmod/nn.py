@@ -9,7 +9,7 @@ checkpoint format. Everything is float64 and deterministic given its inputs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,44 +66,32 @@ def apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def activation_grad_mask(z: np.ndarray, kind: str) -> np.ndarray:
-    """Elementwise d(activation)/dz; softmax is handled fused with the cost."""
-    if kind == RELU:
-        return (z > 0.0).astype(float)
-    if kind == LINEAR:
-        return np.ones_like(z)
-    raise ValueError(f"no elementwise gradient for activation {kind!r}")
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stabilized softmax over the last axis."""
+    """Numerically stabilized softmax over axis 0, one column per sample.
+
+    The input is left unchanged; the result is a new array.
+    """
     z = np.asarray(logits, dtype=float)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite logits passed to softmax")
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
-    """activation(W x + b) for a single input vector or a (B, in) batch."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != layer.in_dim:
-        raise ValueError(
-            f"input width {x.shape[-1]} does not match layer in-dim {layer.in_dim}")
-    return apply_activation(x @ layer.weights.T + layer.biases, layer.activation)
+    e = z - z.max(axis=0)
+    np.exp(e, out=e)
+    e /= e.sum(axis=0)
+    return e
 
 
 def mlp_forward(layers: list[DenseLayer], x: np.ndarray):
-    """Run a stack of layers, returning (output, pre-activations, post-activations).
+    """Run a stack of layers on (features, batch) columns.
 
-    post[0] is the input itself; post[-1] the network output.
+    Returns (output, pre-activations, post-activations); post[0] is the input
+    itself and post[-1] the network output.
     """
     zs = []
     post = [np.asarray(x, dtype=float)]
     h = post[0]
     for layer in layers:
-        z = h @ layer.weights.T + layer.biases
+        z = layer.weights @ h
+        z += layer.biases[:, None]
         zs.append(z)
         h = apply_activation(z, layer.activation)
         post.append(h)
@@ -113,19 +101,25 @@ def mlp_forward(layers: list[DenseLayer], x: np.ndarray):
 def mlp_backward(layers: list[DenseLayer], zs, post, d_last_z: np.ndarray):
     """Backpropagate through a stack given d(cost)/d(last pre-activation).
 
-    For a softmax+cross-entropy head the caller passes probs - onehot (already
-    averaged over the batch); for a linear head the upstream gradient itself.
-    Returns ([(dW, db), ...], d_input); an empty stack passes d_last_z through.
+    All arrays are (features, batch). For a softmax+cross-entropy head the
+    caller passes probs - onehot (already averaged over the batch); for a
+    linear head the upstream gradient itself. Reads post[:len(layers)] and
+    zs[:len(layers) - 1]. Returns ([(dW, db), ...], d_input); an empty stack
+    passes d_last_z through.
     """
     grads = [None] * len(layers)
     dz = d_last_z
     dinp = d_last_z
     for li in reversed(range(len(layers))):
-        inp = post[li]
-        grads[li] = (dz.T @ inp, dz.sum(axis=0))
-        dinp = dz @ layers[li].weights
+        grads[li] = (dz @ post[li].T, dz.sum(axis=1))
+        dinp = layers[li].weights.T @ dz
         if li > 0:
-            dz = dinp * activation_grad_mask(zs[li - 1], layers[li - 1].activation)
+            kind = layers[li - 1].activation
+            if kind == RELU:
+                dinp *= zs[li - 1] > 0.0
+            elif kind != LINEAR:
+                raise ValueError(f"no elementwise gradient for activation {kind!r}")
+            dz = dinp
     return grads, dinp
 
 
@@ -198,10 +192,6 @@ def init_params(enc_dims: list[int], dec_dims: list[int], seed: int) -> NetworkP
     encoder = _build_stack(list(enc_dims), LINEAR, rng)
     decoder = _build_stack(list(dec_dims), SOFTMAX, rng)
     return NetworkParams(encoder=encoder, decoder=decoder)
-
-
-def zero_grads(params: NetworkParams) -> list[np.ndarray]:
-    return [np.zeros_like(a) for a in params.arrays()]
 
 
 # ---------------------------------------------------------------------------

@@ -119,79 +119,64 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     enc, dec = params.encoder, params.decoder
     msgs = np.asarray(messages, dtype=int)
     batch = msgs.shape[0]
-    first = enc[0]
-    counts = np.bincount(msgs, minlength=first.in_dim)
+    m = enc[0].in_dim
+    counts = np.bincount(msgs, minlength=m)
 
-    # encoder forward on the M one-hot inputs: the first pre-activation is
-    # W0^T + b0, one row per message; the batch is a gather of these rows
-    z0 = first.weights.T + first.biases
-    relu0 = first.activation == "relu"
-    u, zs_e, post_e = mlp_forward(enc[1:], np.maximum(z0, 0.0) if relu0 else z0)
+    # encoder on the M one-hot columns (first pre-activation W0 + b0[:, None]);
+    # the batch is a gather of its output columns
+    u, zs_e, post_e = mlp_forward(enc, np.eye(m))
 
-    energy = float(counts @ np.sum(u * u, axis=1))
+    energy = float(np.sum(u * u, axis=0) @ counts)
     degenerate = energy < EPS_NORM
     scale = math.sqrt(p_a * batch / max(energy, EPS_NORM))
-    xk = scale * u   # (M, 2) transmitted points
-    y = xk[msgs] + noise
+    xk = scale * u   # (2, M) transmitted points
+    y = xk[:, msgs] + noise.T
 
     _, zs_d, post_d = mlp_forward(dec[:-1], y)
-    logits = post_d[-1] @ dec[-1].weights.T + dec[-1].biases
+    logits = dec[-1].weights @ post_d[-1]
+    logits += dec[-1].biases[:, None]
     probs = softmax(logits)
 
-    picked = probs[np.arange(batch), msgs]
-    ce = float(-np.log(np.maximum(picked, EPS_LOG)).mean())
+    cols = np.arange(batch)
+    ce = float(-np.log(np.maximum(probs[msgs, cols], EPS_LOG)).mean())
 
     # per-point gradients weighted by counts/B are sums over that message's rows
-    p_del, dpdel_r, dpdel_i = pdel_with_grads(xk[:, 0] + 1j * xk[:, 1],
+    p_del, dpdel_r, dpdel_i = pdel_with_grads(xk[0] + 1j * xk[1],
                                               harvester, counts / batch)
     cost = total_cost(ce, p_del, lam)
-
-    # encoder rows of absent messages never reach the cost: skip their kinks
-    relu_zs = [z[counts > 0] for z in ([z0] if relu0 else []) + zs_e] + zs_d
-    relu_margin = min((float(np.min(np.abs(z))) for z in relu_zs if z.size),
-                      default=np.inf)
     info = {
         "cross_entropy": ce,
         "p_del": p_del,
         "degenerate": degenerate,
-        "batch_power": float(counts @ np.sum(xk * xk, axis=1)) / batch,
-        "min_prob": float(picked.min()),
-        "min_relu_margin": relu_margin,
+        "batch_power": float(np.sum(xk * xk, axis=0) @ counts) / batch,
     }
     if not want_grads:
         return cost, info, None
 
-    # softmax + cross entropy head, averaged over the batch
-    dlogits = probs.copy()
-    dlogits[np.arange(batch), msgs] -= 1.0
+    # softmax + cross entropy head, averaged over the batch; probs is this
+    # step's own buffer, so it becomes dlogits in place
+    dlogits = probs
+    dlogits[msgs, cols] -= 1.0
     dlogits /= batch
-    dec_grads, dy = mlp_backward(dec, zs_d + [logits], post_d + [probs], dlogits)
+    dec_grads, dy = mlp_backward(dec, zs_d, post_d, dlogits)
 
-    # fold the (B, 2) channel-input gradient onto the M points
-    dx = np.stack([np.bincount(msgs, weights=dy[:, j], minlength=first.in_dim)
-                   for j in range(2)], axis=1)
+    # fold the (2, B) channel-input gradient onto the M points
+    dx = np.stack([np.bincount(msgs, weights=dy[j], minlength=m) for j in range(2)])
     if lam > 0.0 and p_del > EPS_PDEL:
         coef = -lam / (p_del * p_del)
-        dx[:, 0] += coef * dpdel_r
-        dx[:, 1] += coef * dpdel_i
+        dx[0] += coef * dpdel_r
+        dx[1] += coef * dpdel_i
 
     # power normalization: x_k = scale(u) * u_k, energy = sum_k counts_k |u_k|^2
     if degenerate:
         du = scale * dx
     else:
-        du = scale * (dx - (float(np.sum(dx * u)) / energy) * counts[:, None] * u)
+        du = scale * (dx - (float(np.sum(dx * u)) / energy) * counts * u)
 
-    # encoder output layer is linear, so d(cost)/d(last z) is du itself
-    enc_grads_rest, dh0 = mlp_backward(enc[1:], zs_e, post_e, du)
-    # one row per one-hot input, so d(cost)/d(W0^T) is dz0 itself
-    dz0 = dh0 * (z0 > 0.0) if relu0 else dh0
-    enc_grads = [(dz0.T, dz0.sum(axis=0))] + enc_grads_rest
-
-    grads = []
-    for dw, db in enc_grads + dec_grads:
-        grads.append(dw)
-        grads.append(db)
-    return cost, info, grads
+    # the encoder output layer is linear, so d(cost)/d(last z) is du itself;
+    # its input is the identity, so d(cost)/d(W0) is dz0 exactly
+    enc_grads, _ = mlp_backward(enc, zs_e, post_e, du)
+    return cost, info, [g for pair in enc_grads + dec_grads for g in pair]
 
 
 def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import DenseLayer, apply_activation, mlp_forward
+from .nn import DenseLayer, mlp_forward
 
 EPS_NORM = 1e-20   # degenerate-batch guard on the pre-normalization energy
 EPS_LOG = 1e-15    # clamp for log() in the cross entropy
@@ -57,17 +57,14 @@ def one_hot(s: int, m: int) -> np.ndarray:
 def encode(encoder: list[DenseLayer], messages: np.ndarray) -> np.ndarray:
     """Map 0-based message indices to complex symbols, pre-normalization.
 
-    The one-hot times first-weight-matrix product is realized as column
-    selection.
+    The encoder runs on one-hot columns, so the first layer's pre-activation
+    for message k is column k of W0 plus b0.
     """
     msgs = np.asarray(messages, dtype=int)
-    first = encoder[0]
-    h = apply_activation(first.weights.T[msgs] + first.biases, first.activation)
-    for layer in encoder[1:]:
-        h = apply_activation(h @ layer.weights.T + layer.biases, layer.activation)
-    if h.shape[-1] != 2:
+    h, _, _ = mlp_forward(encoder, np.eye(encoder[0].in_dim)[:, msgs])
+    if h.shape[0] != 2:
         raise ValueError("encoder output must be 2-wide (re, im)")
-    return h[:, 0] + 1j * h[:, 1]
+    return h[0] + 1j * h[1]
 
 
 def normalize_power(symbols: np.ndarray, p_a: float):
@@ -86,10 +83,9 @@ def normalize_power(symbols: np.ndarray, p_a: float):
 
 
 def decode(decoder: list[DenseLayer], y: np.ndarray) -> np.ndarray:
-    """Noisy complex symbols -> (B, M) probability rows (softmax output)."""
+    """Noisy complex symbols -> (M, B) probability columns (softmax output)."""
     y = np.atleast_1d(np.asarray(y, dtype=complex))
-    feats = np.stack([y.real, y.imag], axis=-1)
-    out, _, _ = mlp_forward(decoder, feats)
+    out, _, _ = mlp_forward(decoder, np.stack([y.real, y.imag]))
     return out
 
 
@@ -111,9 +107,9 @@ def cross_entropy(s_onehot: np.ndarray, probs: np.ndarray) -> float:
 
 
 def batch_cross_entropy(probs: np.ndarray, messages: np.ndarray) -> float:
-    """Mean -log p[s] over a batch of 0-based message indices."""
+    """Mean -log p[s] over (M, B) probability columns and 0-based messages."""
     msgs = np.asarray(messages, dtype=int)
-    picked = probs[np.arange(msgs.size), msgs]
+    picked = probs[msgs, np.arange(msgs.size)]
     return float(-np.log(np.maximum(picked, EPS_LOG)).mean())
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swiptmod import cli, config, trainer
+from swiptmod.nn import init_params, save_checkpoint
 from swiptmod.transceiver import Constellation, write_constellation_csv
 
 TINY_A = {
@@ -143,6 +144,24 @@ def test_eval_dim_mismatch_exit_3(trained, tmp_path, capsys):
                         name="cfg8.json")
     assert cli.main(["eval", str(ckpt), bigger]) == 3
     assert "do not match" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layer, value, raised", [
+    ("encoder", 0.0, "degenerate encoder"),      # every message at the origin
+    ("decoder", np.nan, "non-finite logits"),
+])
+def test_eval_unusable_checkpoint_exit_4(tmp_path, capsys, layer, value, raised):
+    params = init_params([4, 8, 2], [2, 8, 4], seed=0)
+    last = getattr(params, layer)[-1]
+    last.weights[:] = value
+    last.biases[:] = value
+    ckpt = tmp_path / "broken.bin"
+    save_checkpoint(ckpt, params)
+    cfg = _write_cfg(tmp_path, TINY_A)
+    assert cli.main(["eval", str(ckpt), cfg, "--samples", "2000"]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("unusable checkpoint") and raised in err
+    assert "\n" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from swiptmod.channel import ROLE_EVAL, sample_noise, substream
 from swiptmod.evaluator import classical_baseline, estimate_ser, ml_detect
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
-from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer
-from swiptmod.transceiver import Constellation
+from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer, init_params
+from swiptmod.transceiver import EPS_LOG, Constellation
 
 
 def _uniform(points):
@@ -20,6 +21,43 @@ def test_ml_detect_exact_point_and_tie():
     assert ml_detect(const, 1 + 0j) == 1
     assert ml_detect(const, -1 + 0j) == 2
     assert ml_detect(const, 0 + 0j) == 1  # equidistant: lowest index wins
+
+
+def test_estimate_ser_ml_ties_go_to_lowest_index():
+    # duplicated points: noiseless samples of messages 1 and 3 tie with 0 and 2
+    const = _uniform([1 + 0j, 1 + 0j, -1 + 0j, -1 + 0j])
+    report = estimate_ser(const, None, 0.0, 1000, seed=2)
+    s = substream(2, ROLE_EVAL, 0).integers(0, 4, size=1000)
+    assert report.ser == np.isin(s, [1, 3]).sum() / 1000
+
+
+def test_estimate_ser_nn_matches_per_sample_reference():
+    const = classical_baseline("QAM", 4, 0.01)
+    decoder = init_params([4, 8, 2], [2, 8, 4], seed=3).decoder
+    decoder[0].weights *= 30.0   # a decoder that is right on most samples
+    before = [a.copy() for l in decoder for a in (l.weights, l.biases)]
+    points = const.points.copy()
+    report = estimate_ser(const, decoder, 2e-3, 2500, seed=5, block_size=1024)
+    errors, ce = 0, 0.0
+    for blk, n in enumerate((1024, 1024, 452)):
+        rng = substream(5, ROLE_EVAL, blk)
+        s = rng.integers(0, 4, size=n)
+        noise = sample_noise(n, 2e-3, rng)
+        for k in range(n):
+            y = points[s[k]] + noise[k, 0] + 1j * noise[k, 1]
+            h = np.maximum(decoder[0].weights @ [y.real, y.imag]
+                           + decoder[0].biases, 0.0)
+            logits = decoder[1].weights @ h + decoder[1].biases
+            p = np.exp(logits - logits.max())
+            p /= p.sum()
+            errors += int(np.argmax(p)) != s[k]
+            ce -= np.log(max(p[s[k]], EPS_LOG))
+    assert 0 < errors < 2500
+    assert report.ser == errors / 2500
+    assert report.cross_entropy == pytest.approx(ce / 2500, rel=1e-12)
+    assert np.array_equal(const.points, points)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        (a for l in decoder for a in (l.weights, l.biases)), before))
 
 
 def test_estimate_ser_noiseless_ml_is_zero():

@@ -5,9 +5,9 @@ import pytest
 from mpmath import mp
 
 from swiptmod.nn import (LINEAR, RELU, SOFTMAX, AdamState, CheckpointFormatError,
-                         DenseLayer, NetworkParams, adam_step, dense_forward,
-                         init_params, load_checkpoint, mlp_backward, mlp_forward,
-                         save_checkpoint, softmax, xavier_uniform, zero_grads)
+                         DenseLayer, NetworkParams, adam_step, init_params,
+                         load_checkpoint, mlp_backward, mlp_forward,
+                         save_checkpoint, softmax, xavier_uniform)
 from swiptmod.channel import substream
 
 
@@ -17,35 +17,43 @@ def _layer(w, b, act):
 
 
 # ---------------------------------------------------------------------------
-# dense_forward
+# forward pass of one dense layer: mlp_forward on a one-layer stack, with
+# (features, batch) columns
 # ---------------------------------------------------------------------------
+
+def _dense_forward(layer, x):
+    out, _, _ = mlp_forward([layer], x)
+    return out
+
 
 def test_dense_forward_identity():
     layer = _layer(np.eye(2), np.zeros(2), LINEAR)
-    out = dense_forward(layer, np.array([1.0, 2.0]))
-    assert np.array_equal(out, [1.0, 2.0])
+    out = _dense_forward(layer, np.array([[1.0], [2.0]]))
+    assert np.array_equal(out, [[1.0], [2.0]])
 
 
 def test_dense_forward_relu_clamps_negative_bias():
     layer = _layer(np.zeros((2, 2)), [0.5, -1.0], RELU)
-    out = dense_forward(layer, np.zeros(2))
-    assert np.array_equal(out, [0.5, 0.0])
+    out = _dense_forward(layer, np.zeros((2, 3)))
+    assert np.array_equal(out, [[0.5] * 3, [0.0] * 3])
 
 
 def test_dense_forward_matches_manual_product():
     rng = substream(9, 0)
     w = rng.standard_normal((3, 2))
     b = rng.standard_normal(3)
-    x = rng.standard_normal(2)
-    out = dense_forward(_layer(w, b, LINEAR), x)
-    manual = np.array([w[i, 0] * x[0] + w[i, 1] * x[1] + b[i] for i in range(3)])
+    x = rng.standard_normal((2, 4))
+    out = _dense_forward(_layer(w, b, LINEAR), x)
+    manual = np.array([[w[i, 0] * x[0, j] + w[i, 1] * x[1, j] + b[i]
+                        for j in range(4)] for i in range(3)])
+    assert out.shape == (3, 4)
     assert np.allclose(out, manual, atol=1e-15)
 
 
 def test_dense_forward_dimension_mismatch():
     layer = _layer(np.eye(2), np.zeros(2), LINEAR)
     with pytest.raises(ValueError):
-        dense_forward(layer, np.zeros(3))
+        _dense_forward(layer, np.zeros((3, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +86,16 @@ def test_softmax_rejects_nan():
         softmax(np.array([1.0, np.nan]))
 
 
+def test_softmax_normalizes_columns_and_leaves_input_unchanged():
+    logits = substream(10, 0).standard_normal((5, 7)) * 30.0
+    before = logits.copy()
+    probs = softmax(logits)
+    assert np.array_equal(logits, before)
+    assert np.allclose(probs.sum(axis=0), 1.0, atol=1e-15)
+    for j in range(7):
+        assert np.allclose(probs[:, j], softmax(logits[:, j]), rtol=0, atol=1e-15)
+
+
 # ---------------------------------------------------------------------------
 # backward
 # ---------------------------------------------------------------------------
@@ -87,36 +105,54 @@ def test_backward_single_linear_layer_closed_form():
     # dC/dW = 2(Wx+b-t) x^T, dC/db = 2(Wx+b-t)
     rng = substream(11, 0)
     layer = _layer(rng.standard_normal((3, 2)), rng.standard_normal(3), LINEAR)
-    x = rng.standard_normal((1, 2))
-    t = rng.standard_normal((1, 3))
+    x = rng.standard_normal((2, 1))
+    t = rng.standard_normal((3, 1))
     out, zs, post = mlp_forward([layer], x)
     d_last_z = 2.0 * (out - t)
     grads, dinp = mlp_backward([layer], zs, post, d_last_z)
     dw, db = grads[0]
-    resid = (out - t)[0]
-    assert np.allclose(dw, 2.0 * np.outer(resid, x[0]), atol=1e-14)
+    resid = (out - t)[:, 0]
+    assert np.allclose(dw, 2.0 * np.outer(resid, x[:, 0]), atol=1e-14)
     assert np.allclose(db, 2.0 * resid, atol=1e-14)
-    assert np.allclose(dinp, d_last_z @ layer.weights, atol=1e-14)
+    assert np.allclose(dinp, layer.weights.T @ d_last_z, atol=1e-14)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     rng = substream(12, 0)
     layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4), RELU),
               _layer(rng.standard_normal((2, 4)), rng.standard_normal(2), LINEAR)]
-    x = rng.standard_normal((5, 3))
+    x = rng.standard_normal((3, 5))
     _, zs, post = mlp_forward(layers, x)
-    grads, dinp = mlp_backward(layers, zs, post, np.zeros((5, 2)))
+    grads, dinp = mlp_backward(layers, zs, post, np.zeros((2, 5)))
     for dw, db in grads:
         assert not dw.any()
         assert not db.any()
     assert not dinp.any()
 
 
+def test_backward_relu_mask_and_inputs_unchanged():
+    rng = substream(14, 0)
+    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4), RELU),
+              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2), LINEAR)]
+    x = rng.standard_normal((3, 5))
+    d = rng.standard_normal((2, 5))
+    _, zs, post = mlp_forward(layers, x)
+    before = [a.copy() for a in zs + post + [d]]
+    grads, dinp = mlp_backward(layers, zs, post, d)
+    dz0 = (layers[1].weights.T @ d) * (zs[0] > 0.0)
+    assert np.allclose(grads[0][0], dz0 @ x.T, atol=1e-14)
+    assert np.allclose(dinp, layers[0].weights.T @ dz0, atol=1e-14)
+    assert all(np.array_equal(a, b) for a, b in zip(zs + post + [d], before))
+    layers[0].activation = SOFTMAX   # no elementwise gradient for a hidden softmax
+    with pytest.raises(ValueError):
+        mlp_backward(layers, zs, post, d)
+
+
 def test_backward_two_layer_matches_finite_differences():
     rng = substream(13, 0)
     layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4), RELU),
               _layer(rng.standard_normal((2, 4)), rng.standard_normal(2), LINEAR)]
-    x = rng.standard_normal((6, 3)) + 0.1  # keep away from ReLU kinks
+    x = rng.standard_normal((3, 6)) + 0.1  # keep away from ReLU kinks
 
     def cost():
         out, _, _ = mlp_forward(layers, x)
@@ -154,7 +190,8 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     state = AdamState.for_params(params, learning_rate=0.01)
     before = [a.copy() for a in params.arrays()]
     for _ in range(3):
-        adam_step(params.arrays(), zero_grads(params), state)
+        adam_step(params.arrays(), [np.zeros_like(a) for a in params.arrays()],
+                  state)
     for a, b in zip(params.arrays(), before):
         assert np.array_equal(a, b)
 

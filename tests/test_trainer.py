@@ -66,6 +66,21 @@ def test_network_cost_lambda_zero_equals_cross_entropy():
     assert cost == info["cross_entropy"]
 
 
+def test_network_cost_leaves_inputs_unchanged():
+    params = init_params([4, 8, 2], [2, 8, 4], seed=4)
+    rng = substream(4, ROLE_MISC)
+    msgs = rng.integers(0, 4, size=16)
+    noise = sample_noise(16, 2e-5, rng)
+    inputs = params.arrays() + [msgs, noise]
+    before = [a.copy() for a in inputs]
+    cost, _, grads = network_cost(params, msgs, noise, 0.001, 1e-3, MODEL_A)
+    again, _, _ = network_cost(params, msgs, noise, 0.001, 1e-3, MODEL_A)
+    assert cost == again
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
+    assert not any(np.shares_memory(g, a) for g in grads for a in inputs)
+
+
 # (batch size, messages drawn from range(n)): a full batch, a batch in which
 # message 3 never appears (zero count) and a single-row batch
 _FD_BATCHES = {"": (8, 4), "-absent": (8, 3), "-single": (1, 4)}

@@ -109,16 +109,22 @@ def test_decode_zero_weights_uniform():
     dec = [_layer(np.zeros((8, 2)), np.zeros(8), RELU),
            _layer(np.zeros((4, 8)), np.zeros(4), SOFTMAX)]
     probs = decode(dec, 0.3 - 0.7j)
+    assert probs.shape == (4, 1)
     assert np.allclose(probs, 0.25, atol=1e-15)
 
 
 def test_decode_reproducible_and_normalized():
     dec = init_params([4, 8, 2], [2, 8, 4], seed=6).decoder
-    y = np.array([0.1 + 0.2j, -0.3 + 0.05j])
+    y = np.array([0.1 + 0.2j, -0.3 + 0.05j, 0.7 - 0.4j])
+    before = y.copy()
     p1 = decode(dec, y)
     p2 = decode(dec, y)
+    assert np.array_equal(y, before)
+    assert p1.shape == (4, 3)
     assert np.array_equal(p1, p2)
-    assert np.allclose(p1.sum(axis=-1), 1.0, atol=1e-12)
+    assert np.allclose(p1.sum(axis=0), 1.0, atol=1e-12)
+    for j in range(3):   # each column is that sample decoded alone
+        assert np.allclose(p1[:, j], decode(dec, y[j])[:, 0], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -149,10 +155,10 @@ def test_cross_entropy_shape_mismatch():
 
 def test_batch_cross_entropy_matches_scalar_mean():
     rng = np.random.default_rng(0)
-    probs = rng.dirichlet(np.ones(4), size=6)
+    probs = rng.dirichlet(np.ones(4), size=6).T   # (M, B) columns
     msgs = rng.integers(0, 4, size=6)
-    scalar = np.mean([cross_entropy(one_hot(s + 1, 4), p)
-                      for s, p in zip(msgs, probs)])
+    scalar = np.mean([cross_entropy(one_hot(s + 1, 4), probs[:, j])
+                      for j, s in enumerate(msgs)])
     assert batch_cross_entropy(probs, msgs) == pytest.approx(scalar, rel=1e-12)
 
 
