@@ -1,7 +1,7 @@
 """Learned modulation design for SWIPT over AWGN with nonlinear harvesters."""
 
-from .channel import ChannelParams, apply_awgn, make_channel, snr_to_variance, substream
-from .evaluator import EvalReport, classical_baseline, estimate_ser, ml_detect
+from .channel import ChannelParams, make_channel, snr_to_variance, substream
+from .evaluator import EvalReport, classical_baseline, estimate_ser
 from .harvester import (HarvesterModel, ModelAParams, ModelBParams, MomentSet,
                         compute_moments, pdel_exact, pdel_model_a, pdel_model_b,
                         pdel_monte_carlo_check, q_tilde)
@@ -9,8 +9,8 @@ from .nn import (AdamState, DenseLayer, NetworkParams, adam_step, init_params,
                  load_checkpoint, save_checkpoint, softmax)
 from .trainer import (RunRecord, TrainConfig, lambda_sweep, multi_restart,
                       network_cost, total_cost, train_run)
-from .transceiver import (Constellation, cross_entropy, decode, detect, encode,
-                          export_constellation, normalize_power, one_hot,
+from .transceiver import (Constellation, decode, encode,
+                          export_constellation, normalize_power,
                           read_constellation_csv, write_constellation_csv)
 
 __version__ = "0.1.0"

@@ -61,12 +61,3 @@ def sample_noise(num: int, sigma2: float, rng: np.random.Generator) -> np.ndarra
     if sigma2 == 0.0:
         return np.zeros((num, 2))
     return rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=(num, 2))
-
-
-def apply_awgn(symbols: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """y = x + n with n circularly symmetric complex Gaussian of variance sigma2."""
-    x = np.asarray(symbols, dtype=complex)
-    if sigma2 == 0.0:
-        return x.copy()
-    n = sample_noise(x.shape[0], sigma2, rng)
-    return x + n[:, 0] + 1j * n[:, 1]

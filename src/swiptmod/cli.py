@@ -10,7 +10,7 @@ from pathlib import Path
 
 from . import config as cfgmod
 from .config import ConfigError
-from .evaluator import estimate_ser
+from .evaluator import MIN_SAMPLES, estimate_ser
 from .harvester import pdel_exact
 from .gradcheck import run_gradcheck
 from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
@@ -116,6 +116,9 @@ def _unusable_checkpoint(path, exc: Exception) -> int:
 def cmd_eval(args) -> int:
     resolved = _load_resolved(args)
     cfg = cfgmod.train_config_from(resolved)
+    samples = cfg.eval_samples if args.samples is None else args.samples
+    if samples < MIN_SAMPLES:
+        raise ConfigError(f"eval needs at least {MIN_SAMPLES} samples, got {samples}")
     params = load_checkpoint(args.checkpoint)
     expect_enc = cfg.encoder_dims()
     got_enc = [params.encoder[0].in_dim] + [l.out_dim for l in params.encoder]
@@ -129,7 +132,6 @@ def cmd_eval(args) -> int:
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
     except ValueError as exc:   # every message maps to the origin
         return _unusable_checkpoint(args.checkpoint, exc)
-    samples = args.samples or cfg.eval_samples
     try:
         report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
                               seed=args.seed)

@@ -12,6 +12,7 @@ from .nn import DenseLayer
 from .transceiver import EPS_LOG, Constellation, decode
 
 DEFAULT_BLOCK = 1 << 16
+MIN_SAMPLES = 1_000
 
 
 @dataclass
@@ -24,13 +25,8 @@ class EvalReport:
     cross_entropy: float = math.nan
 
 
-def ml_detect(constellation: Constellation, y: complex) -> int:
-    """Minimum-distance detection (ML for AWGN); 1-based, ties to lowest index."""
-    return int(_ml_detect_batch(constellation.points,
-                                np.asarray([y], dtype=complex))[0]) + 1
-
-
 def _ml_detect_batch(points: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Minimum-distance detection (ML for AWGN); ties to the lowest index."""
     pr, pi = points.real[:, None], points.imag[:, None]
     return np.argmin((y.real - pr) ** 2 + (y.imag - pi) ** 2, axis=0)
 
@@ -45,8 +41,8 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     depend on how blocks are distributed over shards (error counts are merged
     by summation). decoder=None selects minimum-distance detection.
     """
-    if num_samples < 1_000:
-        raise ValueError("estimate_ser needs at least 1e3 samples")
+    if num_samples < MIN_SAMPLES:
+        raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
     points = constellation.points
     m = constellation.size
     num_blocks = (num_samples + block_size - 1) // block_size

@@ -137,13 +137,13 @@ def check_one(model, p_a, lam, m, seed, step=DEFAULT_STEP, tol=DEFAULT_TOL,
         return None
 
     floor = _denominator_floor(cost, step, tol)
-    arrays = params.arrays()
     if corrupt:
-        grads = [g.copy() for g in grads]
-        grads[0].flat[0] *= 1.001
-        grads[0].flat[0] += 1e-4
+        grads = grads.copy()
+        grads[0] *= 1.001
+        grads[0] += 1e-4
     blocks = []
-    for name, arr, grad in zip(_block_names(params), arrays, grads):
+    for name, arr, grad in zip(_block_names(params), params.arrays(),
+                               params.views(grads)):
         numeric = np.zeros_like(arr)
         flat = arr.reshape(-1)
         nflat = numeric.reshape(-1)

@@ -9,7 +9,7 @@ checkpoint format. Everything is float64 and deterministic given its inputs.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,89 +44,131 @@ class DenseLayer:
 
 @dataclass
 class NetworkParams:
+    """Encoder and decoder stacks over one contiguous float64 vector `flat`.
+
+    Construction copies the layers' arrays into `flat` and makes each layer's
+    weights and biases views into it, in arrays() order; that order is also
+    the checkpoint payload. Update the arrays in place, never rebind them.
+    """
     encoder: list[DenseLayer]
     decoder: list[DenseLayer]
+    flat: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat = np.concatenate([a.ravel() for a in self.arrays()], dtype=float)
+        views = self.views(self.flat)
+        for layer, w, b in zip(self.encoder + self.decoder, views[::2], views[1::2]):
+            layer.weights, layer.biases = w, b
 
     def arrays(self) -> list[np.ndarray]:
         """Flat list of parameter arrays, encoder first, W before b per layer."""
-        out = []
-        for layer in self.encoder + self.decoder:
-            out.append(layer.weights)
-            out.append(layer.biases)
+        return [a for layer in self.encoder + self.decoder
+                for a in (layer.weights, layer.biases)]
+
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector laid out like `flat`, shaped like arrays()."""
+        out, off = [], 0
+        for a in self.arrays():
+            out.append(vec[off:off + a.size].reshape(a.shape))
+            off += a.size
         return out
 
 
-def apply_activation(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == RELU:
-        return np.maximum(z, 0.0)
-    if kind == LINEAR:
-        return z
-    if kind == SOFTMAX:
-        return softmax(z)
-    raise ValueError(f"unknown activation {kind!r}")
+def scratch(ws: dict | None, key, shape, dtype=float) -> np.ndarray | None:
+    """Workspace buffer `key`, remade when its shape changes; None without a
+    workspace, so `out=scratch(...)` lets NumPy allocate on the same line."""
+    if ws is None:
+        return None
+    buf = ws.get(key)
+    if buf is None or buf.shape != shape:
+        buf = ws[key] = np.empty(shape, dtype)
+    return buf
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stabilized softmax over axis 0, one column per sample.
 
-    The input is left unchanged; the result is a new array.
+    The result goes to `out`, which may be `logits` itself; with out=None it
+    is a new array and the input is left unchanged.
     """
     z = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(z)):
+    top = z.max(axis=0)
+    # all entries are finite iff the largest and the smallest are
+    if not (np.isfinite(top.max()) and np.isfinite(z.min())):
         raise FloatingPointError("non-finite logits passed to softmax")
-    e = z - z.max(axis=0)
+    e = np.subtract(z, top, out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=0)
     return e
 
 
-def mlp_forward(layers: list[DenseLayer], x: np.ndarray):
+def mlp_forward(layers: list[DenseLayer], x: np.ndarray, ws: dict | None = None,
+                key: str = ""):
     """Run a stack of layers on (features, batch) columns.
 
     Returns (output, pre-activations, post-activations); post[0] is the input
-    itself and post[-1] the network output.
+    itself and post[-1] the network output. A softmax head is computed in
+    place, so zs[-1] then holds the probabilities, not the logits. With a
+    workspace every result lands in its buffers under `key`, which must
+    differ between stacks sharing one workspace.
     """
     zs = []
     post = [np.asarray(x, dtype=float)]
     h = post[0]
-    for layer in layers:
-        z = layer.weights @ h
+    for li, layer in enumerate(layers):
+        shape = (layer.out_dim, h.shape[-1])
+        z = np.matmul(layer.weights, h, out=scratch(ws, (key, "z", li), shape))
         z += layer.biases[:, None]
         zs.append(z)
-        h = apply_activation(z, layer.activation)
+        if layer.activation == RELU:
+            h = np.maximum(z, 0.0, out=scratch(ws, (key, "a", li), shape))
+        elif layer.activation == LINEAR:
+            h = z
+        elif layer.activation == SOFTMAX:
+            h = softmax(z, out=z)
+        else:
+            raise ValueError(f"unknown activation {layer.activation!r}")
         post.append(h)
     return h, zs, post
 
 
-def mlp_backward(layers: list[DenseLayer], zs, post, d_last_z: np.ndarray):
+def mlp_backward(layers: list[DenseLayer], zs, post, d_last_z: np.ndarray,
+                 grads: list[np.ndarray] | None = None, ws: dict | None = None,
+                 key: str = ""):
     """Backpropagate through a stack given d(cost)/d(last pre-activation).
 
     All arrays are (features, batch). For a softmax+cross-entropy head the
     caller passes probs - onehot (already averaged over the batch); for a
     linear head the upstream gradient itself. Reads post[:len(layers)] and
     zs[:len(layers) - 1]. Returns ([(dW, db), ...], d_input); an empty stack
-    passes d_last_z through.
+    passes d_last_z through. `grads`, if given, is [dW0, db0, dW1, ...] to
+    write the layer gradients into; `ws` and `key` are as in mlp_forward.
     """
-    grads = [None] * len(layers)
+    pairs = [None] * len(layers)
     dz = d_last_z
     dinp = d_last_z
     for li in reversed(range(len(layers))):
-        grads[li] = (dz @ post[li].T, dz.sum(axis=1))
-        dinp = layers[li].weights.T @ dz
+        dw, db = grads[2 * li:2 * li + 2] if grads is not None else (None, None)
+        pairs[li] = (np.matmul(dz, post[li].T, out=dw), dz.sum(axis=1, out=db))
+        shape = (layers[li].in_dim, dz.shape[1])
+        dinp = np.matmul(layers[li].weights.T, dz, out=scratch(ws, (key, "d", li), shape))
         if li > 0:
             kind = layers[li - 1].activation
             if kind == RELU:
-                dinp *= zs[li - 1] > 0.0
+                dinp *= np.greater(zs[li - 1], 0.0,
+                                   out=scratch(ws, (key, "mask", li), shape, bool))
             elif kind != LINEAR:
                 raise ValueError(f"no elementwise gradient for activation {kind!r}")
             dz = dinp
-    return grads, dinp
+    return pairs, dinp
 
 
 @dataclass
 class AdamState:
-    first_moment: list[np.ndarray]
-    second_moment: list[np.ndarray]
+    """Adam moments over a flat parameter vector, with two reusable buffers."""
+    first_moment: np.ndarray
+    second_moment: np.ndarray
+    buffers: np.ndarray   # (2, n)
     step_count: int
     learning_rate: float
     beta1: float = 0.9
@@ -134,34 +176,34 @@ class AdamState:
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: NetworkParams, learning_rate: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        arrays = params.arrays()
-        return cls(first_moment=[np.zeros_like(a) for a in arrays],
-                   second_moment=[np.zeros_like(a) for a in arrays],
-                   step_count=0, learning_rate=learning_rate,
-                   beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: NetworkParams, learning_rate: float, **betas_eps):
+        n = params.flat.size
+        return cls(np.zeros(n), np.zeros(n), np.empty((2, n)), 0, learning_rate,
+                   **betas_eps)
 
 
-def adam_step(param_arrays: list[np.ndarray], grad_arrays: list[np.ndarray],
-              state: AdamState) -> None:
-    """In-place Adam update with bias correction."""
-    if len(param_arrays) != len(grad_arrays):
-        raise ValueError("parameter/gradient list length mismatch")
+def adam_step(param_vec: np.ndarray, grad_vec: np.ndarray, state: AdamState) -> None:
+    """In-place Adam update with bias correction of a flat parameter vector."""
+    if not param_vec.shape == grad_vec.shape == state.first_moment.shape:
+        raise ValueError(f"gradient shape {grad_vec.shape} != parameter shape {param_vec.shape}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
-    for p, g, m, v in zip(param_arrays, grad_arrays,
-                          state.first_moment, state.second_moment):
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p -= state.learning_rate * m_hat / (np.sqrt(v_hat) + state.eps)
+    m, v, g = state.first_moment, state.second_moment, grad_vec
+    s, r = state.buffers
+    m *= b1
+    m += np.multiply(g, 1.0 - b1, out=s)
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=s)
+    s *= g
+    v += s
+    np.divide(m, 1.0 - b1 ** t, out=s)     # m_hat
+    s *= state.learning_rate
+    np.divide(v, 1.0 - b2 ** t, out=r)     # v_hat
+    np.sqrt(r, out=r)
+    r += state.eps
+    s /= r
+    param_vec -= s
 
 
 def xavier_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,20 +238,18 @@ def init_params(enc_dims: list[int], dec_dims: list[int], seed: int) -> NetworkP
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic, u32 version, u16 number of encoder/decoder layers,
-# per-layer u32 (out, in), then row-major little-endian float64 weights and
-# biases, encoder first.
+# per-layer u32 (out, in), then NetworkParams.flat as little-endian float64
+# (each layer's row-major weights, then its biases, encoder first).
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: NetworkParams) -> None:
+    layers = params.encoder + params.decoder
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<IHH", CHECKPOINT_VERSION,
                              len(params.encoder), len(params.decoder)))
-        for layer in params.encoder + params.decoder:
-            fh.write(struct.pack("<II", layer.out_dim, layer.in_dim))
-        for layer in params.encoder + params.decoder:
-            fh.write(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(layer.biases, dtype="<f8").tobytes())
+        fh.write(b"".join(struct.pack("<II", *l.weights.shape) for l in layers))
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> NetworkParams:
@@ -219,32 +259,19 @@ def load_checkpoint(path) -> NetworkParams:
         raise CheckpointFormatError(f"bad magic in {path}")
     try:
         version, n_enc, n_dec = struct.unpack_from("<IHH", blob, 8)
+        shapes = [struct.unpack_from("<II", blob, 16 + 8 * i)
+                  for i in range(n_enc + n_dec)]
     except struct.error as exc:
         raise CheckpointFormatError(f"truncated header in {path}") from exc
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    off = 16
-    shapes = []
-    for _ in range(n_enc + n_dec):
-        try:
-            out_dim, in_dim = struct.unpack_from("<II", blob, off)
-        except struct.error as exc:
-            raise CheckpointFormatError(f"truncated shape table in {path}") from exc
-        shapes.append((out_dim, in_dim))
-        off += 8
-    layers = []
-    for out_dim, in_dim in shapes:
-        need = 8 * (out_dim * in_dim + out_dim)
-        if off + need > len(blob):
-            raise CheckpointFormatError(f"truncated payload in {path}")
-        w = np.frombuffer(blob, dtype="<f8", count=out_dim * in_dim, offset=off)
-        off += 8 * out_dim * in_dim
-        b = np.frombuffer(blob, dtype="<f8", count=out_dim, offset=off)
-        off += 8 * out_dim
-        layers.append(DenseLayer(weights=w.reshape(out_dim, in_dim).astype(float),
-                                 biases=b.astype(float), activation=LINEAR))
-    encoder, decoder = layers[:n_enc], layers[n_enc:]
-    for stack, final in ((encoder, LINEAR), (decoder, SOFTMAX)):
-        for i, layer in enumerate(stack):
-            layer.activation = final if i == len(stack) - 1 else RELU
-    return NetworkParams(encoder=encoder, decoder=decoder)
+    if not (n_enc and n_dec):
+        raise CheckpointFormatError(f"empty encoder or decoder in {path}")
+    off = 16 + 8 * len(shapes)
+    if off + 8 * sum(o * i + o for o, i in shapes) > len(blob):
+        raise CheckpointFormatError(f"truncated payload in {path}")
+    layers = [DenseLayer(np.empty((o, i)), np.empty(o), RELU) for o, i in shapes]
+    layers[n_enc - 1].activation, layers[-1].activation = LINEAR, SOFTMAX
+    params = NetworkParams(encoder=layers[:n_enc], decoder=layers[n_enc:])
+    params.flat[:] = np.frombuffer(blob, dtype="<f8", count=params.flat.size, offset=off)
+    return params

@@ -17,7 +17,7 @@ from .channel import (ROLE_DATA, ROLE_NOISE, derive_seed, make_channel,
                       sample_noise, substream)
 from .harvester import HarvesterModel, pdel_exact, pdel_with_grads
 from .nn import (AdamState, NetworkParams, adam_step, init_params,
-                 mlp_backward, mlp_forward, softmax)
+                 mlp_backward, mlp_forward, scratch, softmax)
 from .transceiver import (EPS_LOG, EPS_NORM, Constellation, encode,
                           export_constellation)
 
@@ -109,12 +109,14 @@ def total_cost(batch_ce: float, p_del: float, lam: float) -> float:
 
 def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
                  p_a: float, lam: float, harvester: HarvesterModel,
-                 want_grads: bool = True):
+                 want_grads: bool = True, ws: dict | None = None):
     """Cost of one minibatch with frozen noise; optionally its gradients.
 
     messages are 0-based indices, noise is (B, 2) real/imag components.
-    Returns (cost, info, grads) where grads is a flat list matching
-    params.arrays() (encoder layers first, W before b) or None.
+    Returns (cost, info, grads) where grads is a new vector laid out like
+    params.flat (split it with params.views) or None. A workspace dict `ws`,
+    reused from step to step, holds every batch-sized buffer; the results
+    never point into it.
     """
     enc, dec = params.encoder, params.decoder
     msgs = np.asarray(messages, dtype=int)
@@ -124,18 +126,21 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # encoder on the M one-hot columns (first pre-activation W0 + b0[:, None]);
     # the batch is a gather of its output columns
-    u, zs_e, post_e = mlp_forward(enc, np.eye(m))
+    u, zs_e, post_e = mlp_forward(enc, np.eye(m), ws, "enc")
 
     energy = float(np.sum(u * u, axis=0) @ counts)
     degenerate = energy < EPS_NORM
     scale = math.sqrt(p_a * batch / max(energy, EPS_NORM))
     xk = scale * u   # (2, M) transmitted points
-    y = xk[:, msgs] + noise.T
+    # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
+    y = np.take(xk, msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
+    y += noise.T
 
-    _, zs_d, post_d = mlp_forward(dec[:-1], y)
-    logits = dec[-1].weights @ post_d[-1]
+    _, zs_d, post_d = mlp_forward(dec[:-1], y, ws, "dec")
+    logits = np.matmul(dec[-1].weights, post_d[-1],
+                       out=scratch(ws, "logits", (m, batch)))
     logits += dec[-1].biases[:, None]
-    probs = softmax(logits)
+    probs = softmax(logits, out=logits)
 
     cols = np.arange(batch)
     ce = float(-np.log(np.maximum(probs[msgs, cols], EPS_LOG)).mean())
@@ -153,12 +158,14 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     if not want_grads:
         return cost, info, None
 
-    # softmax + cross entropy head, averaged over the batch; probs is this
-    # step's own buffer, so it becomes dlogits in place
+    # softmax + cross entropy head, averaged over the batch; the logits buffer
+    # holds the probabilities and becomes dlogits in place
     dlogits = probs
     dlogits[msgs, cols] -= 1.0
     dlogits /= batch
-    dec_grads, dy = mlp_backward(dec, zs_d, post_d, dlogits)
+    grads = np.empty_like(params.flat)
+    views = params.views(grads)
+    _, dy = mlp_backward(dec, zs_d, post_d, dlogits, views[2 * len(enc):], ws, "dec")
 
     # fold the (2, B) channel-input gradient onto the M points
     dx = np.stack([np.bincount(msgs, weights=dy[j], minlength=m) for j in range(2)])
@@ -175,8 +182,8 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # the encoder output layer is linear, so d(cost)/d(last z) is du itself;
     # its input is the identity, so d(cost)/d(W0) is dz0 exactly
-    enc_grads, _ = mlp_backward(enc, zs_e, post_e, du)
-    return cost, info, [g for pair in enc_grads + dec_grads for g in pair]
+    mlp_backward(enc, zs_e, post_e, du, views[:2 * len(enc)], ws, "enc")
+    return cost, info, grads
 
 
 def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
@@ -195,6 +202,7 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     failed = RunRecord(lam=lam, seed=seed, final_cost=math.nan, ser=1.0,
                        p_del=math.nan, cross_entropy=math.nan,
                        constellation=None, failed=True)
+    ws = {}   # this restart's batch-sized buffers, reused by every step
 
     # divergence shows as a non-finite cost or as softmax rejecting its logits
     try:
@@ -203,13 +211,14 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                 msgs = data_rng.integers(0, cfg.m, size=cfg.minibatch_size)
                 noise = sample_noise(cfg.minibatch_size, sigma2, noise_rng)
                 cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
-                                                 lam, cfg.harvester)
+                                                 lam, cfg.harvester, ws=ws)
                 if not math.isfinite(cost):
                     return failed
                 if not info["degenerate"]:
                     max_power_err = max(max_power_err,
                                         abs(info["batch_power"] - cfg.p_a))
-                adam_step(params.arrays(), grads, state)
+                adam_step(params.flat, grads, state)
+        ws.clear()   # released before the evaluation's own large blocks
 
         raw = encode(params.encoder, np.arange(cfg.m))
         if float(np.sum(raw.real ** 2 + raw.imag ** 2)) < EPS_NORM:

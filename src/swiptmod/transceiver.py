@@ -1,8 +1,6 @@
 """Encoder/decoder mapping, batch power normalization and the information loss.
 
-Messages are 1-based in the scalar helpers (matching the usual communications
-convention s in {1..M}); batch internals and the CSV export use 0-based
-indices.
+Messages are 0-based indices throughout, the CSV export included.
 """
 
 from __future__ import annotations
@@ -45,15 +43,6 @@ class Constellation:
         return float(np.sum(self.probabilities * np.abs(self.points) ** 2))
 
 
-def one_hot(s: int, m: int) -> np.ndarray:
-    """Length-m indicator vector for message s in {1..m}."""
-    if not 1 <= s <= m:
-        raise ValueError(f"message {s} out of range 1..{m}")
-    v = np.zeros(m)
-    v[s - 1] = 1.0
-    return v
-
-
 def encode(encoder: list[DenseLayer], messages: np.ndarray) -> np.ndarray:
     """Map 0-based message indices to complex symbols, pre-normalization.
 
@@ -83,27 +72,11 @@ def normalize_power(symbols: np.ndarray, p_a: float):
 
 
 def decode(decoder: list[DenseLayer], y: np.ndarray) -> np.ndarray:
-    """Noisy complex symbols -> (M, B) probability columns (softmax output)."""
+    """Noisy complex symbols -> (M, B) probability columns (softmax output,
+    computed in place over the logits)."""
     y = np.atleast_1d(np.asarray(y, dtype=complex))
     out, _, _ = mlp_forward(decoder, np.stack([y.real, y.imag]))
     return out
-
-
-def detect(probs: np.ndarray) -> int:
-    """Most probable message (1-based); ties break toward the lowest index."""
-    p = np.asarray(probs, dtype=float)
-    if p.size == 0:
-        raise ValueError("empty probability vector")
-    return int(np.argmax(p)) + 1
-
-
-def cross_entropy(s_onehot: np.ndarray, probs: np.ndarray) -> float:
-    """-sum(s_i log p_i) with probabilities clamped to >= EPS_LOG."""
-    s = np.asarray(s_onehot, dtype=float)
-    p = np.asarray(probs, dtype=float)
-    if s.shape != p.shape:
-        raise ValueError("one-hot / probability length mismatch")
-    return float(-np.sum(s * np.log(np.maximum(p, EPS_LOG))))
 
 
 def batch_cross_entropy(probs: np.ndarray, messages: np.ndarray) -> float:

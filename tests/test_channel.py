@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from swiptmod.channel import (ROLE_EVAL, ROLE_NOISE, ChannelParams, apply_awgn,
+from swiptmod.channel import (ROLE_EVAL, ROLE_NOISE, ChannelParams,
                               derive_seed, make_channel, sample_noise,
                               snr_to_variance, substream)
 
@@ -33,18 +33,17 @@ def test_make_channel_default_and_override():
         make_channel(0.001, 50.0, noise_variance=-1e-3)
 
 
-def test_apply_awgn_zero_variance_is_identity():
-    x = np.array([1 + 2j, -0.5j, 3.25])
-    y = apply_awgn(x, 0.0, substream(0, ROLE_NOISE))
-    assert np.array_equal(x, y)
-    assert y is not x  # caller gets a copy, not a view
+def test_sample_noise_zero_variance_is_zero():
+    rng = substream(0, ROLE_NOISE)
+    n = sample_noise(3, 0.0, rng)
+    assert n.shape == (3, 2) and not n.any()
+    assert sample_noise(3, 0.0, rng) is not n  # a fresh array on every call
 
 
-def test_apply_awgn_reproducible():
-    x = np.zeros(16, dtype=complex)
-    y1 = apply_awgn(x, 1e-4, substream(3, ROLE_NOISE))
-    y2 = apply_awgn(x, 1e-4, substream(3, ROLE_NOISE))
-    assert np.array_equal(y1, y2)
+def test_sample_noise_reproducible():
+    n1 = sample_noise(16, 1e-4, substream(3, ROLE_NOISE))
+    n2 = sample_noise(16, 1e-4, substream(3, ROLE_NOISE))
+    assert n1.any() and np.array_equal(n1, n2)
 
 
 def test_noise_component_statistics():

@@ -146,6 +146,14 @@ def test_eval_dim_mismatch_exit_3(trained, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["999", "0"])
+def test_eval_too_few_samples_exit_2(trained, capsys, samples):
+    cfg, ckpt = trained
+    assert cli.main(["eval", str(ckpt), cfg, "--samples", samples]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error") and "1000" in err and "\n" not in err
+
+
 @pytest.mark.parametrize("layer, value, raised", [
     ("encoder", 0.0, "degenerate encoder"),      # every message at the origin
     ("decoder", np.nan, "non-finite logits"),

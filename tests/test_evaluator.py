@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swiptmod.channel import ROLE_EVAL, sample_noise, substream
-from swiptmod.evaluator import classical_baseline, estimate_ser, ml_detect
+from swiptmod.evaluator import classical_baseline, estimate_ser
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer, init_params
 from swiptmod.transceiver import EPS_LOG, Constellation
@@ -16,19 +16,23 @@ def _uniform(points):
                          probabilities=np.full(points.size, 1.0 / points.size))
 
 
-def test_ml_detect_exact_point_and_tie():
-    const = _uniform([1 + 0j, -1 + 0j, 1j])
-    assert ml_detect(const, 1 + 0j) == 1
-    assert ml_detect(const, -1 + 0j) == 2
-    assert ml_detect(const, 0 + 0j) == 1  # equidistant: lowest index wins
-
-
 def test_estimate_ser_ml_ties_go_to_lowest_index():
     # duplicated points: noiseless samples of messages 1 and 3 tie with 0 and 2
     const = _uniform([1 + 0j, 1 + 0j, -1 + 0j, -1 + 0j])
     report = estimate_ser(const, None, 0.0, 1000, seed=2)
     s = substream(2, ROLE_EVAL, 0).integers(0, 4, size=1000)
     assert report.ser == np.isin(s, [1, 3]).sum() / 1000
+
+
+def test_estimate_ser_nn_ties_go_to_lowest_index():
+    # an all-zero decoder gives uniform probabilities: every sample decodes to 0
+    decoder = init_params([4, 8, 2], [2, 8, 4], seed=0).decoder
+    for layer in decoder:
+        layer.weights[:] = 0.0
+    report = estimate_ser(_uniform([1, 1j, -1, -1j]), decoder, 1e-3, 1000, seed=4)
+    s = substream(4, ROLE_EVAL, 0).integers(0, 4, size=1000)
+    assert report.ser == np.count_nonzero(s) / 1000
+    assert report.cross_entropy == pytest.approx(np.log(4), rel=1e-15)
 
 
 def test_estimate_ser_nn_matches_per_sample_reference():

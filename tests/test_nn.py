@@ -1,5 +1,7 @@
 """Tests for the dense-network engine: forward, backward, Adam, init, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -84,6 +86,32 @@ def test_softmax_against_high_precision():
 def test_softmax_rejects_nan():
     with pytest.raises(FloatingPointError):
         softmax(np.array([1.0, np.nan]))
+
+
+def test_softmax_in_place_matches_new_array():
+    logits = substream(10, 1).standard_normal((4, 6)) * 10.0
+    expected = softmax(logits)
+    buf = logits.copy()
+    assert softmax(buf, out=buf) is buf
+    assert np.array_equal(buf, expected)
+    with pytest.raises(FloatingPointError):   # -inf anywhere is rejected too
+        softmax(np.array([[0.0, 1.0], [-np.inf, 2.0]]))
+
+
+def test_forward_softmax_head_in_place_and_workspace_reuse():
+    layers = init_params([4, 8, 2], [2, 8, 3], seed=1).decoder
+    x = substream(15, 0).standard_normal((2, 5))
+    out, zs, post = mlp_forward(layers, x)
+    assert out is zs[-1] and np.allclose(out.sum(axis=0), 1.0, atol=1e-15)
+    ws = {}
+    first, zs_ws, _ = mlp_forward(layers, x, ws, "dec")
+    assert np.array_equal(first, out)
+    assert any(first is buf for buf in ws.values())
+    again, _, _ = mlp_forward(layers, x, ws, "dec")
+    assert again is first   # the same buffers are refilled
+    grads, _ = mlp_backward(layers, zs_ws, post, out - 0.25)
+    ref, _ = mlp_backward(layers, zs, post, out - 0.25)
+    assert all(np.array_equal(a, b) for p, q in zip(grads, ref) for a, b in zip(p, q))
 
 
 def test_softmax_normalizes_columns_and_leaves_input_unchanged():
@@ -190,8 +218,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     state = AdamState.for_params(params, learning_rate=0.01)
     before = [a.copy() for a in params.arrays()]
     for _ in range(3):
-        adam_step(params.arrays(), [np.zeros_like(a) for a in params.arrays()],
-                  state)
+        adam_step(params.flat, np.zeros_like(params.flat), state)
     for a, b in zip(params.arrays(), before):
         assert np.array_equal(a, b)
 
@@ -201,9 +228,9 @@ def test_adam_first_step_magnitude_is_learning_rate():
     lr = 0.01
     state = AdamState.for_params(params, learning_rate=lr)
     g = 0.37
-    grads = [np.array([[g]]), np.array([0.0])]
+    grads = np.array([g, 0.0])   # laid out like params.flat: W then b
     w0 = params.encoder[0].weights[0, 0]
-    adam_step(params.arrays(), grads, state)
+    adam_step(params.flat, grads, state)
     # m_hat = g, v_hat = g^2 after bias correction, so |update| = lr*|g|/(|g|+eps)
     update = w0 - params.encoder[0].weights[0, 0]
     assert update == pytest.approx(lr * g / (abs(g) + state.eps), rel=1e-12)
@@ -214,7 +241,7 @@ def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     state = AdamState.for_params(params, learning_rate=lr)
     g = -1.25
-    grads = [np.array([[g]]), np.array([0.0])]
+    grads = np.array([g, 0.0])
     # unroll the recurrences independently
     m = v = 0.0
     w = params.encoder[0].weights[0, 0]
@@ -224,7 +251,7 @@ def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
         m_hat = m / (1 - b1 ** t)
         v_hat = v / (1 - b2 ** t)
         w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
-        adam_step(params.arrays(), grads, state)
+        adam_step(params.flat, grads, state)
         assert params.encoder[0].weights[0, 0] == pytest.approx(w, rel=1e-14)
 
 
@@ -232,7 +259,26 @@ def test_adam_shape_mismatch_rejected():
     params = _scalar_params()
     state = AdamState.for_params(params, learning_rate=0.01)
     with pytest.raises(ValueError):
-        adam_step(params.arrays(), [np.zeros((2, 2)), np.zeros(1)], state)
+        adam_step(params.flat, np.zeros(5), state)
+
+
+def test_adam_flat_matches_per_array_reference():
+    # the flat update is the textbook per-array update, bit for bit
+    params = init_params([4, 8, 2], [2, 8, 4], seed=6)
+    state = AdamState.for_params(params, learning_rate=0.01)
+    ref = [a.copy() for a in params.arrays()]
+    moments = [[np.zeros_like(a) for a in ref] for _ in range(2)]
+    rng = substream(6, 1)
+    for t in range(1, 4):
+        grads = rng.standard_normal(params.flat.size)
+        adam_step(params.flat, grads, state)
+        for p, g, m, v in zip(ref, params.views(grads), *moments):
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+        assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), ref))
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +337,28 @@ def test_checkpoint_round_trip(tmp_path):
         assert orig.activation == back.activation
 
 
+def test_params_are_views_of_one_flat_vector(tmp_path):
+    params = init_params([4, 8, 2], [2, 8, 3, 4], seed=5)
+    arrays = params.arrays()
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    assert params.flat.size == sum(a.size for a in arrays)
+    assert all(a.base is params.flat for a in arrays)
+    assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), params.flat)
+    assert all(np.array_equal(v, a) for v, a in zip(params.views(params.flat), arrays))
+    params.flat[:] = np.arange(params.flat.size)   # writes show through the layers
+    assert params.decoder[-1].biases[-1] == params.flat.size - 1
+    # the checkpoint payload is the vector itself, and a round trip is exact
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params)
+    blob = path.read_bytes()
+    assert blob.endswith(params.flat.astype("<f8").tobytes())
+    loaded = load_checkpoint(path)
+    assert not np.shares_memory(loaded.flat, params.flat)
+    assert all(a.base is loaded.flat for a in loaded.arrays())
+    save_checkpoint(tmp_path / "again.bin", loaded)
+    assert (tmp_path / "again.bin").read_bytes() == blob
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "ckpt.bin"
     path.write_bytes(b"NOTMAGIC" + bytes(64))
@@ -304,6 +372,18 @@ def test_checkpoint_truncated(tmp_path):
     save_checkpoint(path, params)
     blob = path.read_bytes()
     path.write_bytes(blob[:len(blob) // 2])
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("n_enc, n_dec", [(0, 0), (0, 2), (2, 0)])
+def test_checkpoint_empty_stack_rejected(tmp_path, n_enc, n_dec):
+    params = init_params([4, 8, 2], [2, 8, 4], seed=1)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params)
+    blob = bytearray(path.read_bytes())
+    blob[12:16] = struct.pack("<HH", n_enc, n_dec)
+    path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
 

@@ -1,6 +1,7 @@
 """Tests for the training loop, restart selection and the lambda schedule."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,6 +82,46 @@ def test_network_cost_leaves_inputs_unchanged():
     assert not any(np.shares_memory(g, a) for g in grads for a in inputs)
 
 
+def _desk_m16_step(seed):
+    params = init_params([16, 32, 2], [2, 32, 16], seed=seed)
+    rng = substream(seed, ROLE_MISC)
+    msgs = rng.integers(0, 16, size=1600)
+    return params, msgs, sample_noise(1600, 0.004 / 50.0, rng)
+
+
+def test_network_cost_workspace_step_allocates_no_batch_matrix():
+    params, msgs, noise = _desk_m16_step(7)
+    ws = {}
+    network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B, ws=ws)
+    tracemalloc.start()
+    try:
+        network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B, ws=ws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1600 * 8   # below one (M, B) float64 array
+
+
+def test_network_cost_workspace_results_are_independent():
+    params, msgs, noise = _desk_m16_step(8)
+    ref_cost, ref_info, ref_grads = network_cost(params, msgs, noise, 0.004,
+                                                 80.0, MODEL_B)
+    ws = {}
+    cost, info, grads = network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B, ws=ws)
+    assert (cost, info) == (ref_cost, ref_info)
+    assert np.array_equal(grads, ref_grads)
+    kept = (cost, dict(info), grads.copy())
+    _, msgs2, noise2 = _desk_m16_step(9)   # a different batch on the same workspace
+    other = network_cost(params, msgs2, noise2, 0.004, 80.0, MODEL_B, ws=ws)
+    assert other[0] != cost
+    assert (cost, info) == kept[:2] and np.array_equal(grads, kept[2])
+    assert grads.shape == params.flat.shape
+    for g in (grads, other[2]):
+        assert not np.shares_memory(g, params.flat)
+        assert not any(np.shares_memory(g, buf) for buf in ws.values())
+    assert not np.shares_memory(grads, other[2])
+
+
 # (batch size, messages drawn from range(n)): a full batch, a batch in which
 # message 3 never appears (zero count) and a single-row batch
 _FD_BATCHES = {"": (8, 4), "-absent": (8, 3), "-single": (1, 4)}
@@ -99,7 +140,7 @@ def test_network_cost_gradients_match_finite_differences(model, batch, drawn):
     lam = 1e-3
     _, _, grads = network_cost(params, msgs, noise, p_a, lam, model)
     step = 1e-6
-    for arr, grad in zip(params.arrays(), grads):
+    for arr, grad in zip(params.arrays(), params.views(grads)):
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         # spot-check a handful of coordinates per block to keep this fast;

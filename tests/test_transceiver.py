@@ -7,9 +7,8 @@ from mpmath import mp
 from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer, init_params
 from swiptmod.transceiver import (CSV_HEADER, Constellation,
                                   ConstellationFormatError, batch_cross_entropy,
-                                  cross_entropy, decode, detect, encode,
-                                  export_constellation, normalize_power, one_hot,
-                                  read_constellation_csv,
+                                  decode, encode, export_constellation,
+                                  normalize_power, read_constellation_csv,
                                   write_constellation_csv)
 
 
@@ -19,31 +18,14 @@ def _layer(w, b, act):
 
 
 # ---------------------------------------------------------------------------
-# one_hot / detect
+# encode
 # ---------------------------------------------------------------------------
 
 def test_one_hot_first_and_last():
-    assert np.array_equal(one_hot(1, 4), [1, 0, 0, 0])
-    assert np.array_equal(one_hot(4, 4), [0, 0, 0, 1])
+    # a linear encoder reads column s of W0 for message s (0-based)
+    enc = [_layer([[10.0, 11.0, 12.0, 13.0], [0.0, 0.0, 0.0, -1.0]], [0.0, 0.0], LINEAR)]
+    assert np.array_equal(encode(enc, np.array([0, 3])), [10 + 0j, 13 - 1j])
 
-
-@pytest.mark.parametrize("s", [0, 5, -1])
-def test_one_hot_out_of_range(s):
-    with pytest.raises(ValueError):
-        one_hot(s, 4)
-
-
-def test_detect_argmax_and_tie_break():
-    assert detect(np.array([0.1, 0.7, 0.2])) == 2
-    assert detect(np.array([0.5, 0.5])) == 1
-    assert detect(np.full(32, 1.0 / 32)) == 1
-    with pytest.raises(ValueError):
-        detect(np.array([]))
-
-
-# ---------------------------------------------------------------------------
-# encode
-# ---------------------------------------------------------------------------
 
 def test_encode_deterministic_per_message():
     enc = init_params([4, 8, 2], [2, 8, 4], seed=3).encoder
@@ -132,33 +114,34 @@ def test_decode_reproducible_and_normalized():
 # ---------------------------------------------------------------------------
 
 def test_cross_entropy_perfect_prediction():
-    assert cross_entropy(one_hot(2, 4), np.array([0, 1, 0, 0.0])) == 0.0
+    probs = np.array([[0.0], [1.0], [0.0], [0.0]])
+    assert batch_cross_entropy(probs, np.array([1])) == 0.0
 
 
 def test_cross_entropy_uniform():
     m = 32
-    ce = cross_entropy(one_hot(5, m), np.full(m, 1.0 / m))
+    ce = batch_cross_entropy(np.full((m, 3), 1.0 / m), np.array([4, 0, 31]))
     assert ce == pytest.approx(np.log(32), rel=1e-12)
 
 
 def test_cross_entropy_against_high_precision():
-    probs = np.array([0.25, 0.25, 0.25, 0.25])
+    probs = np.array([[0.25], [0.25], [0.25], [0.25]])
     with mp.workdps(50):
         expected = float(-mp.log(mp.mpf(1) / 4))
-    assert cross_entropy(one_hot(1, 4), probs) == pytest.approx(expected, rel=1e-15)
+    assert batch_cross_entropy(probs, np.array([0])) == pytest.approx(expected, rel=1e-15)
 
 
 def test_cross_entropy_shape_mismatch():
-    with pytest.raises(ValueError):
-        cross_entropy(one_hot(1, 4), np.full(5, 0.2))
+    # more messages than probability columns
+    with pytest.raises(IndexError):
+        batch_cross_entropy(np.full((4, 2), 0.25), np.array([0, 1, 2]))
 
 
 def test_batch_cross_entropy_matches_scalar_mean():
     rng = np.random.default_rng(0)
     probs = rng.dirichlet(np.ones(4), size=6).T   # (M, B) columns
     msgs = rng.integers(0, 4, size=6)
-    scalar = np.mean([cross_entropy(one_hot(s + 1, 4), probs[:, j])
-                      for j, s in enumerate(msgs)])
+    scalar = np.mean([-np.log(probs[s, j]) for j, s in enumerate(msgs)])
     assert batch_cross_entropy(probs, msgs) == pytest.approx(scalar, rel=1e-12)
 
 
