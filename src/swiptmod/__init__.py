@@ -1,16 +1,15 @@
 """Learned modulation design for SWIPT over AWGN with nonlinear harvesters."""
 
-from .channel import ChannelParams, make_channel, snr_to_variance, substream
+from .channel import substream
 from .evaluator import EvalReport, classical_baseline, estimate_ser
-from .harvester import (HarvesterModel, ModelAParams, ModelBParams, MomentSet,
-                        compute_moments, pdel_exact, pdel_model_a, pdel_model_b,
-                        pdel_monte_carlo_check, q_tilde)
+from .harvester import (HarvesterModel, ModelAParams, ModelBParams, pdel_exact,
+                        pdel_model_b, pdel_monte_carlo_check)
 from .nn import (AdamState, DenseLayer, NetworkParams, adam_step, init_params,
                  load_checkpoint, save_checkpoint, softmax)
 from .trainer import (RunRecord, TrainConfig, lambda_sweep, multi_restart,
                       network_cost, total_cost, train_run)
-from .transceiver import (Constellation, decode, encode,
-                          export_constellation, normalize_power,
-                          read_constellation_csv, write_constellation_csv)
+from .transceiver import (Constellation, decode, export_constellation,
+                          normalize_power, read_constellation_csv,
+                          write_constellation_csv)
 
 __version__ = "0.1.0"

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # Stream roles. Every generator in the project is derived from
@@ -32,28 +30,6 @@ def derive_seed(seed: int, *indices: int) -> int:
     ss = np.random.SeedSequence(entropy=int(seed),
                                 spawn_key=tuple(int(i) for i in indices))
     return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """AWGN channel description: total complex-noise variance and linear SNR."""
-    noise_variance: float
-    snr: float
-
-
-def snr_to_variance(p_a: float, snr: float) -> float:
-    """Total noise variance sigma^2 = P_a / snr (snr is a linear power ratio)."""
-    if p_a <= 0.0 or snr <= 0.0:
-        raise ValueError(f"p_a and snr must be positive, got p_a={p_a}, snr={snr}")
-    return p_a / snr
-
-
-def make_channel(p_a: float, snr: float, noise_variance: float | None = None) -> ChannelParams:
-    if noise_variance is not None:
-        if noise_variance < 0.0:
-            raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
-        return ChannelParams(noise_variance=float(noise_variance), snr=float(snr))
-    return ChannelParams(noise_variance=snr_to_variance(p_a, snr), snr=float(snr))
 
 
 def sample_noise(num: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:

@@ -17,8 +17,9 @@ from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .svgplot import write_constellation_svg
 from .trainer import (RunRecord, TrainingFailure, lambda_sweep, multi_restart,
                       restart_seeds)
-from .transceiver import (ConstellationFormatError, export_constellation,
-                          read_constellation_csv, write_constellation_csv)
+from .transceiver import (ConstellationFormatError, DegenerateEncoderError,
+                          export_constellation, read_constellation_csv,
+                          write_constellation_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,7 +131,7 @@ def cmd_eval(args) -> int:
             f"config dims encoder={expect_enc} decoder={expect_dec}")
     try:
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-    except ValueError as exc:   # every message maps to the origin
+    except DegenerateEncoderError as exc:
         return _unusable_checkpoint(args.checkpoint, exc)
     try:
         report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,

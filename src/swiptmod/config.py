@@ -9,10 +9,11 @@ truths). The ``paper`` profile switches to the full-size training constants;
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import fields
 
+from .evaluator import MIN_SAMPLES
 from .harvester import ModelAParams, ModelBParams
-from .trainer import TrainConfig
+from .trainer import PROFILES, TrainConfig
 
 
 class ConfigError(Exception):
@@ -35,9 +36,12 @@ def _int_list(v):
     return isinstance(v, list) and all(isinstance(x, int) and x > 0 for x in v)
 
 
-# key -> (type, predicate or None, default or None)
+_DEFAULT = {f.name: f.default for f in fields(TrainConfig)}
+
+# key -> (type, predicate or None, default or None); the epochs, restarts and
+# per-M sizes left unset come from the selected profile in trainer.PROFILES
 SCHEMA = {
-    "profile": (str, lambda v: v in ("desk", "paper"), "desk"),
+    "profile": (str, lambda v: v in PROFILES, "desk"),
     "M": (int, lambda v: v >= 2, 16),
     "p_a": (float, _positive, 0.001),
     "snr": (float, _positive, 50.0),
@@ -52,38 +56,21 @@ SCHEMA = {
     "epochs": (int, _positive, None),
     "minibatch_size": (int, _positive, None),
     "train_set_size": (int, _positive, None),
-    "learning_rate": (float, _positive, 0.01),
+    "learning_rate": (float, _positive, _DEFAULT["learning_rate"]),
     "restarts": (int, _positive, None),
-    "lambda.start": (float, _positive, 1e-5),
-    "lambda.factor": (float, lambda v: v > 1.0, 2.0),
-    "lambda.max_points": (int, _positive, 12),
-    "ser_max": (float, _fraction, 0.95),
-    "seed": (int, None, 0),
+    "lambda.start": (float, _positive, _DEFAULT["lambda_start"]),
+    "lambda.factor": (float, lambda v: v > 1.0, _DEFAULT["lambda_factor"]),
+    "lambda.max_points": (int, _positive, _DEFAULT["lambda_max_points"]),
+    "ser_max": (float, _fraction, _DEFAULT["ser_max"]),
+    "seed": (int, None, _DEFAULT["seed"]),
     "encoder_hidden": (list, _int_list, None),
     "decoder_hidden": (list, _int_list, None),
-    "eval_samples": (int, _positive, None),
+    "eval_samples": (int, lambda v: v >= MIN_SAMPLES, None),
     "out_dir": (str, None, "runs"),
 }
 
 _MODEL_A_KEYS = ("harvester.alpha", "harvester.beta", "harvester.gamma")
 _MODEL_B_KEYS = ("harvester.ls", "harvester.a", "harvester.b")
-
-# Paper-scale training constants; desk scale keeps the schema defaults
-# (minibatch 100*M, train set 1e4*M) resolved inside TrainConfig.
-PAPER_PROFILE = {
-    "epochs": 5000,
-    "restarts": 100,
-    "minibatch_per_m": 1000,
-    "train_per_m": 100_000,
-    "eval_per_m": 5_000_000,
-}
-DESK_PROFILE = {
-    "epochs": 1000,
-    "restarts": 10,
-    "minibatch_per_m": 100,
-    "train_per_m": 10_000,
-    "eval_per_m": 100_000,
-}
 
 
 def load_config_file(path) -> dict:
@@ -134,7 +121,7 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
     if model == "A" and out["harvester.beta"] < 0:
         raise ConfigError("config key harvester.beta: must be non-negative")
 
-    profile = PAPER_PROFILE if out["profile"] == "paper" else DESK_PROFILE
+    profile = PROFILES[out["profile"]]
     m = out["M"]
     for key, per_m in (("minibatch_size", "minibatch_per_m"),
                        ("train_set_size", "train_per_m"),

@@ -103,15 +103,17 @@ def _margins(params: NetworkParams, msgs: np.ndarray, noise: np.ndarray,
              p_a: float) -> tuple[float, float]:
     """Smallest |pre-activation| and smallest picked probability of one step.
 
-    One forward pass on the batch's one-hot columns, so encoder kinks count
-    only for messages present in the batch; decoder kinks exclude the logits.
+    One forward pass as in network_cost; encoder kinks count only for
+    messages present in the batch, decoder kinks exclude the logits.
     """
-    u, zs_e, _ = mlp_forward(params.encoder,
-                             np.eye(params.encoder[0].in_dim)[:, msgs])
-    x, _, _ = normalize_power(u[0] + 1j * u[1], p_a)
-    probs, zs_d, _ = mlp_forward(params.decoder,
-                                 np.stack([x.real, x.imag]) + noise.T)
-    relu = min(float(np.min(np.abs(z))) for z in zs_e + zs_d[:-1])
+    m = params.encoder[0].in_dim
+    counts = np.bincount(msgs, minlength=m)
+    u, zs_e, _ = mlp_forward(params.encoder, np.eye(m))
+    x, _, _, _ = normalize_power(u, counts, p_a)
+    probs, zs_d, _ = mlp_forward(params.decoder, x[:, msgs] + noise.T)
+    present = counts > 0
+    relu = min(float(np.min(np.abs(z)))
+               for z in [z[:, present] for z in zs_e] + zs_d[:-1])
     return relu, float(probs[msgs, np.arange(msgs.size)].min())
 
 

@@ -5,6 +5,9 @@ a polynomial in the second/fourth moments of the baseband symbol.
 
 Model B (large input power): a normalized logistic of the instantaneous input
 power, saturating at L_s, applied per symbol and averaged.
+
+Each model has one function giving P_del and its gradient together;
+pdel_with_grads picks it, and pdel_exact is its value on a constellation.
 """
 
 from __future__ import annotations
@@ -14,27 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .transceiver import Constellation
-
-
-@dataclass
-class MomentSet:
-    """The signal statistics feeding Model A.
-
-    q, t, p are moments of |x|; the _r/_i entries are moments of the real and
-    imaginary components (odd ones signed). t is unused by the Model A formula
-    but computed for completeness.
-    """
-    q: float
-    t: float
-    p: float
-    mu_r: float
-    mu_i: float
-    q_r: float
-    t_r: float
-    p_r: float
-    q_i: float
-    t_i: float
-    p_i: float
 
 
 @dataclass(frozen=True)
@@ -72,52 +54,11 @@ def _sigmoid(t):
 
 
 def _weights_for(points: np.ndarray, probabilities) -> np.ndarray:
+    if points.size == 0:
+        raise ValueError("empty input to the harvester model")
     if probabilities is None:
         return np.full(points.shape[0], 1.0 / points.shape[0])
     return np.asarray(probabilities, dtype=float)
-
-
-def compute_moments(points, probabilities=None) -> MomentSet:
-    """Moment statistics of a complex batch (mean) or constellation (weighted).
-
-    Accepts a complex array plus optional probabilities, or a Constellation.
-    """
-    if isinstance(points, Constellation):
-        probabilities = points.probabilities
-        points = points.points
-    x = np.asarray(points, dtype=complex).ravel()
-    if x.size == 0:
-        raise ValueError("empty input to compute_moments")
-    w = _weights_for(x, probabilities)
-    r, i = x.real, x.imag
-    r2, i2 = r * r, i * i
-    m2 = r2 + i2
-    mag = np.sqrt(m2)
-    return MomentSet(
-        q=float(w @ (m2 * m2)),
-        t=float(w @ (m2 * mag)),
-        p=float(w @ m2),
-        mu_r=float(w @ r),
-        mu_i=float(w @ i),
-        q_r=float(w @ (r2 * r2)),
-        t_r=float(w @ (r2 * r)),
-        p_r=float(w @ r2),
-        q_i=float(w @ (i2 * i2)),
-        t_i=float(w @ (i2 * i)),
-        p_i=float(w @ i2),
-    )
-
-
-def q_tilde(m: MomentSet) -> float:
-    return (m.q_r + m.q_i
-            + 2.0 * (m.mu_r * m.t_r + m.mu_i * m.t_i)
-            + 6.0 * m.p_r * m.p_i
-            + 6.0 * m.p_r * (m.p_r - m.mu_r ** 2)
-            + 6.0 * m.p_i * (m.p_i - m.mu_i ** 2)) / 3.0
-
-
-def pdel_model_a(m: MomentSet, prm: ModelAParams) -> float:
-    return prm.alpha * (m.q + q_tilde(m)) + prm.beta * m.p + prm.gamma
 
 
 def pdel_model_a_with_grads(points, prm: ModelAParams, probabilities=None):
@@ -153,12 +94,17 @@ def pdel_model_a_with_grads(points, prm: ModelAParams, probabilities=None):
     return float(p_del), dr, di
 
 
-def model_b_per_symbol(powers, prm: ModelBParams):
-    """Eq-per-symbol delivered power for input powers |x|^2 (array-valued)."""
-    p_in = np.asarray(powers, dtype=float)
+def _model_b_terms(p_in, prm: ModelBParams):
+    """Per-symbol delivered power and its slope in the input power |x|^2."""
+    sig = _sigmoid(prm.a * (p_in - prm.b))
     omega = prm.omega
-    psi = prm.ls * _sigmoid(prm.a * (p_in - prm.b))
-    return (psi - prm.ls * omega) / (1.0 - omega)
+    return ((prm.ls * sig - prm.ls * omega) / (1.0 - omega),
+            prm.ls * prm.a * sig * (1.0 - sig) / (1.0 - omega))
+
+
+def model_b_per_symbol(powers, prm: ModelBParams):
+    """Per-symbol delivered power for input powers |x|^2 (array-valued)."""
+    return _model_b_terms(np.asarray(powers, dtype=float), prm)[0]
 
 
 def pdel_model_b(powers, prm: ModelBParams, probabilities=None) -> float:
@@ -172,17 +118,14 @@ def pdel_model_b_with_grads(points, prm: ModelBParams, probabilities=None):
     x = np.asarray(points, dtype=complex).ravel()
     w = _weights_for(x, probabilities)
     r, i = x.real, x.imag
-    p_in = r * r + i * i
-    sig = _sigmoid(prm.a * (p_in - prm.b))
-    omega = prm.omega
-    p_del = float(w @ ((prm.ls * sig - prm.ls * omega) / (1.0 - omega)))
-    fprime = prm.ls * prm.a * sig * (1.0 - sig) / (1.0 - omega)
-    dr = w * fprime * 2.0 * r
-    di = w * fprime * 2.0 * i
-    return p_del, dr, di
+    value, slope = _model_b_terms(r * r + i * i, prm)
+    return float(w @ value), w * slope * 2.0 * r, w * slope * 2.0 * i
 
 
 def pdel_with_grads(points, model: HarvesterModel, probabilities=None):
+    """(P_del, dP_del/d re, dP_del/d im) of a weighted complex batch, uniform
+    weights by default: the one delivered-power code, training and evaluation
+    alike."""
     if isinstance(model, ModelAParams):
         return pdel_model_a_with_grads(points, model, probabilities)
     return pdel_model_b_with_grads(points, model, probabilities)
@@ -190,10 +133,8 @@ def pdel_with_grads(points, model: HarvesterModel, probabilities=None):
 
 def pdel_exact(constellation: Constellation, model: HarvesterModel) -> float:
     """Probability-weighted delivered power of a finite constellation."""
-    if isinstance(model, ModelAParams):
-        return pdel_model_a(compute_moments(constellation), model)
-    return pdel_model_b(np.abs(constellation.points) ** 2, model,
-                        constellation.probabilities)
+    return pdel_with_grads(constellation.points, model,
+                           constellation.probabilities)[0]
 
 
 def pdel_monte_carlo_check(constellation: Constellation, model: HarvesterModel,
@@ -211,11 +152,7 @@ def pdel_monte_carlo_check(constellation: Constellation, model: HarvesterModel,
     probs = constellation.probabilities
     for g in range(num_groups):
         idx = rng.choice(constellation.size, size=group, p=probs)
-        x = constellation.points[idx]
-        if isinstance(model, ModelAParams):
-            estimates[g] = pdel_model_a(compute_moments(x), model)
-        else:
-            estimates[g] = float(np.mean(model_b_per_symbol(np.abs(x) ** 2, model)))
+        estimates[g] = pdel_with_grads(constellation.points[idx], model)[0]
     mean = float(estimates.mean())
     stderr = float(estimates.std(ddof=1) / np.sqrt(num_groups))
     return mean, stderr

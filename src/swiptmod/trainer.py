@@ -9,17 +9,17 @@ backpropagation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import (ROLE_DATA, ROLE_NOISE, derive_seed, make_channel,
-                      sample_noise, substream)
+from .channel import ROLE_DATA, ROLE_NOISE, derive_seed, sample_noise, substream
+from .evaluator import MIN_SAMPLES
 from .harvester import HarvesterModel, pdel_exact, pdel_with_grads
 from .nn import (AdamState, NetworkParams, adam_step, init_params,
                  mlp_backward, mlp_forward, scratch, softmax)
-from .transceiver import (EPS_LOG, EPS_NORM, Constellation, encode,
-                          export_constellation)
+from .transceiver import (EPS_LOG, Constellation, DegenerateEncoderError,
+                          export_constellation, normalize_power)
 
 EPS_PDEL = 1e-12   # clamp on P_del inside the cost
 
@@ -28,17 +28,28 @@ class TrainingFailure(Exception):
     """All restarts diverged (non-finite cost)."""
 
 
+# Scale defaults of the two profiles, the sizes per message. TrainConfig
+# resolves the desk row; config.resolve the row its `profile` key names.
+PROFILES = {
+    "desk": {"epochs": 1000, "restarts": 10, "minibatch_per_m": 100,
+             "train_per_m": 10_000, "eval_per_m": 100_000},
+    "paper": {"epochs": 5000, "restarts": 100, "minibatch_per_m": 1000,
+              "train_per_m": 100_000, "eval_per_m": 5_000_000},
+}
+DESK = PROFILES["desk"]
+
+
 @dataclass
 class TrainConfig:
     m: int
     p_a: float
     snr: float
     harvester: HarvesterModel
-    epochs: int = 1000
-    minibatch_size: int | None = None     # default 100*M (desk scale)
-    train_set_size: int | None = None     # default 1e4*M (desk scale)
+    epochs: int = DESK["epochs"]
+    minibatch_size: int | None = None     # default minibatch_per_m * M
+    train_set_size: int | None = None     # default train_per_m * M
     learning_rate: float = 0.01
-    restarts: int = 10
+    restarts: int = DESK["restarts"]
     lambda_start: float = 1e-5
     lambda_factor: float = 2.0
     lambda_max_points: int = 12
@@ -46,18 +57,18 @@ class TrainConfig:
     seed: int = 0
     encoder_hidden: tuple[int, ...] | None = None   # default (2M,)
     decoder_hidden: tuple[int, ...] | None = None   # default (2M,)
-    eval_samples: int | None = None       # default 1e4*M for in-run records
+    eval_samples: int | None = None       # default eval_per_m * M
     noise_variance: float | None = None   # explicit sigma^2 override
 
     def resolved(self) -> "TrainConfig":
         m = self.m
         return replace(
             self,
-            minibatch_size=self.minibatch_size or 100 * m,
-            train_set_size=self.train_set_size or 10_000 * m,
+            minibatch_size=self.minibatch_size or DESK["minibatch_per_m"] * m,
+            train_set_size=self.train_set_size or DESK["train_per_m"] * m,
             encoder_hidden=tuple(self.encoder_hidden or (2 * m,)),
             decoder_hidden=tuple(self.decoder_hidden or (2 * m,)),
-            eval_samples=self.eval_samples or 10_000 * m,
+            eval_samples=self.eval_samples or DESK["eval_per_m"] * m,
         )
 
     def encoder_dims(self) -> list[int]:
@@ -67,14 +78,21 @@ class TrainConfig:
         return [2, *(self.decoder_hidden or (2 * self.m,)), self.m]
 
     def sigma2(self) -> float:
-        return make_channel(self.p_a, self.snr, self.noise_variance).noise_variance
+        """Total complex-noise variance: P_a / snr (linear), or the override."""
+        if self.noise_variance is not None:
+            return float(self.noise_variance)
+        return self.p_a / self.snr
 
     def validate(self) -> None:
         if self.m < 2:
             raise ValueError("m must be >= 2")
         if self.p_a <= 0 or self.snr <= 0:
             raise ValueError("p_a and snr must be positive")
+        if self.noise_variance is not None and self.noise_variance < 0:
+            raise ValueError("noise_variance must be >= 0")
         cfg = self.resolved()
+        if cfg.eval_samples < MIN_SAMPLES:
+            raise ValueError(f"eval_samples must be >= {MIN_SAMPLES}")
         if cfg.minibatch_size <= 0 or cfg.train_set_size < cfg.minibatch_size:
             raise ValueError("need minibatch_size <= train_set_size, both positive")
         if self.epochs <= 0 or self.restarts <= 0:
@@ -128,10 +146,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     # the batch is a gather of its output columns
     u, zs_e, post_e = mlp_forward(enc, np.eye(m), ws, "enc")
 
-    energy = float(np.sum(u * u, axis=0) @ counts)
-    degenerate = energy < EPS_NORM
-    scale = math.sqrt(p_a * batch / max(energy, EPS_NORM))
-    xk = scale * u   # (2, M) transmitted points
+    xk, scale, energy, degenerate = normalize_power(u, counts, p_a)
     # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
     y = np.take(xk, msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
     y += noise.T
@@ -219,15 +234,11 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                                         abs(info["batch_power"] - cfg.p_a))
                 adam_step(params.flat, grads, state)
         ws.clear()   # released before the evaluation's own large blocks
-
-        raw = encode(params.encoder, np.arange(cfg.m))
-        if float(np.sum(raw.real ** 2 + raw.imag ** 2)) < EPS_NORM:
-            return failed   # every point at the origin: nothing to export
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
         report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
                               seed=seed)
-    except FloatingPointError:
-        return failed
+    except (FloatingPointError, DegenerateEncoderError):
+        return failed   # also when every point sits at the origin
     p_del = pdel_exact(const, cfg.harvester)
     final_cost = total_cost(report.cross_entropy, p_del, lam)
     return RunRecord(lam=lam, seed=seed, final_cost=final_cost, ser=report.ser,

@@ -1,10 +1,11 @@
-"""Encoder/decoder mapping, batch power normalization and the information loss.
+"""Encoder/decoder mapping, power normalization and the constellation export.
 
 Messages are 0-based indices throughout, the CSV export included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,10 @@ from .nn import DenseLayer, mlp_forward
 
 EPS_NORM = 1e-20   # degenerate-batch guard on the pre-normalization energy
 EPS_LOG = 1e-15    # clamp for log() in the cross entropy
+
+
+class DegenerateEncoderError(ValueError):
+    """The encoder maps every message to the origin: no point to normalize."""
 
 
 class ConstellationFormatError(Exception):
@@ -43,32 +48,17 @@ class Constellation:
         return float(np.sum(self.probabilities * np.abs(self.points) ** 2))
 
 
-def encode(encoder: list[DenseLayer], messages: np.ndarray) -> np.ndarray:
-    """Map 0-based message indices to complex symbols, pre-normalization.
+def normalize_power(u: np.ndarray, counts: np.ndarray, p_a: float):
+    """Scale (2, M) encoder outputs so their count-weighted mean power is p_a.
 
-    The encoder runs on one-hot columns, so the first layer's pre-activation
-    for message k is column k of W0 plus b0.
+    Returns (scaled points, scale, energy, degenerate flag), where energy is
+    sum_k counts_k |u_k|^2; an all-but-zero energy keeps a clamped scale and
+    is flagged degenerate.
     """
-    msgs = np.asarray(messages, dtype=int)
-    h, _, _ = mlp_forward(encoder, np.eye(encoder[0].in_dim)[:, msgs])
-    if h.shape[0] != 2:
-        raise ValueError("encoder output must be 2-wide (re, im)")
-    return h[0] + 1j * h[1]
-
-
-def normalize_power(symbols: np.ndarray, p_a: float):
-    """Scale a batch so its mean power equals p_a.
-
-    Returns (scaled symbols, scale, degenerate flag); a batch with essentially
-    zero energy keeps a clamped scale and is flagged degenerate.
-    """
-    x = np.asarray(symbols, dtype=complex)
-    if x.size == 0:
-        raise ValueError("empty symbol batch")
-    energy = float(np.sum(x.real ** 2 + x.imag ** 2))
+    energy = float(np.sum(u * u, axis=0) @ counts)
     degenerate = energy < EPS_NORM
-    scale = np.sqrt(p_a * x.size / max(energy, EPS_NORM))
-    return scale * x, scale, degenerate
+    scale = math.sqrt(p_a * counts.sum() / max(energy, EPS_NORM))
+    return scale * u, scale, energy, degenerate
 
 
 def decode(decoder: list[DenseLayer], y: np.ndarray) -> np.ndarray:
@@ -79,20 +69,15 @@ def decode(decoder: list[DenseLayer], y: np.ndarray) -> np.ndarray:
     return out
 
 
-def batch_cross_entropy(probs: np.ndarray, messages: np.ndarray) -> float:
-    """Mean -log p[s] over (M, B) probability columns and 0-based messages."""
-    msgs = np.asarray(messages, dtype=int)
-    picked = probs[msgs, np.arange(msgs.size)]
-    return float(-np.log(np.maximum(picked, EPS_LOG)).mean())
-
-
 def export_constellation(encoder: list[DenseLayer], m: int, p_a: float) -> Constellation:
-    """All M messages through encode + normalize_power as one uniform batch."""
-    raw = encode(encoder, np.arange(m))
-    points, _, degenerate = normalize_power(raw, p_a)
+    """The M messages' points, normalized as a batch holding each once."""
+    if encoder[-1].out_dim != 2:
+        raise ValueError("encoder output must be 2-wide (re, im)")
+    u, _, _ = mlp_forward(encoder, np.eye(m))
+    x, _, _, degenerate = normalize_power(u, np.ones(m), p_a)
     if degenerate:
-        raise ValueError("degenerate encoder: all constellation points at origin")
-    return Constellation(points=points, probabilities=np.full(m, 1.0 / m))
+        raise DegenerateEncoderError("degenerate encoder: every message maps to the origin")
+    return Constellation(points=x[0] + 1j * x[1], probabilities=np.full(m, 1.0 / m))
 
 
 # --- CSV interface: header index,probability,real,imag; 0-based index; ---

@@ -3,34 +3,42 @@
 import numpy as np
 import pytest
 
-from swiptmod.channel import (ROLE_EVAL, ROLE_NOISE, ChannelParams,
-                              derive_seed, make_channel, sample_noise,
-                              snr_to_variance, substream)
+from swiptmod.channel import (ROLE_EVAL, ROLE_NOISE, derive_seed, sample_noise,
+                              substream)
+from swiptmod.harvester import ModelAParams
+from swiptmod.trainer import TrainConfig
+
+
+def _cfg(p_a, snr, **kw):
+    return TrainConfig(m=4, p_a=p_a, snr=snr,
+                       harvester=ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0),
+                       **kw)
 
 
 def test_snr_to_variance_values():
-    assert snr_to_variance(0.001, 50.0) == pytest.approx(2e-5, rel=1e-12)
-    assert snr_to_variance(0.002, 50.0) == pytest.approx(4e-5, rel=1e-12)
+    assert _cfg(0.001, 50.0).sigma2() == pytest.approx(2e-5, rel=1e-12)
+    assert _cfg(0.002, 50.0).sigma2() == pytest.approx(4e-5, rel=1e-12)
 
 
 def test_snr_to_variance_noiseless_limit():
-    assert snr_to_variance(0.001, 1e12) < 1e-14
+    assert _cfg(0.001, 1e12).sigma2() < 1e-14
 
 
 @pytest.mark.parametrize("p_a,snr", [(0.0, 50.0), (-1.0, 50.0), (0.001, 0.0),
                                      (0.001, -3.0)])
 def test_snr_to_variance_rejects_nonpositive(p_a, snr):
     with pytest.raises(ValueError):
-        snr_to_variance(p_a, snr)
+        _cfg(p_a, snr).validate()
 
 
-def test_make_channel_default_and_override():
-    ch = make_channel(0.001, 50.0)
-    assert ch == ChannelParams(noise_variance=2e-5, snr=50.0)
-    ch = make_channel(0.001, 50.0, noise_variance=1e-3)
-    assert ch.noise_variance == 1e-3
+def test_noise_variance_default_and_override():
+    assert _cfg(0.001, 50.0).sigma2() == 0.001 / 50.0
+    cfg = _cfg(0.001, 50.0, noise_variance=1e-3)
+    cfg.validate()
+    assert cfg.sigma2() == 1e-3
+    assert _cfg(0.001, 50.0, noise_variance=0.0).sigma2() == 0.0
     with pytest.raises(ValueError):
-        make_channel(0.001, 50.0, noise_variance=-1e-3)
+        _cfg(0.001, 50.0, noise_variance=-1e-3).validate()
 
 
 def test_sample_noise_zero_variance_is_zero():

@@ -69,6 +69,14 @@ def test_train_unreadable_config_exit_2(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope.json")]) == 2
 
 
+def test_train_too_few_eval_samples_exit_2(tmp_path, capsys):
+    # rejected while the config is read, before any restart is trained
+    cfg = _write_cfg(tmp_path, dict(TINY_A, eval_samples=500))
+    assert cli.main(["train", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "eval_samples" in err and not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

@@ -109,6 +109,11 @@ def test_train_config_from_round_trip():
     cfg.validate()
 
 
+def test_eval_samples_floor_accepted():
+    assert resolve(dict(VALID_A, eval_samples=1000))["eval_samples"] == 1000
+    assert train_config_from(resolve(dict(VALID_A, eval_samples=1000))).eval_samples == 1000
+
+
 def test_load_config_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(VALID_A))
@@ -147,7 +152,7 @@ _BAD_MUTATIONS = [
     {"encoder_hidden": [0]}, {"encoder_hidden": [-16]},
     {"encoder_hidden": [16.0]}, {"encoder_hidden": "wide"},
     {"decoder_hidden": [8, 0]}, {"decoder_hidden": 16},
-    {"eval_samples": 0}, {"eval_samples": -100},
+    {"eval_samples": 0}, {"eval_samples": -100}, {"eval_samples": 999},
     {"profile": "cluster"}, {"profile": 1},
     {"out_dir": 3},
     {"unknown_key": 1}, {"harvester": "A"}, {"alpha": 0.3},

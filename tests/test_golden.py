@@ -1,0 +1,153 @@
+"""Golden-output guard: one SHA-256 per named output of training and evaluation.
+
+Each entry hashes the exact bytes of one result (a minibatch cost with its
+info and gradient, a checkpoint, a constellation CSV, a record field, an SER
+report), so a change meant to keep results bit for bit shows which entries
+moved, and a diff of golden.json shows it too. Bits depend on the NumPy build
+and the BLAS library, so the file records that stack: on another stack the
+test xfails and names the mismatch; on the same stack every entry must match.
+
+Regenerate after an intended change with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import json
+import platform
+import sys
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from swiptmod.channel import ROLE_MISC, sample_noise, substream
+from swiptmod.evaluator import classical_baseline, estimate_ser
+from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
+from swiptmod.nn import init_params, save_checkpoint
+from swiptmod.trainer import TrainConfig, network_cost, train_run
+from swiptmod.transceiver import export_constellation, write_constellation_csv
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+MODELS = {"A": ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0),
+          "B": ModelBParams(ls=0.02, a=6400.0, b=0.003)}
+P_A = {"A": 0.1, "B": 0.004}      # where each model's power term is active
+LAM = {"A": 1e-3, "B": 1e-4}
+
+
+def _bytes(value) -> bytes:
+    if isinstance(value, bytes):
+        return value
+    if isinstance(value, np.ndarray):
+        return value.dtype.str.encode() + value.tobytes()
+    if isinstance(value, (bool, str)) or value is None:
+        return repr(value).encode()
+    return float(value).hex().encode()   # every float64 bit, ints included
+
+
+def _sha(*values) -> str:
+    h = hashlib.sha256()
+    for v in values:
+        h.update(_bytes(v))
+        h.update(b"|")
+    return h.hexdigest()
+
+
+def stack() -> dict:
+    """The NumPy build, its BLAS library and the machine the bits belong to."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):   # NumPy before 1.26 has no mode="dicts"
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+
+
+def _network_cost_entries(out: dict) -> None:
+    for model in ("A", "B"):
+        for m in (4, 8, 16):
+            for batch in (1, 5, 8, 400, 1600):
+                seed = 1000 * m + batch
+                params = init_params([m, 2 * m, 2], [2, 2 * m, m], seed)
+                rng = substream(seed, ROLE_MISC)
+                msgs = rng.integers(0, m, size=batch)
+                noise = sample_noise(batch, P_A[model] / 50.0, rng)
+                cost, info, grads = network_cost(params, msgs, noise, P_A[model],
+                                                 LAM[model], MODELS[model], ws={})
+                out[f"network_cost/{model}/M{m}/B{batch}"] = _sha(
+                    cost, *(v for _, v in sorted(info.items())), grads)
+
+
+TRAIN_CASES = {
+    "A-M8": (TrainConfig(m=8, p_a=0.001, snr=50.0, harvester=MODELS["A"],
+                         epochs=4, minibatch_size=80, train_set_size=800,
+                         eval_samples=2000), 1e-7, 11),
+    "B-M16": (TrainConfig(m=16, p_a=0.004, snr=50.0, harvester=MODELS["B"],
+                          epochs=3, minibatch_size=160, train_set_size=1600,
+                          eval_samples=2000), 1e-4, 12),
+}
+
+
+def _train_entries(out: dict, tmp: Path) -> None:
+    for name, (cfg, lam, seed) in TRAIN_CASES.items():
+        rec = train_run(cfg, lam, seed)
+        save_checkpoint(tmp / "checkpoint.bin", rec.params)
+        write_constellation_csv(rec.constellation, tmp / "constellation.csv")
+        out[f"train_run/{name}/checkpoint.bin"] = _sha(
+            (tmp / "checkpoint.bin").read_bytes())
+        out[f"train_run/{name}/constellation.csv"] = _sha(
+            (tmp / "constellation.csv").read_bytes())
+        for f in fields(rec):
+            if f.name not in ("constellation", "params"):
+                out[f"train_run/{name}/record.{f.name}"] = _sha(getattr(rec, f.name))
+
+
+def _export_and_ser_entries(out: dict) -> None:
+    for m in (8, 16):
+        params = init_params([m, 2 * m, 2], [2, 2 * m, m], 50 + m)
+        const = export_constellation(params.encoder, m, 0.001)
+        out[f"export_constellation/M{m}"] = _sha(const.points, const.probabilities)
+        for model in ("A", "B"):
+            out[f"pdel_exact/{model}/M{m}"] = _sha(pdel_exact(const, MODELS[model]))
+
+    decoder = init_params([16, 32, 2], [2, 32, 16], 70).decoder
+    decoder[0].weights *= 400.0   # confident logits at this signal scale
+    params = init_params([16, 32, 2], [2, 32, 16], 71)
+    for name, const, dec in (
+            ("qam16", classical_baseline("QAM", 16, 0.001), decoder),
+            ("exported-M16", export_constellation(params.encoder, 16, 0.001),
+             params.decoder)):
+        for det, d in (("nn", dec), ("ml", None)):
+            rep = estimate_ser(const, d, 2e-5, 20_000, seed=72)
+            out[f"estimate_ser/{name}/{det}"] = _sha(rep.ser, rep.ser_stderr,
+                                                     rep.cross_entropy)
+
+
+def entries() -> dict:
+    out: dict = {}
+    _network_cost_entries(out)
+    with tempfile.TemporaryDirectory() as tmp:
+        _train_entries(out, Path(tmp))
+    _export_and_ser_entries(out)
+    return out
+
+
+def test_golden_outputs():
+    golden = json.loads(GOLDEN.read_text())
+    here = stack()
+    if golden["stack"] != here:
+        pytest.xfail(f"golden.json was made on {golden['stack']}, this is {here}")
+    got = entries()
+    moved = sorted(k for k, v in golden["entries"].items() if got.get(k) != v)
+    unknown = sorted(set(got) - set(golden["entries"]))
+    assert not moved and not unknown, (f"moved: {moved}; "
+                                       f"not in golden.json: {unknown}")
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({"stack": stack(), "entries": entries()},
+                                 indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

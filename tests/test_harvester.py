@@ -1,18 +1,20 @@
-"""Tests for the delivered-power models: moments, closed forms, limits, gradients."""
+"""Tests for the delivered-power models: closed forms, limits, gradients, and
+a 60-digit moment reference for the value."""
 
 import numpy as np
 import pytest
 from mpmath import mp
 
 from swiptmod.channel import ROLE_MISC, substream
-from swiptmod.harvester import (ModelAParams, ModelBParams, compute_moments,
-                                model_b_per_symbol, pdel_exact, pdel_model_a,
-                                pdel_model_b, pdel_monte_carlo_check,
-                                pdel_with_grads, q_tilde)
+from swiptmod.harvester import (ModelAParams, ModelBParams, model_b_per_symbol,
+                                pdel_exact, pdel_model_b, pdel_monte_carlo_check,
+                                pdel_with_grads)
 from swiptmod.transceiver import Constellation
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
 MODEL_B = ModelBParams(ls=0.02, a=6400.0, b=0.003)
+# Model A reduced to its fourth-moment part Q + Qtilde
+FOURTH = ModelAParams(alpha=1.0, beta=0.0, gamma=0.0)
 
 
 def _uniform(points):
@@ -21,113 +23,127 @@ def _uniform(points):
                          probabilities=np.full(points.size, 1.0 / points.size))
 
 
+def _mp_pdel(points, probs, model):
+    """P_del from 60-digit moments: the formulas written out independently."""
+    with mp.workdps(60):
+        w = [mp.mpf(float(p)) for p in probs]
+        rs = [mp.mpf(float(x.real)) for x in points]
+        is_ = [mp.mpf(float(x.imag)) for x in points]
+
+        def mean(f):
+            return sum(wk * f(r, i) for wk, r, i in zip(w, rs, is_))
+
+        if isinstance(model, ModelBParams):
+            def sig(t):
+                return 1 / (1 + mp.exp(-t))
+            omega = sig(-mp.mpf(model.a) * mp.mpf(model.b))
+            return float(mean(lambda r, i: model.ls * (sig(model.a * (r * r + i * i
+                                                                      - model.b)) - omega)
+                              / (1 - omega)))
+        q = mean(lambda r, i: (r * r + i * i) ** 2)
+        p = mean(lambda r, i: r * r + i * i)
+        mu_r, mu_i = mean(lambda r, i: r), mean(lambda r, i: i)
+        p_r, p_i = mean(lambda r, i: r ** 2), mean(lambda r, i: i ** 2)
+        t_r, t_i = mean(lambda r, i: r ** 3), mean(lambda r, i: i ** 3)
+        q_r, q_i = mean(lambda r, i: r ** 4), mean(lambda r, i: i ** 4)
+        qt = (q_r + q_i + 2 * (mu_r * t_r + mu_i * t_i) + 6 * p_r * p_i
+              + 6 * p_r * (p_r - mu_r ** 2) + 6 * p_i * (p_i - mu_i ** 2)) / 3
+        return float(model.alpha * (q + qt) + model.beta * p + model.gamma)
+
+
 # ---------------------------------------------------------------------------
-# moments
+# moments, seen through P_del
 # ---------------------------------------------------------------------------
 
 def test_moments_single_real_point():
-    c = 0.7
-    m = compute_moments(np.array([c + 0j]))
-    assert m.q == pytest.approx(c ** 4, rel=1e-14)
-    assert m.t == pytest.approx(c ** 3, rel=1e-14)
-    assert m.p == pytest.approx(c ** 2, rel=1e-14)
-    assert m.mu_r == pytest.approx(c, rel=1e-14)
-    assert m.q_r == pytest.approx(c ** 4, rel=1e-14)
-    assert m.t_r == pytest.approx(c ** 3, rel=1e-14)
-    assert m.p_r == pytest.approx(c ** 2, rel=1e-14)
-    assert m.mu_i == m.q_i == m.t_i == m.p_i == 0.0
+    c = 0.07
+    const = _uniform([c])
+    # one point: Qtilde = Q = c^4, so P_del = 2 alpha c^4 + beta c^2
+    p_a, dr, di = pdel_with_grads(const.points, MODEL_A)
+    assert p_a == pytest.approx(2 * MODEL_A.alpha * c ** 4 + MODEL_A.beta * c ** 2,
+                                rel=1e-14)
+    assert dr[0] == pytest.approx(8 * MODEL_A.alpha * c ** 3 + 2 * MODEL_A.beta * c,
+                                  rel=1e-13)
+    assert di[0] == 0.0
+    assert pdel_exact(const, MODEL_B) == pytest.approx(
+        float(model_b_per_symbol(np.array([c * c]), MODEL_B)[0]), rel=1e-15)
 
 
 def test_moments_bpsk_symmetry():
-    m = compute_moments(np.array([1 + 0j, -1 + 0j]))
-    assert m.mu_r == 0.0
-    assert m.t_r == 0.0
-    assert m.p == 1.0
-    assert m.q == 1.0
+    # +-1: odd moments vanish, P = Q = 1, Qtilde = (1 + 6) / 3
+    value, dr, di = pdel_with_grads(np.array([1 + 0j, -1 + 0j]), FOURTH)
+    assert value == pytest.approx(1 + 7 / 3, rel=1e-15)
+    assert dr[0] == -dr[1] and not di.any()
 
 
 def test_moments_brute_force_high_precision():
     rng = substream(21, ROLE_MISC)
-    pts = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    m = compute_moments(pts)
-    with mp.workdps(60):
-        rs = [mp.mpf(p.real) for p in pts]
-        is_ = [mp.mpf(p.imag) for p in pts]
-        n = mp.mpf(8)
-        mags2 = [r * r + i * i for r, i in zip(rs, is_)]
-        ref = {
-            "q": sum(v * v for v in mags2) / n,
-            "t": sum(v * mp.sqrt(v) for v in mags2) / n,
-            "p": sum(mags2) / n,
-            "mu_r": sum(rs) / n,
-            "mu_i": sum(is_) / n,
-            "q_r": sum(r ** 4 for r in rs) / n,
-            "t_r": sum(r ** 3 for r in rs) / n,
-            "p_r": sum(r * r for r in rs) / n,
-            "q_i": sum(i ** 4 for i in is_) / n,
-            "t_i": sum(i ** 3 for i in is_) / n,
-            "p_i": sum(i * i for i in is_) / n,
-        }
-        for name, val in ref.items():
-            assert abs(getattr(m, name) - float(val)) < 1e-12, name
+    for scale, model in ((0.1, MODEL_A), (0.05, MODEL_B),
+                         (0.1, ModelAParams(alpha=0.3829, beta=0.0034, gamma=1e-3))):
+        pts = scale * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        for probs in (np.full(8, 1 / 8), rng.dirichlet(np.ones(8))):
+            got = pdel_exact(Constellation(points=pts, probabilities=probs), model)
+            assert got == pytest.approx(_mp_pdel(pts, probs, model), rel=1e-12)
 
 
 def test_moments_probability_weighted():
     const = Constellation(points=np.array([1 + 0j, 3 + 0j]),
                           probabilities=np.array([0.75, 0.25]))
-    m = compute_moments(const)
-    assert m.p == pytest.approx(0.75 * 1 + 0.25 * 9, rel=1e-14)
-    assert m.mu_r == pytest.approx(0.75 * 1 + 0.25 * 3, rel=1e-14)
+    # P = 3, Q = Q_r = 21, mu_r = 1.5, T_r = 7.5: Qtilde = (21 + 22.5 + 13.5) / 3
+    prm = ModelAParams(alpha=0.5, beta=0.25, gamma=0.125)
+    assert pdel_exact(const, prm) == pytest.approx(
+        0.5 * (21 + 19) + 0.25 * 3 + 0.125, rel=1e-14)
 
 
 def test_moments_empty_input_rejected():
-    with pytest.raises(ValueError):
-        compute_moments(np.array([], dtype=complex))
+    for model in (MODEL_A, MODEL_B):
+        with pytest.raises(ValueError):
+            pdel_with_grads(np.array([], dtype=complex), model)
+        with pytest.raises(ValueError):
+            pdel_exact(Constellation(points=[], probabilities=[]), model)
 
 
 # ---------------------------------------------------------------------------
-# q_tilde / Model A closed forms
+# Qtilde / Model A closed forms
 # ---------------------------------------------------------------------------
 
 def test_q_tilde_single_real_point():
     c = 0.4
-    assert q_tilde(compute_moments(np.array([c + 0j]))) == pytest.approx(
-        c ** 4, rel=1e-13)
+    assert pdel_exact(_uniform([c]), FOURTH) == pytest.approx(2 * c ** 4, rel=1e-13)
 
 
 def test_q_tilde_zero_constellation():
-    assert q_tilde(compute_moments(np.zeros(4, dtype=complex))) == 0.0
+    value, dr, di = pdel_with_grads(np.zeros(4, dtype=complex), FOURTH)
+    assert value == 0.0 and not dr.any() and not di.any()
 
 
 def test_q_tilde_real_imag_swap_invariant():
     rng = substream(22, ROLE_MISC)
     pts = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     swapped = pts.imag + 1j * pts.real
-    assert q_tilde(compute_moments(pts)) == pytest.approx(
-        q_tilde(compute_moments(swapped)), abs=1e-12)
+    assert pdel_exact(_uniform(pts), FOURTH) == pytest.approx(
+        pdel_exact(_uniform(swapped), FOURTH), abs=1e-12)
 
 
 def test_pdel_model_a_zero_constellation_is_gamma():
     prm = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.125)
-    m = compute_moments(np.zeros(8, dtype=complex))
-    assert pdel_model_a(m, prm) == 0.125
+    assert pdel_exact(_uniform(np.zeros(8)), prm) == 0.125
 
 
 @pytest.mark.parametrize("point", [0.09 + 0j, 0.09j])
 def test_pdel_model_a_single_point_closed_form(point):
     c = abs(point)
     expected = 2 * MODEL_A.alpha * c ** 4 + MODEL_A.beta * c ** 2
-    m = compute_moments(np.array([point]))
-    assert pdel_model_a(m, MODEL_A) == pytest.approx(expected, rel=1e-12)
+    assert pdel_exact(_uniform([point]), MODEL_A) == pytest.approx(expected, rel=1e-12)
 
 
 def test_pdel_model_a_even_symmetry_invariances():
     rng = substream(23, ROLE_MISC)
     for _ in range(5):
         pts = 0.1 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
-        base = pdel_model_a(compute_moments(pts), MODEL_A)
+        base = pdel_exact(_uniform(pts), MODEL_A)
         for mapped in (-pts, np.conj(pts), 1j * pts):
-            assert pdel_model_a(compute_moments(mapped), MODEL_A) == \
+            assert pdel_exact(_uniform(mapped), MODEL_A) == \
                 pytest.approx(base, abs=1e-12)
 
 
@@ -137,8 +153,8 @@ def test_pdel_model_a_not_rotation_invariant():
     c = 0.05
     axis = np.array([c + 0j, 0 + 0j])
     diag = np.array([c * np.exp(1j * np.pi / 4), 0 + 0j])
-    p_axis = pdel_model_a(compute_moments(axis), MODEL_A)
-    p_diag = pdel_model_a(compute_moments(diag), MODEL_A)
+    p_axis = pdel_exact(_uniform(axis), MODEL_A)
+    p_diag = pdel_exact(_uniform(diag), MODEL_A)
     assert abs(p_axis - p_diag) > 1e-9
     assert p_axis > p_diag  # the axis-aligned layout harvests more
 

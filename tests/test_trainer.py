@@ -308,7 +308,7 @@ def test_config_resolved_desk_defaults():
     assert cfg.train_set_size == 160_000
     assert cfg.encoder_hidden == (32,)
     assert cfg.decoder_hidden == (32,)
-    assert cfg.eval_samples == 160_000
+    assert cfg.eval_samples == 1_600_000
     assert cfg.encoder_dims() == [16, 32, 2]
     assert cfg.decoder_dims() == [2, 32, 16]
 
@@ -317,6 +317,7 @@ def test_config_resolved_desk_defaults():
     dict(m=1), dict(p_a=0.0), dict(snr=-1.0), dict(epochs=0),
     dict(restarts=0), dict(ser_max=1.5), dict(learning_rate=0.0),
     dict(minibatch_size=300, train_set_size=200),
+    dict(noise_variance=-1e-3), dict(eval_samples=999),
 ])
 def test_config_validate_rejects(kw):
     base = dict(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A)

@@ -4,12 +4,20 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer, init_params
+from swiptmod.channel import ROLE_MISC, sample_noise, substream
+from swiptmod.evaluator import classical_baseline, estimate_ser
+from swiptmod.harvester import ModelAParams
+from swiptmod.nn import (LINEAR, RELU, SOFTMAX, DenseLayer, NetworkParams,
+                         init_params, mlp_forward)
+from swiptmod.trainer import network_cost
 from swiptmod.transceiver import (CSV_HEADER, Constellation,
-                                  ConstellationFormatError, batch_cross_entropy,
-                                  decode, encode, export_constellation,
-                                  normalize_power, read_constellation_csv,
+                                  ConstellationFormatError,
+                                  DegenerateEncoderError, decode,
+                                  export_constellation, normalize_power,
+                                  read_constellation_csv,
                                   write_constellation_csv)
+
+MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
 
 
 def _layer(w, b, act):
@@ -17,70 +25,107 @@ def _layer(w, b, act):
                       biases=np.asarray(b, dtype=float), activation=act)
 
 
+def _constant_decoder(biases):
+    """A decoder whose output is softmax(biases) whatever its input."""
+    m = len(biases)
+    return [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m), RELU),
+            _layer(np.zeros((m, 2 * m)), biases, SOFTMAX)]
+
+
 # ---------------------------------------------------------------------------
-# encode
+# encode: the export runs every message through the encoder once
 # ---------------------------------------------------------------------------
 
 def test_one_hot_first_and_last():
     # a linear encoder reads column s of W0 for message s (0-based)
     enc = [_layer([[10.0, 11.0, 12.0, 13.0], [0.0, 0.0, 0.0, -1.0]], [0.0, 0.0], LINEAR)]
-    assert np.array_equal(encode(enc, np.array([0, 3])), [10 + 0j, 13 - 1j])
+    pts = export_constellation(enc, 4, 1.0).points
+    scale = pts[0].real / 10.0
+    assert np.allclose(pts, scale * np.array([10, 11, 12, 13 - 1j]), rtol=1e-15)
 
 
 def test_encode_deterministic_per_message():
     enc = init_params([4, 8, 2], [2, 8, 4], seed=3).encoder
-    out = encode(enc, np.array([2, 2, 2, 0, 2]))
-    assert out[0] == out[1] == out[2] == out[4]
-    assert len(set(np.round(encode(enc, np.arange(4)), 12))) <= 4
+    pts = export_constellation(enc, 4, 0.001).points
+    assert np.array_equal(pts, export_constellation(enc, 4, 0.001).points)
+    assert len(set(np.round(pts, 12))) == 4
+    # point k is message k's encoder output on its own, scaled
+    alone = [mlp_forward(enc, np.eye(4)[:, [k]])[0][:, 0] for k in range(4)]
+    scale = np.sqrt(0.001 * 4 / sum(u @ u for u in alone))
+    for k, u in enumerate(alone):
+        assert pts[k] == pytest.approx(scale * (u[0] + 1j * u[1]), rel=1e-14)
 
 
 def test_encode_zero_weights_gives_origin():
-    enc = [_layer(np.zeros((2, 4)), np.zeros(2), LINEAR)]
-    out = encode(enc, np.arange(4))
-    assert np.array_equal(out, np.zeros(4, dtype=complex))
+    # a training step on an all-zero encoder sends every message to the origin
+    params = init_params([4, 8, 2], [2, 8, 4], seed=0)
+    for layer in params.encoder:
+        layer.weights[:] = 0.0
+    noise = sample_noise(6, 2e-5, substream(0, ROLE_MISC))
+    cost, info, grads = network_cost(params, np.arange(6) % 4, noise, 0.001,
+                                     1e-4, MODEL_A)
+    assert info["degenerate"]
+    assert info["batch_power"] == 0.0 and info["p_del"] == 0.0
+    assert np.isfinite(cost) and np.all(np.isfinite(grads))
 
 
 def test_encode_rejects_non_2d_output():
     enc = [_layer(np.zeros((3, 4)), np.zeros(3), LINEAR)]
     with pytest.raises(ValueError):
-        encode(enc, np.arange(4))
+        export_constellation(enc, 4, 0.001)
 
 
 # ---------------------------------------------------------------------------
-# normalize_power
+# normalize_power: (2, M) points weighted by counts
 # ---------------------------------------------------------------------------
 
 def test_normalize_single_symbol():
-    scaled, scale, degenerate = normalize_power(np.array([3 + 4j]), 1.0)
-    assert not degenerate
-    assert scaled[0] == pytest.approx(0.6 + 0.8j, abs=1e-15)
+    scaled, scale, energy, degenerate = normalize_power(np.array([[3.0], [4.0]]),
+                                                        np.array([1]), 1.0)
+    assert not degenerate and energy == 25.0
+    assert scaled[:, 0] == pytest.approx([0.6, 0.8], abs=1e-15)
 
 
 def test_normalize_two_symbol_batch():
-    scaled, _, degenerate = normalize_power(np.array([1.0 + 0j, 0.0 + 0j]), 1.0)
+    u = np.array([[1.0, 0.0], [0.0, 0.0]])
+    scaled, _, _, degenerate = normalize_power(u, np.ones(2), 1.0)
     assert not degenerate
-    assert scaled[0] == pytest.approx(np.sqrt(2), abs=1e-15)
-    assert scaled[1] == 0
-    assert np.mean(np.abs(scaled) ** 2) == pytest.approx(1.0, abs=1e-15)
+    assert scaled[0, 0] == pytest.approx(np.sqrt(2), abs=1e-15)
+    assert not scaled[:, 1].any()
+    assert np.mean(np.sum(scaled ** 2, axis=0)) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_normalize_already_normalized_unchanged():
-    x = np.array([0.6 + 0.8j, -0.6 - 0.8j])  # mean power exactly 1
-    scaled, scale, _ = normalize_power(x, 1.0)
+    u = np.array([[0.6, -0.6], [0.8, -0.8]])  # mean power exactly 1
+    scaled, scale, _, _ = normalize_power(u, np.ones(2), 1.0)
     assert scale == pytest.approx(1.0, abs=1e-15)
-    assert np.allclose(scaled, x, atol=1e-15)
+    assert np.allclose(scaled, u, atol=1e-15)
+
+
+def test_normalize_counts_weight_the_mean_power():
+    u = np.array([[1.0, 3.0], [0.0, 0.0]])
+    scaled, _, energy, _ = normalize_power(u, np.array([3, 1]), 2.0)
+    assert energy == 12.0
+    assert (3 * scaled[0, 0] ** 2 + scaled[0, 1] ** 2) / 4 == pytest.approx(2.0, rel=1e-15)
+    # a message absent from the batch counts for nothing, but is scaled too
+    scaled, _, energy, _ = normalize_power(u, np.array([1, 0]), 2.0)
+    assert energy == 1.0 and scaled[0] == pytest.approx([np.sqrt(2), 3 * np.sqrt(2)])
 
 
 def test_normalize_degenerate_batch_flagged():
-    scaled, scale, degenerate = normalize_power(np.zeros(4, dtype=complex), 1.0)
+    scaled, scale, _, degenerate = normalize_power(np.zeros((2, 4)), np.ones(4), 1.0)
     assert degenerate
     assert np.all(np.isfinite(scaled))
     assert np.isfinite(scale)
 
 
 def test_normalize_empty_batch_rejected():
+    # no message drawn: flagged degenerate; exporting no message is an error
+    _, _, _, degenerate = normalize_power(np.ones((2, 3)), np.zeros(3, int), 1.0)
+    assert degenerate
+    enc = init_params([4, 8, 2], [2, 8, 4], seed=0).encoder
     with pytest.raises(ValueError):
-        normalize_power(np.array([], dtype=complex), 1.0)
+        export_constellation(enc, 0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -110,39 +155,57 @@ def test_decode_reproducible_and_normalized():
 
 
 # ---------------------------------------------------------------------------
-# cross entropy
+# cross entropy: a training step's info["cross_entropy"] and estimate_ser's
 # ---------------------------------------------------------------------------
 
+def _step_ce(decoder, msgs, seed=0):
+    params = NetworkParams(init_params([4, 8, 2], [2, 8, 4], seed).encoder, decoder)
+    noise = sample_noise(len(msgs), 2e-5, substream(seed, ROLE_MISC))
+    _, info, _ = network_cost(params, np.asarray(msgs), noise, 0.001, 0.0, MODEL_A)
+    return info["cross_entropy"]
+
+
 def test_cross_entropy_perfect_prediction():
-    probs = np.array([[0.0], [1.0], [0.0], [0.0]])
-    assert batch_cross_entropy(probs, np.array([1])) == 0.0
+    # exp(-1000) underflows, so message 1 gets probability exactly 1
+    assert _step_ce(_constant_decoder([0.0, 1000.0, 0.0, 0.0]), [1, 1, 1]) == 0.0
 
 
 def test_cross_entropy_uniform():
     m = 32
-    ce = batch_cross_entropy(np.full((m, 3), 1.0 / m), np.array([4, 0, 31]))
-    assert ce == pytest.approx(np.log(32), rel=1e-12)
+    dec = [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m), RELU),
+           _layer(np.zeros((m, 2 * m)), np.zeros(m), SOFTMAX)]
+    report = estimate_ser(classical_baseline("QAM", m, 0.001), dec, 2e-5, 3000, seed=0)
+    assert report.cross_entropy == pytest.approx(np.log(32), rel=1e-12)
 
 
 def test_cross_entropy_against_high_precision():
-    probs = np.array([[0.25], [0.25], [0.25], [0.25]])
+    biases = [0.1, -0.3, 0.7, 0.2]
+    msgs = [0, 2, 3, 3, 1]
     with mp.workdps(50):
-        expected = float(-mp.log(mp.mpf(1) / 4))
-    assert batch_cross_entropy(probs, np.array([0])) == pytest.approx(expected, rel=1e-15)
+        logz = mp.log(sum(mp.exp(mp.mpf(b)) for b in biases))
+        expected = float(sum(logz - mp.mpf(biases[s]) for s in msgs) / len(msgs))
+    assert _step_ce(_constant_decoder(biases), msgs) == pytest.approx(expected, rel=1e-15)
 
 
 def test_cross_entropy_shape_mismatch():
-    # more messages than probability columns
-    with pytest.raises(IndexError):
-        batch_cross_entropy(np.full((4, 2), 0.25), np.array([0, 1, 2]))
+    # more messages than noise rows
+    params = init_params([4, 8, 2], [2, 8, 4], seed=0)
+    with pytest.raises(ValueError):
+        network_cost(params, np.array([0, 1, 2]), np.zeros((2, 2)), 0.001, 0.0, MODEL_A)
 
 
 def test_batch_cross_entropy_matches_scalar_mean():
-    rng = np.random.default_rng(0)
-    probs = rng.dirichlet(np.ones(4), size=6).T   # (M, B) columns
+    params = init_params([4, 8, 2], [2, 8, 4], seed=5)
+    rng = substream(5, ROLE_MISC)
     msgs = rng.integers(0, 4, size=6)
-    scalar = np.mean([-np.log(probs[s, j]) for j, s in enumerate(msgs)])
-    assert batch_cross_entropy(probs, msgs) == pytest.approx(scalar, rel=1e-12)
+    noise = sample_noise(6, 2e-4, rng)
+    _, info, _ = network_cost(params, msgs, noise, 0.01, 0.0, MODEL_A)
+    u, _, _ = mlp_forward(params.encoder, np.eye(4))
+    x, _, _, _ = normalize_power(u, np.bincount(msgs, minlength=4), 0.01)
+    scalar = np.mean([-np.log(decode(params.decoder, x[0, s] + noise[j, 0]
+                                     + 1j * (x[1, s] + noise[j, 1]))[s, 0])
+                      for j, s in enumerate(msgs)])
+    assert info["cross_entropy"] == pytest.approx(scalar, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +222,9 @@ def test_export_constellation_power_and_size():
 
 def test_export_constellation_degenerate_encoder():
     enc = [_layer(np.zeros((2, 4)), np.zeros(2), LINEAR)]
-    with pytest.raises(ValueError):
+    with pytest.raises(DegenerateEncoderError):
         export_constellation(enc, 4, 0.001)
+    assert issubclass(DegenerateEncoderError, ValueError)
 
 
 def test_csv_round_trip_byte_identical(tmp_path):
