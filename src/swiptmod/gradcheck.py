@@ -107,9 +107,8 @@ def _margins(params: NetworkParams, msgs: np.ndarray, noise: np.ndarray,
     messages present in the batch, decoder kinks exclude the logits.
     """
     m = params.encoder[0].in_dim
-    counts = np.bincount(msgs, minlength=m)
     u, zs_e, _ = mlp_forward(params.encoder, np.eye(m))
-    x, _, _, _ = normalize_power(u, counts, p_a)
+    x, _, _, _, counts = normalize_power(u, msgs, p_a)
     probs, zs_d, _ = mlp_forward(params.decoder, x[:, msgs] + noise.T)
     present = counts > 0
     relu = min(float(np.min(np.abs(z)))

@@ -140,13 +140,12 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     msgs = np.asarray(messages, dtype=int)
     batch = msgs.shape[0]
     m = enc[0].in_dim
-    counts = np.bincount(msgs, minlength=m)
 
     # encoder on the M one-hot columns (first pre-activation W0 + b0[:, None]);
     # the batch is a gather of its output columns
     u, zs_e, post_e = mlp_forward(enc, np.eye(m), ws, "enc")
 
-    xk, scale, energy, degenerate = normalize_power(u, counts, p_a)
+    xk, scale, energy, degenerate, counts = normalize_power(u, msgs, p_a)
     # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
     y = np.take(xk, msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
     y += noise.T

@@ -48,17 +48,22 @@ class Constellation:
         return float(np.sum(self.probabilities * np.abs(self.points) ** 2))
 
 
-def normalize_power(u: np.ndarray, counts: np.ndarray, p_a: float):
-    """Scale (2, M) encoder outputs so their count-weighted mean power is p_a.
+def normalize_power(u: np.ndarray, msgs: np.ndarray, p_a: float):
+    """Scale (2, M) encoder outputs so the batch msgs has mean power p_a.
 
-    Returns (scaled points, scale, energy, degenerate flag), where energy is
-    sum_k counts_k |u_k|^2; an all-but-zero energy keeps a clamped scale and
-    is flagged degenerate.
+    msgs are the batch's 0-based messages. Returns (scaled points, scale,
+    energy, degenerate flag, counts), where counts_k is how often message k
+    occurs and energy is sum_k counts_k |u_k|^2; an all-but-zero energy
+    keeps a clamped scale and is flagged degenerate.
     """
+    x = np.asarray(msgs)
+    if x.size == 0:
+        raise ValueError("empty symbol batch")
+    counts = np.bincount(x, minlength=u.shape[1])
     energy = float(np.sum(u * u, axis=0) @ counts)
     degenerate = energy < EPS_NORM
-    scale = math.sqrt(p_a * counts.sum() / max(energy, EPS_NORM))
-    return scale * u, scale, energy, degenerate
+    scale = math.sqrt(p_a * x.size / max(energy, EPS_NORM))
+    return scale * u, scale, energy, degenerate, counts
 
 
 def decode(decoder: list[DenseLayer], y: np.ndarray) -> np.ndarray:
@@ -74,7 +79,7 @@ def export_constellation(encoder: list[DenseLayer], m: int, p_a: float) -> Const
     if encoder[-1].out_dim != 2:
         raise ValueError("encoder output must be 2-wide (re, im)")
     u, _, _ = mlp_forward(encoder, np.eye(m))
-    x, _, _, degenerate = normalize_power(u, np.ones(m), p_a)
+    x, _, _, degenerate, _ = normalize_power(u, np.arange(m), p_a)
     if degenerate:
         raise DegenerateEncoderError("degenerate encoder: every message maps to the origin")
     return Constellation(points=x[0] + 1j * x[1], probabilities=np.full(m, 1.0 / m))

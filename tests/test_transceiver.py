@@ -76,19 +76,19 @@ def test_encode_rejects_non_2d_output():
 
 
 # ---------------------------------------------------------------------------
-# normalize_power: (2, M) points weighted by counts
+# normalize_power: (2, M) points weighted by their counts in the batch
 # ---------------------------------------------------------------------------
 
 def test_normalize_single_symbol():
-    scaled, scale, energy, degenerate = normalize_power(np.array([[3.0], [4.0]]),
-                                                        np.array([1]), 1.0)
+    scaled, scale, energy, degenerate, _ = normalize_power(np.array([[3.0], [4.0]]),
+                                                           np.array([0]), 1.0)
     assert not degenerate and energy == 25.0
     assert scaled[:, 0] == pytest.approx([0.6, 0.8], abs=1e-15)
 
 
 def test_normalize_two_symbol_batch():
     u = np.array([[1.0, 0.0], [0.0, 0.0]])
-    scaled, _, _, degenerate = normalize_power(u, np.ones(2), 1.0)
+    scaled, _, _, degenerate, _ = normalize_power(u, np.arange(2), 1.0)
     assert not degenerate
     assert scaled[0, 0] == pytest.approx(np.sqrt(2), abs=1e-15)
     assert not scaled[:, 1].any()
@@ -97,35 +97,31 @@ def test_normalize_two_symbol_batch():
 
 def test_normalize_already_normalized_unchanged():
     u = np.array([[0.6, -0.6], [0.8, -0.8]])  # mean power exactly 1
-    scaled, scale, _, _ = normalize_power(u, np.ones(2), 1.0)
+    scaled, scale, _, _, _ = normalize_power(u, np.arange(2), 1.0)
     assert scale == pytest.approx(1.0, abs=1e-15)
     assert np.allclose(scaled, u, atol=1e-15)
 
 
 def test_normalize_counts_weight_the_mean_power():
     u = np.array([[1.0, 3.0], [0.0, 0.0]])
-    scaled, _, energy, _ = normalize_power(u, np.array([3, 1]), 2.0)
-    assert energy == 12.0
+    scaled, _, energy, _, counts = normalize_power(u, np.array([0, 1, 0, 0]), 2.0)
+    assert energy == 12.0 and counts.tolist() == [3, 1]
     assert (3 * scaled[0, 0] ** 2 + scaled[0, 1] ** 2) / 4 == pytest.approx(2.0, rel=1e-15)
     # a message absent from the batch counts for nothing, but is scaled too
-    scaled, _, energy, _ = normalize_power(u, np.array([1, 0]), 2.0)
-    assert energy == 1.0 and scaled[0] == pytest.approx([np.sqrt(2), 3 * np.sqrt(2)])
+    scaled, _, energy, _, counts = normalize_power(u, np.array([0]), 2.0)
+    assert energy == 1.0 and counts.tolist() == [1, 0] and scaled[0] == pytest.approx([np.sqrt(2), 3 * np.sqrt(2)])
 
 
 def test_normalize_degenerate_batch_flagged():
-    scaled, scale, _, degenerate = normalize_power(np.zeros((2, 4)), np.ones(4), 1.0)
+    scaled, scale, _, degenerate, _ = normalize_power(np.zeros((2, 4)), np.arange(4), 1.0)
     assert degenerate
     assert np.all(np.isfinite(scaled))
     assert np.isfinite(scale)
 
 
 def test_normalize_empty_batch_rejected():
-    # no message drawn: flagged degenerate; exporting no message is an error
-    _, _, _, degenerate = normalize_power(np.ones((2, 3)), np.zeros(3, int), 1.0)
-    assert degenerate
-    enc = init_params([4, 8, 2], [2, 8, 4], seed=0).encoder
-    with pytest.raises(ValueError):
-        export_constellation(enc, 0, 1.0)
+    with pytest.raises(ValueError, match="empty symbol batch"):
+        normalize_power(np.ones((2, 3)), np.array([], int), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +197,7 @@ def test_batch_cross_entropy_matches_scalar_mean():
     noise = sample_noise(6, 2e-4, rng)
     _, info, _ = network_cost(params, msgs, noise, 0.01, 0.0, MODEL_A)
     u, _, _ = mlp_forward(params.encoder, np.eye(4))
-    x, _, _, _ = normalize_power(u, np.bincount(msgs, minlength=4), 0.01)
+    x, _, _, _, _ = normalize_power(u, msgs, 0.01)
     scalar = np.mean([-np.log(decode(params.decoder, x[0, s] + noise[j, 0]
                                      + 1j * (x[1, s] + noise[j, 1]))[s, 0])
                       for j, s in enumerate(msgs)])
