@@ -136,7 +136,7 @@ def cmd_eval(args) -> int:
     try:
         report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
                               seed=args.seed)
-    except FloatingPointError as exc:   # non-finite decoder output
+    except (FloatingPointError, ValueError) as exc:   # non-finite decoder output or points
         return _unusable_checkpoint(args.checkpoint, exc)
     report.p_del = pdel_exact(const, cfg.harvester)
     payload = {

@@ -8,11 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ROLE_EVAL, sample_noise, substream
-from .nn import DenseLayer
+from .nn import DenseLayer, scratch
 from .transceiver import EPS_LOG, Constellation, decode
 
 DEFAULT_BLOCK = 1 << 16
 MIN_SAMPLES = 1_000
+_TILE = 1 << 13   # samples per compute tile: its (M, tile) buffers stay in cache
 
 
 @dataclass
@@ -25,10 +26,12 @@ class EvalReport:
     cross_entropy: float = math.nan
 
 
-def _ml_detect_batch(points: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Minimum-distance detection (ML for AWGN); ties to the lowest index."""
-    pr, pi = points.real[:, None], points.imag[:, None]
-    return np.argmin((y.real - pr) ** 2 + (y.imag - pi) ** 2, axis=0)
+def _first_match(a: np.ndarray, extreme: np.ndarray, out: np.ndarray,
+                 mask: np.ndarray) -> None:
+    """Row index of each column's first entry equal to `extreme` (its max or
+    min), so ties go to the lowest index as with np.argmax/np.argmin."""
+    for k in range(a.shape[0] - 1, -1, -1):
+        np.putmask(out, np.equal(a[k], extreme, out=mask), k)
 
 
 def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
@@ -39,13 +42,24 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     Messages are drawn uniformly. Noise comes from fixed-size blocks, each
     with its own (seed, ROLE_EVAL, block) substream, so the result does not
     depend on how blocks are distributed over shards (error counts are merged
-    by summation). decoder=None selects minimum-distance detection.
+    by summation). decoder=None selects minimum-distance detection. Each
+    block is detected in column tiles of _TILE samples whose buffers, like
+    the block's, belong to one workspace per call.
     """
     if num_samples < MIN_SAMPLES:
         raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
+    if not (math.isfinite(sigma2) and sigma2 >= 0.0):
+        raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     points = constellation.points
+    if not np.isfinite(points).all():
+        raise ValueError("non-finite constellation points")
     m = constellation.size
+    pr, pi = points.real, points.imag
     num_blocks = (num_samples + block_size - 1) // block_size
+    cap = min(block_size, num_samples)
+    y, s_hat, picked = np.empty((2, cap)), np.empty(cap, np.int64), np.empty(cap)
+    cols = np.arange(min(_TILE, cap))
+    tiles = {}   # tile width -> its buffers, so a short tail keeps the full ones
     shard_errors = np.zeros(num_shards, dtype=np.int64)
     ce_sum = 0.0
     for blk in range(num_blocks):
@@ -53,15 +67,29 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
         rng = substream(seed, ROLE_EVAL, blk)
         s = rng.integers(0, m, size=n)
         noise = sample_noise(n, sigma2, rng)
-        y = points[s] + noise[:, 0] + 1j * noise[:, 1]
-        if decoder is None:
-            s_hat = _ml_detect_batch(points, y)
-        else:
-            probs = decode(decoder, y)
-            s_hat = np.argmax(probs, axis=0)
-            ce_sum += float(-np.log(np.maximum(probs[s, np.arange(n)],
-                                               EPS_LOG)).sum())
-        shard_errors[blk % num_shards] += int(np.sum(s_hat != s))
+        for row, part in enumerate((pr, pi)):
+            np.take(part, s, out=y[row, :n], mode="clip")
+            y[row, :n] += noise[:, row]
+        for t0 in range(0, n, _TILE):
+            w = min(_TILE, n - t0)
+            ws, yt = tiles.setdefault(w, {}), y[:, t0:t0 + w]
+            if decoder is None:
+                a = np.subtract(yt[0], pr[:, None], out=scratch(ws, "d2", (m, w)))
+                np.square(a, out=a)
+                d = np.subtract(yt[1], pi[:, None], out=scratch(ws, "d", (m, w)))
+                a += np.square(d, out=d)
+                top = a.min(axis=0, out=scratch(ws, "top", (w,)))
+            else:
+                a = decode(decoder, yt, ws)
+                top = a.max(axis=0, out=scratch(ws, "top", (w,)))
+                idx = np.multiply(s[t0:t0 + w], w, out=scratch(ws, "idx", (w,), np.int64))
+                idx += cols[:w]
+                np.take(a.reshape(-1), idx, out=picked[t0:t0 + w], mode="clip")
+            _first_match(a, top, s_hat[t0:t0 + w], scratch(ws, "mask", (w,), bool))
+        if decoder is not None:   # one sum per block keeps the summation order
+            p = picked[:n]
+            ce_sum -= float(np.log(np.maximum(p, EPS_LOG, out=p), out=p).sum())
+        shard_errors[blk % num_shards] += int(np.count_nonzero(s_hat[:n] != s))
     errors = int(shard_errors.sum())
     ser = errors / num_samples
     stderr = math.sqrt(ser * (1.0 - ser) / num_samples)

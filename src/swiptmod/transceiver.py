@@ -66,11 +66,11 @@ def normalize_power(u: np.ndarray, msgs: np.ndarray, p_a: float):
     return scale * u, scale, energy, degenerate, counts
 
 
-def decode(decoder: list[DenseLayer], y: np.ndarray) -> np.ndarray:
-    """Noisy complex symbols -> (M, B) probability columns (softmax output,
-    computed in place over the logits)."""
-    y = np.atleast_1d(np.asarray(y, dtype=complex))
-    out, _, _ = mlp_forward(decoder, np.stack([y.real, y.imag]))
+def decode(decoder: list[DenseLayer], y: np.ndarray, ws: dict | None = None) -> np.ndarray:
+    """(2, B) real columns (re, im) of noisy symbols -> (M, B) probability
+    columns (softmax output, computed in place over the logits). With a
+    workspace the result is its buffer, overwritten by the next call."""
+    out, _, _ = mlp_forward(decoder, y, ws)
     return out
 
 
@@ -121,6 +121,10 @@ def read_constellation_csv(path) -> Constellation:
         except ValueError as exc:
             raise ConstellationFormatError(
                 f"{path}:{lineno}: unparseable row {row!r}", line=lineno) from exc
+        if not all(map(math.isfinite, (pr, re, im))) or pr < 0.0:
+            raise ConstellationFormatError(
+                f"{path}:{lineno}: non-finite value or negative probability in {row!r}",
+                line=lineno)
         if idx != lineno - 2:
             raise ConstellationFormatError(
                 f"{path}:{lineno}: index {idx} out of order", line=lineno)

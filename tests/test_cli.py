@@ -165,6 +165,7 @@ def test_eval_too_few_samples_exit_2(trained, capsys, samples):
 @pytest.mark.parametrize("layer, value, raised", [
     ("encoder", 0.0, "degenerate encoder"),      # every message at the origin
     ("decoder", np.nan, "non-finite logits"),
+    ("encoder", np.nan, "non-finite"),           # NaN points reach estimate_ser
 ])
 def test_eval_unusable_checkpoint_exit_4(tmp_path, capsys, layer, value, raised):
     params = init_params([4, 8, 2], [2, 8, 4], seed=0)
@@ -200,6 +201,15 @@ def test_plot_malformed_csv_exit_3(tmp_path, capsys):
     svg = tmp_path / "bad.svg"
     assert cli.main(["plot", str(csv), str(svg)]) == 3
     assert ":2" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+def test_plot_non_finite_csv_exit_3(tmp_path, capsys):
+    csv = tmp_path / "bad.csv"
+    csv.write_text("index,probability,real,imag\n0,0.5,1,2\n1,0.5,nan,inf\n")
+    svg = tmp_path / "bad.svg"
+    assert cli.main(["plot", str(csv), str(svg)]) == 3
+    assert ":3" in capsys.readouterr().err
     assert not svg.exists()
 
 

@@ -1,12 +1,14 @@
 """Tests for SER estimation, power evaluation and classical baselines."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from swiptmod.channel import ROLE_EVAL, sample_noise, substream
 from swiptmod.evaluator import classical_baseline, estimate_ser
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
-from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer, init_params
+from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer, init_params, mlp_forward
 from swiptmod.transceiver import EPS_LOG, Constellation
 
 
@@ -16,12 +18,16 @@ def _uniform(points):
                          probabilities=np.full(points.size, 1.0 / points.size))
 
 
+# more samples than one compute tile (8192), so ties also fall in later tiles
+TIE_SAMPLES = 20_000
+
+
 def test_estimate_ser_ml_ties_go_to_lowest_index():
     # duplicated points: noiseless samples of messages 1 and 3 tie with 0 and 2
     const = _uniform([1 + 0j, 1 + 0j, -1 + 0j, -1 + 0j])
-    report = estimate_ser(const, None, 0.0, 1000, seed=2)
-    s = substream(2, ROLE_EVAL, 0).integers(0, 4, size=1000)
-    assert report.ser == np.isin(s, [1, 3]).sum() / 1000
+    report = estimate_ser(const, None, 0.0, TIE_SAMPLES, seed=2)
+    s = substream(2, ROLE_EVAL, 0).integers(0, 4, size=TIE_SAMPLES)
+    assert report.ser == np.isin(s, [1, 3]).sum() / TIE_SAMPLES
 
 
 def test_estimate_ser_nn_ties_go_to_lowest_index():
@@ -29,9 +35,9 @@ def test_estimate_ser_nn_ties_go_to_lowest_index():
     decoder = init_params([4, 8, 2], [2, 8, 4], seed=0).decoder
     for layer in decoder:
         layer.weights[:] = 0.0
-    report = estimate_ser(_uniform([1, 1j, -1, -1j]), decoder, 1e-3, 1000, seed=4)
-    s = substream(4, ROLE_EVAL, 0).integers(0, 4, size=1000)
-    assert report.ser == np.count_nonzero(s) / 1000
+    report = estimate_ser(_uniform([1, 1j, -1, -1j]), decoder, 1e-3, TIE_SAMPLES, seed=4)
+    s = substream(4, ROLE_EVAL, 0).integers(0, 4, size=TIE_SAMPLES)
+    assert report.ser == np.count_nonzero(s) / TIE_SAMPLES
     assert report.cross_entropy == pytest.approx(np.log(4), rel=1e-15)
 
 
@@ -62,6 +68,78 @@ def test_estimate_ser_nn_matches_per_sample_reference():
     assert np.array_equal(const.points, points)
     assert all(np.array_equal(a, b) for a, b in zip(
         (a for l in decoder for a in (l.weights, l.biases)), before))
+
+
+def _full_block_ser(constellation, decoder, sigma2, num_samples, seed, block_size=1 << 16):
+    """Reference: the evaluator before compute tiles, with one (M, block)
+    array per block, np.argmax/np.argmin over axis 0 and a fancy-indexed
+    cross-entropy pick. Returns (SER, CE)."""
+    points, m = constellation.points, constellation.size
+    errors, ce_sum = 0, 0.0
+    for blk in range(-(-num_samples // block_size)):
+        n = min(block_size, num_samples - blk * block_size)
+        rng = substream(seed, ROLE_EVAL, blk)
+        s = rng.integers(0, m, size=n)
+        noise = sample_noise(n, sigma2, rng)
+        y = points[s] + noise[:, 0] + 1j * noise[:, 1]
+        if decoder is None:
+            pr, pi = points.real[:, None], points.imag[:, None]
+            s_hat = np.argmin((y.real - pr) ** 2 + (y.imag - pi) ** 2, axis=0)
+        else:
+            probs, _, _ = mlp_forward(decoder, np.stack([y.real, y.imag]))
+            s_hat = np.argmax(probs, axis=0)
+            ce_sum += float(-np.log(np.maximum(probs[s, np.arange(n)], EPS_LOG)).sum())
+        errors += int(np.sum(s_hat != s))
+    return errors / num_samples, ce_sum / num_samples
+
+
+@pytest.mark.parametrize("ml", [False, True])
+def test_estimate_ser_matches_full_block_reference(ml):
+    # a full block, then a short block of two full tiles and a 37-sample tail
+    n = (1 << 16) + 2 * 8192 + 37
+    const = classical_baseline("QAM", 16, 0.01)
+    decoder = init_params([16, 32, 2], [2, 32, 16], seed=16).decoder
+    for layer in decoder:
+        layer.weights *= 20.0
+    decoder = None if ml else decoder
+    report = estimate_ser(const, decoder, 3e-4, n, seed=7)
+    ser, ce = _full_block_ser(const, decoder, 3e-4, n, seed=7)
+    assert 0.0 < report.ser < 1.0
+    assert report.ser == ser
+    if ml:
+        assert np.isnan(report.cross_entropy)
+    else:
+        assert report.cross_entropy.hex() == ce.hex()
+
+
+@pytest.mark.parametrize("ml", [False, True])
+def test_estimate_ser_memory_stays_tile_sized(ml):
+    # one block-sized (16, 65536) float64 temporary alone is 8 MB
+    const = classical_baseline("QAM", 16, 0.01)
+    decoder = None if ml else init_params([16, 32, 2], [2, 32, 16], seed=1).decoder
+    tracemalloc.start()
+    try:
+        estimate_ser(const, decoder, 1e-3, 1 << 17, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6   # the full-block evaluator peaked at 55.6 MB (NN) and 20.4 MB (ML)
+
+
+@pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("ml", [False, True])
+def test_estimate_ser_rejects_bad_noise_variance(sigma2, ml):
+    decoder = None if ml else init_params([4, 8, 2], [2, 8, 4], seed=0).decoder
+    with pytest.raises(ValueError, match="noise variance"):
+        estimate_ser(classical_baseline("QAM", 4, 1.0), decoder, sigma2, 1000, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf), complex(1.0, np.nan)])
+def test_estimate_ser_rejects_non_finite_points(bad):
+    points = classical_baseline("QAM", 4, 1.0).points
+    points[2] = bad
+    with pytest.raises(ValueError, match="non-finite constellation points"):
+        estimate_ser(_uniform(points), None, 0.1, 1000, seed=0)
 
 
 def test_estimate_ser_noiseless_ml_is_zero():

@@ -131,14 +131,14 @@ def test_normalize_empty_batch_rejected():
 def test_decode_zero_weights_uniform():
     dec = [_layer(np.zeros((8, 2)), np.zeros(8), RELU),
            _layer(np.zeros((4, 8)), np.zeros(4), SOFTMAX)]
-    probs = decode(dec, 0.3 - 0.7j)
+    probs = decode(dec, np.array([[0.3], [-0.7]]))
     assert probs.shape == (4, 1)
     assert np.allclose(probs, 0.25, atol=1e-15)
 
 
 def test_decode_reproducible_and_normalized():
     dec = init_params([4, 8, 2], [2, 8, 4], seed=6).decoder
-    y = np.array([0.1 + 0.2j, -0.3 + 0.05j, 0.7 - 0.4j])
+    y = np.array([[0.1, -0.3, 0.7], [0.2, 0.05, -0.4]])   # (re, im) rows
     before = y.copy()
     p1 = decode(dec, y)
     p2 = decode(dec, y)
@@ -147,7 +147,7 @@ def test_decode_reproducible_and_normalized():
     assert np.array_equal(p1, p2)
     assert np.allclose(p1.sum(axis=0), 1.0, atol=1e-12)
     for j in range(3):   # each column is that sample decoded alone
-        assert np.allclose(p1[:, j], decode(dec, y[j])[:, 0], rtol=0, atol=1e-15)
+        assert np.allclose(p1[:, j], decode(dec, y[:, j:j + 1])[:, 0], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +198,7 @@ def test_batch_cross_entropy_matches_scalar_mean():
     _, info, _ = network_cost(params, msgs, noise, 0.01, 0.0, MODEL_A)
     u, _, _ = mlp_forward(params.encoder, np.eye(4))
     x, _, _, _, _ = normalize_power(u, msgs, 0.01)
-    scalar = np.mean([-np.log(decode(params.decoder, x[0, s] + noise[j, 0]
-                                     + 1j * (x[1, s] + noise[j, 1]))[s, 0])
+    scalar = np.mean([-np.log(decode(params.decoder, x[:, s:s + 1] + noise[j, :, None])[s, 0])
                       for j, s in enumerate(msgs)])
     assert info["cross_entropy"] == pytest.approx(scalar, rel=1e-12)
 
@@ -241,6 +240,13 @@ def test_csv_round_trip_byte_identical(tmp_path):
     (CSV_HEADER + "\n0,0.5,1\n", 2),
     (CSV_HEADER + "\n0,0.5,1,2\n2,0.5,3,4\n", 3),
     (CSV_HEADER + "\n0,0.5,oops,2\n", 2),
+    (CSV_HEADER + "\n0,0.5,1,2\n1,0.5,nan,2\n", 3),   # non-finite real
+    (CSV_HEADER + "\n0,0.5,-inf,2\n", 2),
+    (CSV_HEADER + "\n0,0.5,1,inf\n", 2),              # non-finite imag
+    (CSV_HEADER + "\n0,0.5,1,NaN\n", 2),
+    (CSV_HEADER + "\n0,nan,1,2\n", 2),                # non-finite probability
+    (CSV_HEADER + "\n0,inf,1,2\n", 2),
+    (CSV_HEADER + "\n0,0.5,1,2\n1,-0.5,3,4\n", 3),   # negative probability
 ])
 def test_csv_format_errors_carry_line_numbers(tmp_path, body, line):
     path = tmp_path / "bad.csv"
