@@ -17,9 +17,8 @@ from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .svgplot import write_constellation_svg
 from .trainer import (RunRecord, TrainingFailure, lambda_sweep, multi_restart,
                       restart_seeds)
-from .transceiver import (ConstellationFormatError, DegenerateEncoderError,
-                          export_constellation, read_constellation_csv,
-                          write_constellation_csv)
+from .transceiver import (ConstellationFormatError, export_constellation,
+                          read_constellation_csv, write_constellation_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -129,20 +128,16 @@ def cmd_eval(args) -> int:
         raise CheckpointFormatError(
             f"checkpoint dims encoder={got_enc} decoder={got_dec} do not match "
             f"config dims encoder={expect_enc} decoder={expect_dec}")
-    try:
+    try:   # a degenerate encoder (a ValueError) or non-finite decoder output
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-    except DegenerateEncoderError as exc:
-        return _unusable_checkpoint(args.checkpoint, exc)
-    try:
         report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
                               seed=args.seed)
-    except (FloatingPointError, ValueError) as exc:   # non-finite decoder output or points
+    except (FloatingPointError, ValueError) as exc:
         return _unusable_checkpoint(args.checkpoint, exc)
-    report.p_del = pdel_exact(const, cfg.harvester)
     payload = {
         "ser": report.ser,
         "ser_stderr": report.ser_stderr,
-        "p_del": report.p_del,
+        "p_del": pdel_exact(const, cfg.harvester),
         "rate_bits": report.rate_bits,
         "num_samples": report.num_samples,
         "cross_entropy": report.cross_entropy,

@@ -20,7 +20,6 @@ _TILE = 1 << 13   # samples per compute tile: its (M, tile) buffers stay in cach
 class EvalReport:
     ser: float
     ser_stderr: float
-    p_del: float
     rate_bits: float
     num_samples: int
     cross_entropy: float = math.nan
@@ -48,6 +47,9 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     """
     if num_samples < MIN_SAMPLES:
         raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
+    if block_size < 1 or num_shards < 1:
+        raise ValueError(f"block_size and num_shards must be >= 1, "
+                         f"got {block_size} and {num_shards}")
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     points = constellation.points
@@ -94,9 +96,8 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     ser = errors / num_samples
     stderr = math.sqrt(ser * (1.0 - ser) / num_samples)
     ce = ce_sum / num_samples if decoder is not None else math.nan
-    return EvalReport(ser=ser, ser_stderr=stderr, p_del=math.nan,
-                      rate_bits=math.log2(m), num_samples=num_samples,
-                      cross_entropy=ce)
+    return EvalReport(ser=ser, ser_stderr=stderr, rate_bits=math.log2(m),
+                      num_samples=num_samples, cross_entropy=ce)
 
 
 _QAM_GRIDS = {4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (8, 4)}

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import ROLE_MISC, sample_noise, substream
 from .harvester import ModelAParams, ModelBParams
-from .nn import NetworkParams, init_params, mlp_forward
+from .nn import NetworkParams, init_params, mlp_forward, softmax
 from .trainer import network_cost
 from .transceiver import normalize_power
 
@@ -109,7 +109,8 @@ def _margins(params: NetworkParams, msgs: np.ndarray, noise: np.ndarray,
     m = params.encoder[0].in_dim
     u, zs_e, _ = mlp_forward(params.encoder, np.eye(m))
     x, _, _, _, counts = normalize_power(u, msgs, p_a)
-    probs, zs_d, _ = mlp_forward(params.decoder, x[:, msgs] + noise.T)
+    logits, zs_d, _ = mlp_forward(params.decoder, x[:, msgs] + noise.T)
+    probs = softmax(logits)
     present = counts > 0
     relu = min(float(np.min(np.abs(z)))
                for z in [z[:, present] for z in zs_e] + zs_d[:-1])

@@ -132,9 +132,16 @@ def pdel_with_grads(points, model: HarvesterModel, probabilities=None):
 
 
 def pdel_exact(constellation: Constellation, model: HarvesterModel) -> float:
-    """Probability-weighted delivered power of a finite constellation."""
-    return pdel_with_grads(constellation.points, model,
-                           constellation.probabilities)[0]
+    """Probability-weighted delivered power of a finite constellation.
+
+    Rejects non-finite points and negative or non-finite probabilities.
+    """
+    probs = constellation.probabilities
+    if not (np.isfinite(constellation.points).all() and np.isfinite(probs).all()
+            and (probs >= 0.0).all()):
+        raise ValueError("pdel_exact needs finite points and finite, "
+                         "non-negative probabilities")
+    return pdel_with_grads(constellation.points, model, probs)[0]
 
 
 def pdel_monte_carlo_check(constellation: Constellation, model: HarvesterModel,

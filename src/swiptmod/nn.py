@@ -1,6 +1,8 @@
 """Minimal dense-network engine.
 
-Forward pass, hand-written reverse-mode gradients for the fixed
+Every stack has one fixed shape: ReLU hidden layers and a linear last layer
+(the encoder's 2-wide output, the decoder's logits, whose softmax its callers
+apply). Forward pass, hand-written reverse-mode gradients for the fixed
 encoder -> normalization -> channel -> decoder graph (the chain itself lives
 in trainer.py), Adam updates, Xavier/zero initialization and a binary
 checkpoint format. Everything is float64 and deterministic given its inputs.
@@ -15,9 +17,9 @@ import numpy as np
 
 from .channel import ROLE_INIT, substream
 
-RELU = "relu"
-LINEAR = "linear"
-SOFTMAX = "softmax"
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"SWPTAE01"
 CHECKPOINT_VERSION = 1
@@ -31,7 +33,6 @@ class CheckpointFormatError(Exception):
 class DenseLayer:
     weights: np.ndarray  # (out, in)
     biases: np.ndarray   # (out,)
-    activation: str
 
     @property
     def in_dim(self) -> int:
@@ -106,61 +107,49 @@ def mlp_forward(layers: list[DenseLayer], x: np.ndarray, ws: dict | None = None,
                 key: str = ""):
     """Run a stack of layers on (features, batch) columns.
 
-    Returns (output, pre-activations, post-activations); post[0] is the input
-    itself and post[-1] the network output. A softmax head is computed in
-    place, so zs[-1] then holds the probabilities, not the logits. With a
-    workspace every result lands in its buffers under `key`, which must
-    differ between stacks sharing one workspace.
+    Every layer but the last is ReLU; the last is linear, so the output is
+    zs[-1]. Returns (output, pre-activations, post-activations); post[0] is
+    the input itself and post[-1] the output. With a workspace every result
+    lands in its buffers under `key`, which must differ between stacks
+    sharing one workspace.
     """
     zs = []
     post = [np.asarray(x, dtype=float)]
     h = post[0]
+    last = len(layers) - 1
     for li, layer in enumerate(layers):
         shape = (layer.out_dim, h.shape[-1])
         z = np.matmul(layer.weights, h, out=scratch(ws, (key, "z", li), shape))
         z += layer.biases[:, None]
         zs.append(z)
-        if layer.activation == RELU:
-            h = np.maximum(z, 0.0, out=scratch(ws, (key, "a", li), shape))
-        elif layer.activation == LINEAR:
-            h = z
-        elif layer.activation == SOFTMAX:
-            h = softmax(z, out=z)
-        else:
-            raise ValueError(f"unknown activation {layer.activation!r}")
+        h = z if li == last else np.maximum(z, 0.0, out=scratch(ws, (key, "a", li), shape))
         post.append(h)
     return h, zs, post
 
 
 def mlp_backward(layers: list[DenseLayer], zs, post, d_last_z: np.ndarray,
-                 grads: list[np.ndarray] | None = None, ws: dict | None = None,
-                 key: str = ""):
+                 grads: list[np.ndarray], ws: dict | None = None, key: str = ""):
     """Backpropagate through a stack given d(cost)/d(last pre-activation).
 
     All arrays are (features, batch). For a softmax+cross-entropy head the
-    caller passes probs - onehot (already averaged over the batch); for a
-    linear head the upstream gradient itself. Reads post[:len(layers)] and
-    zs[:len(layers) - 1]. Returns ([(dW, db), ...], d_input); an empty stack
-    passes d_last_z through. `grads`, if given, is [dW0, db0, dW1, ...] to
-    write the layer gradients into; `ws` and `key` are as in mlp_forward.
+    caller passes probs - onehot (already averaged over the batch). Reads
+    post[:len(layers)] and zs[:len(layers) - 1]. Writes the layer gradients
+    into `grads`, the views [dW0, db0, dW1, ...], and returns d(cost)/d(input);
+    an empty stack passes d_last_z through. `ws` and `key` are as in
+    mlp_forward.
     """
-    pairs = [None] * len(layers)
     dz = d_last_z
     dinp = d_last_z
     for li in reversed(range(len(layers))):
-        dw, db = grads[2 * li:2 * li + 2] if grads is not None else (None, None)
-        pairs[li] = (np.matmul(dz, post[li].T, out=dw), dz.sum(axis=1, out=db))
+        np.matmul(dz, post[li].T, out=grads[2 * li])
+        dz.sum(axis=1, out=grads[2 * li + 1])
         shape = (layers[li].in_dim, dz.shape[1])
         dinp = np.matmul(layers[li].weights.T, dz, out=scratch(ws, (key, "d", li), shape))
         if li > 0:
-            kind = layers[li - 1].activation
-            if kind == RELU:
-                dinp *= np.greater(zs[li - 1], 0.0,
-                                   out=scratch(ws, (key, "mask", li), shape, bool))
-            elif kind != LINEAR:
-                raise ValueError(f"no elementwise gradient for activation {kind!r}")
+            dinp *= np.greater(zs[li - 1], 0.0,
+                               out=scratch(ws, (key, "mask", li), shape, bool))
             dz = dinp
-    return pairs, dinp
+    return dinp
 
 
 @dataclass
@@ -171,15 +160,11 @@ class AdamState:
     buffers: np.ndarray   # (2, n)
     step_count: int
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: NetworkParams, learning_rate: float, **betas_eps):
+    def for_params(cls, params: NetworkParams, learning_rate: float):
         n = params.flat.size
-        return cls(np.zeros(n), np.zeros(n), np.empty((2, n)), 0, learning_rate,
-                   **betas_eps)
+        return cls(np.zeros(n), np.zeros(n), np.empty((2, n)), 0, learning_rate)
 
 
 def adam_step(param_vec: np.ndarray, grad_vec: np.ndarray, state: AdamState) -> None:
@@ -188,7 +173,7 @@ def adam_step(param_vec: np.ndarray, grad_vec: np.ndarray, state: AdamState) -> 
         raise ValueError(f"gradient shape {grad_vec.shape} != parameter shape {param_vec.shape}")
     state.step_count += 1
     t = state.step_count
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     m, v, g = state.first_moment, state.second_moment, grad_vec
     s, r = state.buffers
     m *= b1
@@ -201,7 +186,7 @@ def adam_step(param_vec: np.ndarray, grad_vec: np.ndarray, state: AdamState) -> 
     s *= state.learning_rate
     np.divide(v, 1.0 - b2 ** t, out=r)     # v_hat
     np.sqrt(r, out=r)
-    r += state.eps
+    r += ADAM_EPS
     s /= r
     param_vec -= s
 
@@ -211,28 +196,23 @@ def xavier_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-bound, bound, size=(out_dim, in_dim))
 
 
-def _build_stack(dims: list[int], final_act: str, rng: np.random.Generator):
-    layers = []
-    for i in range(len(dims) - 1):
-        act = final_act if i == len(dims) - 2 else RELU
-        layers.append(DenseLayer(weights=xavier_uniform(dims[i + 1], dims[i], rng),
-                                 biases=np.zeros(dims[i + 1]),
-                                 activation=act))
-    return layers
+def _build_stack(dims: list[int], rng: np.random.Generator):
+    return [DenseLayer(weights=xavier_uniform(dims[i + 1], dims[i], rng),
+                       biases=np.zeros(dims[i + 1]))
+            for i in range(len(dims) - 1)]
 
 
 def init_params(enc_dims: list[int], dec_dims: list[int], seed: int) -> NetworkParams:
     """Xavier-uniform weights, zero biases; pure function of (dims, seed).
 
-    Encoder hidden layers are ReLU with a linear 2-wide output (re, im);
-    decoder hidden layers are ReLU with a softmax output.
+    The encoder's output is 2-wide (re, im); the decoder's are the logits.
     """
     for dims, name in ((enc_dims, "encoder"), (dec_dims, "decoder")):
         if len(dims) < 2 or any(d <= 0 for d in dims):
             raise ValueError(f"invalid {name} dims {dims}")
     rng = substream(seed, ROLE_INIT)
-    encoder = _build_stack(list(enc_dims), LINEAR, rng)
-    decoder = _build_stack(list(dec_dims), SOFTMAX, rng)
+    encoder = _build_stack(list(enc_dims), rng)
+    decoder = _build_stack(list(dec_dims), rng)
     return NetworkParams(encoder=encoder, decoder=decoder)
 
 
@@ -270,8 +250,7 @@ def load_checkpoint(path) -> NetworkParams:
     off = 16 + 8 * len(shapes)
     if off + 8 * sum(o * i + o for o, i in shapes) > len(blob):
         raise CheckpointFormatError(f"truncated payload in {path}")
-    layers = [DenseLayer(np.empty((o, i)), np.empty(o), RELU) for o, i in shapes]
-    layers[n_enc - 1].activation, layers[-1].activation = LINEAR, SOFTMAX
+    layers = [DenseLayer(np.empty((o, i)), np.empty(o)) for o, i in shapes]
     params = NetworkParams(encoder=layers[:n_enc], decoder=layers[n_enc:])
     params.flat[:] = np.frombuffer(blob, dtype="<f8", count=params.flat.size, offset=off)
     return params

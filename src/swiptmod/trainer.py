@@ -150,10 +150,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     y = np.take(xk, msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
     y += noise.T
 
-    _, zs_d, post_d = mlp_forward(dec[:-1], y, ws, "dec")
-    logits = np.matmul(dec[-1].weights, post_d[-1],
-                       out=scratch(ws, "logits", (m, batch)))
-    logits += dec[-1].biases[:, None]
+    logits, zs_d, post_d = mlp_forward(dec, y, ws, "dec")
     probs = softmax(logits, out=logits)
 
     cols = np.arange(batch)
@@ -179,7 +176,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     dlogits /= batch
     grads = np.empty_like(params.flat)
     views = params.views(grads)
-    _, dy = mlp_backward(dec, zs_d, post_d, dlogits, views[2 * len(enc):], ws, "dec")
+    dy = mlp_backward(dec, zs_d, post_d, dlogits, views[2 * len(enc):], ws, "dec")
 
     # fold the (2, B) channel-input gradient onto the M points
     dx = np.stack([np.bincount(msgs, weights=dy[j], minlength=m) for j in range(2)])
@@ -237,7 +234,7 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
         report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
                               seed=seed)
     except (FloatingPointError, DegenerateEncoderError):
-        return failed   # also when every point sits at the origin
+        return failed   # also when every point sits at the origin or is non-finite
     p_del = pdel_exact(const, cfg.harvester)
     final_cost = total_cost(report.cross_entropy, p_del, lam)
     return RunRecord(lam=lam, seed=seed, final_cost=final_cost, ser=report.ser,

@@ -10,14 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import DenseLayer, mlp_forward
+from .nn import DenseLayer, mlp_forward, softmax
 
 EPS_NORM = 1e-20   # degenerate-batch guard on the pre-normalization energy
 EPS_LOG = 1e-15    # clamp for log() in the cross entropy
 
 
 class DegenerateEncoderError(ValueError):
-    """The encoder maps every message to the origin: no point to normalize."""
+    """The encoder maps every message to the origin, so there is no point to
+    normalize, or some message to a non-finite point."""
 
 
 class ConstellationFormatError(Exception):
@@ -68,10 +69,10 @@ def normalize_power(u: np.ndarray, msgs: np.ndarray, p_a: float):
 
 def decode(decoder: list[DenseLayer], y: np.ndarray, ws: dict | None = None) -> np.ndarray:
     """(2, B) real columns (re, im) of noisy symbols -> (M, B) probability
-    columns (softmax output, computed in place over the logits). With a
+    columns (the softmax of the logits, computed in place over them). With a
     workspace the result is its buffer, overwritten by the next call."""
-    out, _, _ = mlp_forward(decoder, y, ws)
-    return out
+    logits, _, _ = mlp_forward(decoder, y, ws)
+    return softmax(logits, out=logits)
 
 
 def export_constellation(encoder: list[DenseLayer], m: int, p_a: float) -> Constellation:
@@ -82,6 +83,8 @@ def export_constellation(encoder: list[DenseLayer], m: int, p_a: float) -> Const
     x, _, _, degenerate, _ = normalize_power(u, np.arange(m), p_a)
     if degenerate:
         raise DegenerateEncoderError("degenerate encoder: every message maps to the origin")
+    if not np.isfinite(x).all():
+        raise DegenerateEncoderError("degenerate encoder: non-finite constellation points")
     return Constellation(points=x[0] + 1j * x[1], probabilities=np.full(m, 1.0 / m))
 
 

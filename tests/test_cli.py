@@ -113,6 +113,24 @@ def test_diverged_restarts_are_failed_and_sweep_exits_4(tmp_path, monkeypatch,
     assert "diverged" in capsys.readouterr().err
 
 
+def test_nan_after_last_step_is_failed_and_sweep_exits_4(tmp_path, monkeypatch,
+                                                         capsys):
+    # one step per restart, whose Adam update leaves every parameter NaN: no
+    # later step sees it, only the export and the evaluation do
+    adam_step = trainer.adam_step
+
+    def nan_step(param_vec, grad_vec, state):
+        adam_step(param_vec, grad_vec, state)
+        param_vec[:] = np.nan
+    monkeypatch.setattr("swiptmod.trainer.adam_step", nan_step)
+    one_step = dict(TINY_A, epochs=1, train_set_size=100)
+    cfg = _write_cfg(tmp_path, one_step)
+    train_cfg = config.train_config_from(config.resolve(one_step))
+    assert trainer.train_run(train_cfg, 0.0, seed=1).failed
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "s")]) == 4
+    assert "diverged" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from swiptmod.channel import ROLE_EVAL, sample_noise, substream
 from swiptmod.evaluator import classical_baseline, estimate_ser
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
-from swiptmod.nn import LINEAR, RELU, SOFTMAX, DenseLayer, init_params, mlp_forward
+from swiptmod.nn import DenseLayer, init_params, mlp_forward, softmax
 from swiptmod.transceiver import EPS_LOG, Constellation
 
 
@@ -86,7 +86,7 @@ def _full_block_ser(constellation, decoder, sigma2, num_samples, seed, block_siz
             pr, pi = points.real[:, None], points.imag[:, None]
             s_hat = np.argmin((y.real - pr) ** 2 + (y.imag - pi) ** 2, axis=0)
         else:
-            probs, _, _ = mlp_forward(decoder, np.stack([y.real, y.imag]))
+            probs = softmax(mlp_forward(decoder, np.stack([y.real, y.imag]))[0])
             s_hat = np.argmax(probs, axis=0)
             ce_sum += float(-np.log(np.maximum(probs[s, np.arange(n)], EPS_LOG)).sum())
         errors += int(np.sum(s_hat != s))
@@ -153,8 +153,8 @@ def test_estimate_ser_uniform_guesser():
     # a zero-weight decoder outputs uniform probabilities; argmax then always
     # picks message 1, so SER concentrates at 15/16
     const = classical_baseline("QAM", 16, 0.001)
-    decoder = [DenseLayer(np.zeros((32, 2)), np.zeros(32), RELU),
-               DenseLayer(np.zeros((16, 32)), np.zeros(16), SOFTMAX)]
+    decoder = [DenseLayer(np.zeros((32, 2)), np.zeros(32)),
+               DenseLayer(np.zeros((16, 32)), np.zeros(16))]
     report = estimate_ser(const, decoder, 2e-5, 100_000, seed=1)
     assert abs(report.ser - 15 / 16) <= 3 * report.ser_stderr
     assert report.cross_entropy == pytest.approx(np.log(16), rel=1e-12)
@@ -176,10 +176,36 @@ def test_estimate_ser_sample_floor():
         estimate_ser(const, None, 0.1, 500, seed=0)
 
 
+@pytest.mark.parametrize("kw", [{"block_size": 0}, {"block_size": -5},
+                                {"num_shards": 0}, {"num_shards": -1}])
+def test_estimate_ser_rejects_bad_block_size_and_shards(kw, monkeypatch):
+    const = classical_baseline("QAM", 4, 1.0)
+
+    def no_draw(*args):
+        raise AssertionError("drew samples before checking its arguments")
+    monkeypatch.setattr("swiptmod.evaluator.substream", no_draw)
+    with pytest.raises(ValueError, match="block_size and num_shards"):
+        estimate_ser(const, None, 0.1, 1000, seed=0, **kw)
+
+
 def test_pdel_exact_zero_constellation():
     const = _uniform(np.zeros(4))
     assert pdel_exact(const, ModelAParams(0.3829, 0.0034, 0.25)) == 0.25
     assert pdel_exact(const, ModelBParams(0.02, 6400.0, 0.003)) == 0.0
+
+
+@pytest.mark.parametrize("model", [ModelAParams(0.3829, 0.0034, 0.0),
+                                   ModelBParams(0.02, 6400.0, 0.003)])
+@pytest.mark.parametrize("point, probs", [
+    (np.nan, [0.25] * 4), (np.inf, [0.25] * 4), (1j * np.nan, [0.25] * 4),
+    (0.0, [-1.0, 1.0, 0.5, 0.5]), (0.0, [np.nan, 0.25, 0.25, 0.25]),
+    (0.0, [np.inf, 0.25, 0.25, 0.25]),
+])
+def test_pdel_exact_rejects_bad_points_and_probabilities(model, point, probs):
+    pts = classical_baseline("QAM", 4, 1.0).points
+    pts[0] = point
+    with pytest.raises(ValueError, match="pdel_exact needs finite points"):
+        pdel_exact(Constellation(points=pts, probabilities=np.array(probs)), model)
 
 
 def test_classical_baseline_qpsk_points():

@@ -6,16 +6,25 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from swiptmod.nn import (LINEAR, RELU, SOFTMAX, AdamState, CheckpointFormatError,
-                         DenseLayer, NetworkParams, adam_step, init_params,
-                         load_checkpoint, mlp_backward, mlp_forward,
-                         save_checkpoint, softmax, xavier_uniform)
+from swiptmod.nn import (ADAM_EPS, AdamState, CheckpointFormatError, DenseLayer,
+                         NetworkParams, adam_step, init_params, load_checkpoint,
+                         mlp_backward, mlp_forward, save_checkpoint, softmax,
+                         xavier_uniform)
 from swiptmod.channel import substream
+from swiptmod.transceiver import decode
 
 
-def _layer(w, b, act):
+def _layer(w, b):
     return DenseLayer(weights=np.asarray(w, dtype=float),
-                      biases=np.asarray(b, dtype=float), activation=act)
+                      biases=np.asarray(b, dtype=float))
+
+
+def _grads(layers):
+    """Gradient views [dW0, db0, dW1, ...] into one new vector."""
+    arrays = [a for layer in layers for a in (layer.weights, layer.biases)]
+    vec = np.empty(sum(a.size for a in arrays))
+    offsets = np.cumsum([0] + [a.size for a in arrays])
+    return [vec[o:o + a.size].reshape(a.shape) for o, a in zip(offsets, arrays)]
 
 
 # ---------------------------------------------------------------------------
@@ -29,15 +38,18 @@ def _dense_forward(layer, x):
 
 
 def test_dense_forward_identity():
-    layer = _layer(np.eye(2), np.zeros(2), LINEAR)
+    layer = _layer(np.eye(2), np.zeros(2))
     out = _dense_forward(layer, np.array([[1.0], [2.0]]))
     assert np.array_equal(out, [[1.0], [2.0]])
 
 
 def test_dense_forward_relu_clamps_negative_bias():
-    layer = _layer(np.zeros((2, 2)), [0.5, -1.0], RELU)
-    out = _dense_forward(layer, np.zeros((2, 3)))
-    assert np.array_equal(out, [[0.5] * 3, [0.0] * 3])
+    # every layer but the last is ReLU: post[1] is the hidden layer's output
+    layers = [_layer(np.zeros((2, 2)), [0.5, -1.0]), _layer(np.eye(2), np.zeros(2))]
+    out, zs, post = mlp_forward(layers, np.zeros((2, 3)))
+    assert np.array_equal(zs[0], [[0.5] * 3, [-1.0] * 3])
+    assert np.array_equal(post[1], [[0.5] * 3, [0.0] * 3])
+    assert np.array_equal(out, post[1])
 
 
 def test_dense_forward_matches_manual_product():
@@ -45,7 +57,7 @@ def test_dense_forward_matches_manual_product():
     w = rng.standard_normal((3, 2))
     b = rng.standard_normal(3)
     x = rng.standard_normal((2, 4))
-    out = _dense_forward(_layer(w, b, LINEAR), x)
+    out = _dense_forward(_layer(w, b), x)
     manual = np.array([[w[i, 0] * x[0, j] + w[i, 1] * x[1, j] + b[i]
                         for j in range(4)] for i in range(3)])
     assert out.shape == (3, 4)
@@ -53,7 +65,7 @@ def test_dense_forward_matches_manual_product():
 
 
 def test_dense_forward_dimension_mismatch():
-    layer = _layer(np.eye(2), np.zeros(2), LINEAR)
+    layer = _layer(np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
         _dense_forward(layer, np.zeros((3, 1)))
 
@@ -102,16 +114,23 @@ def test_forward_softmax_head_in_place_and_workspace_reuse():
     layers = init_params([4, 8, 2], [2, 8, 3], seed=1).decoder
     x = substream(15, 0).standard_normal((2, 5))
     out, zs, post = mlp_forward(layers, x)
-    assert out is zs[-1] and np.allclose(out.sum(axis=0), 1.0, atol=1e-15)
+    assert out is zs[-1] and out is post[-1]   # the last layer is linear
+    # decode applies the softmax in place over its logits buffer
+    ws = {}
+    probs = decode(layers, x, ws)
+    assert any(probs is buf for buf in ws.values())
+    assert np.array_equal(probs, softmax(out))
+    assert np.all(probs >= 0.0) and np.allclose(probs.sum(axis=0), 1.0, atol=1e-15)
     ws = {}
     first, zs_ws, _ = mlp_forward(layers, x, ws, "dec")
     assert np.array_equal(first, out)
     assert any(first is buf for buf in ws.values())
     again, _, _ = mlp_forward(layers, x, ws, "dec")
     assert again is first   # the same buffers are refilled
-    grads, _ = mlp_backward(layers, zs_ws, post, out - 0.25)
-    ref, _ = mlp_backward(layers, zs, post, out - 0.25)
-    assert all(np.array_equal(a, b) for p, q in zip(grads, ref) for a, b in zip(p, q))
+    grads, ref = _grads(layers), _grads(layers)
+    mlp_backward(layers, zs_ws, post, out - 0.25, grads, {}, "dec")
+    mlp_backward(layers, zs, post, out - 0.25, ref)
+    assert all(np.array_equal(a, b) for a, b in zip(grads, ref))
 
 
 def test_softmax_normalizes_columns_and_leaves_input_unchanged():
@@ -132,13 +151,14 @@ def test_backward_single_linear_layer_closed_form():
     # squared-error cost C = ||Wx + b - t||^2 on one sample:
     # dC/dW = 2(Wx+b-t) x^T, dC/db = 2(Wx+b-t)
     rng = substream(11, 0)
-    layer = _layer(rng.standard_normal((3, 2)), rng.standard_normal(3), LINEAR)
+    layer = _layer(rng.standard_normal((3, 2)), rng.standard_normal(3))
     x = rng.standard_normal((2, 1))
     t = rng.standard_normal((3, 1))
     out, zs, post = mlp_forward([layer], x)
     d_last_z = 2.0 * (out - t)
-    grads, dinp = mlp_backward([layer], zs, post, d_last_z)
-    dw, db = grads[0]
+    grads = _grads([layer])
+    dinp = mlp_backward([layer], zs, post, d_last_z, grads)
+    dw, db = grads
     resid = (out - t)[:, 0]
     assert np.allclose(dw, 2.0 * np.outer(resid, x[:, 0]), atol=1e-14)
     assert np.allclose(db, 2.0 * resid, atol=1e-14)
@@ -147,39 +167,40 @@ def test_backward_single_linear_layer_closed_form():
 
 def test_backward_zero_upstream_gives_zero_grads():
     rng = substream(12, 0)
-    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4), RELU),
-              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2), LINEAR)]
+    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
+              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
     x = rng.standard_normal((3, 5))
     _, zs, post = mlp_forward(layers, x)
-    grads, dinp = mlp_backward(layers, zs, post, np.zeros((2, 5)))
-    for dw, db in grads:
-        assert not dw.any()
-        assert not db.any()
+    grads = _grads(layers)
+    dinp = mlp_backward(layers, zs, post, np.zeros((2, 5)), grads)
+    for g in grads:
+        assert not g.any()
     assert not dinp.any()
 
 
 def test_backward_relu_mask_and_inputs_unchanged():
     rng = substream(14, 0)
-    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4), RELU),
-              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2), LINEAR)]
+    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
+              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
     x = rng.standard_normal((3, 5))
     d = rng.standard_normal((2, 5))
     _, zs, post = mlp_forward(layers, x)
     before = [a.copy() for a in zs + post + [d]]
-    grads, dinp = mlp_backward(layers, zs, post, d)
+    grads = _grads(layers)
+    dinp = mlp_backward(layers, zs, post, d, grads)
     dz0 = (layers[1].weights.T @ d) * (zs[0] > 0.0)
-    assert np.allclose(grads[0][0], dz0 @ x.T, atol=1e-14)
+    assert np.allclose(grads[0], dz0 @ x.T, atol=1e-14)
+    assert np.allclose(grads[1], dz0.sum(axis=1), atol=1e-14)
+    assert np.allclose(grads[2], d @ post[1].T, atol=1e-14)
+    assert np.allclose(grads[3], d.sum(axis=1), atol=1e-14)
     assert np.allclose(dinp, layers[0].weights.T @ dz0, atol=1e-14)
     assert all(np.array_equal(a, b) for a, b in zip(zs + post + [d], before))
-    layers[0].activation = SOFTMAX   # no elementwise gradient for a hidden softmax
-    with pytest.raises(ValueError):
-        mlp_backward(layers, zs, post, d)
 
 
 def test_backward_two_layer_matches_finite_differences():
     rng = substream(13, 0)
-    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4), RELU),
-              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2), LINEAR)]
+    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
+              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
     x = rng.standard_normal((3, 6)) + 0.1  # keep away from ReLU kinks
 
     def cost():
@@ -187,11 +208,12 @@ def test_backward_two_layer_matches_finite_differences():
         return float(np.sum(out ** 2))
 
     out, zs, post = mlp_forward(layers, x)
-    grads, _ = mlp_backward(layers, zs, post, 2.0 * out)
+    grads = _grads(layers)
+    mlp_backward(layers, zs, post, 2.0 * out, grads)
     step = 1e-6
     for li, layer in enumerate(layers):
-        for arr, grad in ((layer.weights, grads[li][0]),
-                          (layer.biases, grads[li][1])):
+        for arr, grad in ((layer.weights, grads[2 * li]),
+                          (layer.biases, grads[2 * li + 1])):
             flat = arr.reshape(-1)
             for j in range(flat.size):
                 orig = flat[j]
@@ -210,7 +232,7 @@ def test_backward_two_layer_matches_finite_differences():
 
 def _scalar_params():
     return NetworkParams(
-        encoder=[_layer([[0.5]], [0.0], LINEAR)], decoder=[])
+        encoder=[_layer([[0.5]], [0.0])], decoder=[])
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
@@ -233,7 +255,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
     adam_step(params.flat, grads, state)
     # m_hat = g, v_hat = g^2 after bias correction, so |update| = lr*|g|/(|g|+eps)
     update = w0 - params.encoder[0].weights[0, 0]
-    assert update == pytest.approx(lr * g / (abs(g) + state.eps), rel=1e-12)
+    assert update == pytest.approx(lr * g / (abs(g) + ADAM_EPS), rel=1e-12)
 
 
 def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
@@ -297,12 +319,6 @@ def test_init_params_biases_zero_and_deterministic():
                for a, b in zip(p1.arrays(), p3.arrays()))
 
 
-def test_init_params_activations():
-    p = init_params([4, 8, 2], [2, 8, 4], seed=0)
-    assert [l.activation for l in p.encoder] == [RELU, LINEAR]
-    assert [l.activation for l in p.decoder] == [RELU, SOFTMAX]
-
-
 @pytest.mark.parametrize("enc,dec", [([4], [2, 4]), ([4, 0, 2], [2, 4]),
                                      ([4, 8, 2], [2, -1, 4])])
 def test_init_params_rejects_bad_dims(enc, dec):
@@ -332,9 +348,6 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_checkpoint(path)
     for a, b in zip(params.arrays(), loaded.arrays()):
         assert np.array_equal(a, b)
-    for orig, back in zip(params.encoder + params.decoder,
-                          loaded.encoder + loaded.decoder):
-        assert orig.activation == back.activation
 
 
 def test_params_are_views_of_one_flat_vector(tmp_path):

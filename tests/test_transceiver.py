@@ -7,8 +7,7 @@ from mpmath import mp
 from swiptmod.channel import ROLE_MISC, sample_noise, substream
 from swiptmod.evaluator import classical_baseline, estimate_ser
 from swiptmod.harvester import ModelAParams
-from swiptmod.nn import (LINEAR, RELU, SOFTMAX, DenseLayer, NetworkParams,
-                         init_params, mlp_forward)
+from swiptmod.nn import DenseLayer, NetworkParams, init_params, mlp_forward
 from swiptmod.trainer import network_cost
 from swiptmod.transceiver import (CSV_HEADER, Constellation,
                                   ConstellationFormatError,
@@ -20,16 +19,16 @@ from swiptmod.transceiver import (CSV_HEADER, Constellation,
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
 
 
-def _layer(w, b, act):
+def _layer(w, b):
     return DenseLayer(weights=np.asarray(w, dtype=float),
-                      biases=np.asarray(b, dtype=float), activation=act)
+                      biases=np.asarray(b, dtype=float))
 
 
 def _constant_decoder(biases):
     """A decoder whose output is softmax(biases) whatever its input."""
     m = len(biases)
-    return [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m), RELU),
-            _layer(np.zeros((m, 2 * m)), biases, SOFTMAX)]
+    return [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m)),
+            _layer(np.zeros((m, 2 * m)), biases)]
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +37,7 @@ def _constant_decoder(biases):
 
 def test_one_hot_first_and_last():
     # a linear encoder reads column s of W0 for message s (0-based)
-    enc = [_layer([[10.0, 11.0, 12.0, 13.0], [0.0, 0.0, 0.0, -1.0]], [0.0, 0.0], LINEAR)]
+    enc = [_layer([[10.0, 11.0, 12.0, 13.0], [0.0, 0.0, 0.0, -1.0]], [0.0, 0.0])]
     pts = export_constellation(enc, 4, 1.0).points
     scale = pts[0].real / 10.0
     assert np.allclose(pts, scale * np.array([10, 11, 12, 13 - 1j]), rtol=1e-15)
@@ -70,7 +69,7 @@ def test_encode_zero_weights_gives_origin():
 
 
 def test_encode_rejects_non_2d_output():
-    enc = [_layer(np.zeros((3, 4)), np.zeros(3), LINEAR)]
+    enc = [_layer(np.zeros((3, 4)), np.zeros(3))]
     with pytest.raises(ValueError):
         export_constellation(enc, 4, 0.001)
 
@@ -129,8 +128,8 @@ def test_normalize_empty_batch_rejected():
 # ---------------------------------------------------------------------------
 
 def test_decode_zero_weights_uniform():
-    dec = [_layer(np.zeros((8, 2)), np.zeros(8), RELU),
-           _layer(np.zeros((4, 8)), np.zeros(4), SOFTMAX)]
+    dec = [_layer(np.zeros((8, 2)), np.zeros(8)),
+           _layer(np.zeros((4, 8)), np.zeros(4))]
     probs = decode(dec, np.array([[0.3], [-0.7]]))
     assert probs.shape == (4, 1)
     assert np.allclose(probs, 0.25, atol=1e-15)
@@ -168,8 +167,8 @@ def test_cross_entropy_perfect_prediction():
 
 def test_cross_entropy_uniform():
     m = 32
-    dec = [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m), RELU),
-           _layer(np.zeros((m, 2 * m)), np.zeros(m), SOFTMAX)]
+    dec = [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m)),
+           _layer(np.zeros((m, 2 * m)), np.zeros(m))]
     report = estimate_ser(classical_baseline("QAM", m, 0.001), dec, 2e-5, 3000, seed=0)
     assert report.cross_entropy == pytest.approx(np.log(32), rel=1e-12)
 
@@ -216,7 +215,7 @@ def test_export_constellation_power_and_size():
 
 
 def test_export_constellation_degenerate_encoder():
-    enc = [_layer(np.zeros((2, 4)), np.zeros(2), LINEAR)]
+    enc = [_layer(np.zeros((2, 4)), np.zeros(2))]
     with pytest.raises(DegenerateEncoderError):
         export_constellation(enc, 4, 0.001)
     assert issubclass(DegenerateEncoderError, ValueError)
