@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -74,9 +75,11 @@ def _load_resolved(args, overrides=None) -> dict:
 
 
 def cmd_train(args) -> int:
+    lam = args.lam
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"--lambda must be finite and >= 0, got {lam}")
     resolved = _load_resolved(args, {"seed": args.seed})
     cfg = cfgmod.train_config_from(resolved)
-    lam = args.lam
     rec = multi_restart(cfg, lam, restart_seeds(cfg, 0))
     out_dir = _out_root(resolved, args.out) / _lambda_dirname(lam)
     _write_record(rec, resolved, out_dir)
@@ -151,6 +154,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    if not (math.isfinite(args.p_a) and args.p_a > 0):
+        raise ConfigError(f"--p-a must be finite and positive, got {args.p_a}")
     const = read_constellation_csv(args.csv)
     write_constellation_svg(const, args.p_a, args.out)
     print(f"wrote {args.out}")
@@ -158,6 +163,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.configs < 1:
+        raise ConfigError(f"--configs must be >= 1, got {args.configs}")
     report = run_gradcheck(num_configs=args.configs, seed=args.seed,
                            corrupt=args.corrupt)
     for name, err in sorted(report.worst_blocks().items()):

@@ -1,17 +1,20 @@
-"""Flat-key JSON configuration schema, validation and TrainConfig assembly.
+"""Flat-key JSON configuration: key and type checks, defaults, profile fill.
 
 Precedence: CLI flag > config file > default. Harvester constants are
 mandatory for the selected model (they are calibration inputs, not universal
 truths). The ``paper`` profile switches to the full-size training constants;
-``desk`` keeps runs laptop-sized.
+``desk`` keeps runs laptop-sized. Domain rules live in the types that hold
+the values (TrainConfig, ModelAParams, ModelBParams); this module adds only
+what a file alone can get wrong: unknown keys, JSON types, and the NaN and
+Infinity literals that Python's json reads.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields
 
-from .evaluator import MIN_SAMPLES
 from .harvester import ModelAParams, ModelBParams
 from .trainer import PROFILES, TrainConfig
 
@@ -20,57 +23,43 @@ class ConfigError(Exception):
     """Invalid configuration; the message names the offending key."""
 
 
-def _positive(v):
-    return v > 0
-
-
-def _non_negative(v):
-    return v >= 0
-
-
-def _fraction(v):
-    return 0.0 < v < 1.0
-
-
-def _int_list(v):
-    return isinstance(v, list) and all(isinstance(x, int) and x > 0 for x in v)
-
-
 _DEFAULT = {f.name: f.default for f in fields(TrainConfig)}
 
-# key -> (type, predicate or None, default or None); the epochs, restarts and
-# per-M sizes left unset come from the selected profile in trainer.PROFILES
+# key -> (type, default or None); the epochs, restarts and per-M sizes left
+# unset come from the selected profile in trainer.PROFILES
 SCHEMA = {
-    "profile": (str, lambda v: v in PROFILES, "desk"),
-    "M": (int, lambda v: v >= 2, 16),
-    "p_a": (float, _positive, 0.001),
-    "snr": (float, _positive, 50.0),
-    "noise_variance": (float, _non_negative, None),
-    "harvester.model": (str, lambda v: v in ("A", "B"), "A"),
-    "harvester.alpha": (float, None, None),
-    "harvester.beta": (float, None, None),
-    "harvester.gamma": (float, None, None),
-    "harvester.ls": (float, _positive, None),
-    "harvester.a": (float, _positive, None),
-    "harvester.b": (float, _positive, None),
-    "epochs": (int, _positive, None),
-    "minibatch_size": (int, _positive, None),
-    "train_set_size": (int, _positive, None),
-    "learning_rate": (float, _positive, _DEFAULT["learning_rate"]),
-    "restarts": (int, _positive, None),
-    "lambda.start": (float, _positive, _DEFAULT["lambda_start"]),
-    "lambda.factor": (float, lambda v: v > 1.0, _DEFAULT["lambda_factor"]),
-    "lambda.max_points": (int, _positive, _DEFAULT["lambda_max_points"]),
-    "ser_max": (float, _fraction, _DEFAULT["ser_max"]),
-    "seed": (int, None, _DEFAULT["seed"]),
-    "encoder_hidden": (list, _int_list, None),
-    "decoder_hidden": (list, _int_list, None),
-    "eval_samples": (int, lambda v: v >= MIN_SAMPLES, None),
-    "out_dir": (str, None, "runs"),
+    "profile": (str, "desk"),
+    "M": (int, 16),
+    "p_a": (float, 0.001),
+    "snr": (float, 50.0),
+    "noise_variance": (float, None),
+    "harvester.model": (str, "A"),
+    "harvester.alpha": (float, None),
+    "harvester.beta": (float, None),
+    "harvester.gamma": (float, None),
+    "harvester.ls": (float, None),
+    "harvester.a": (float, None),
+    "harvester.b": (float, None),
+    "epochs": (int, None),
+    "minibatch_size": (int, None),
+    "train_set_size": (int, None),
+    "learning_rate": (float, _DEFAULT["learning_rate"]),
+    "restarts": (int, None),
+    "lambda.start": (float, _DEFAULT["lambda_start"]),
+    "lambda.factor": (float, _DEFAULT["lambda_factor"]),
+    "lambda.max_points": (int, _DEFAULT["lambda_max_points"]),
+    "ser_max": (float, _DEFAULT["ser_max"]),
+    "seed": (int, _DEFAULT["seed"]),
+    "encoder_hidden": (list, None),
+    "decoder_hidden": (list, None),
+    "eval_samples": (int, None),
+    "out_dir": (str, "runs"),
 }
-
-_MODEL_A_KEYS = ("harvester.alpha", "harvester.beta", "harvester.gamma")
-_MODEL_B_KEYS = ("harvester.ls", "harvester.a", "harvester.b")
+_MODELS = {"A": ModelAParams, "B": ModelBParams}
+_CHOICES = {"profile": tuple(PROFILES), "harvester.model": tuple(_MODELS)}
+# TrainConfig fields whose config key has another name
+_KEY_OF = {"m": "M", "lambda_start": "lambda.start",
+           "lambda_factor": "lambda.factor", "lambda_max_points": "lambda.max_points"}
 
 
 def load_config_file(path) -> dict:
@@ -96,30 +85,25 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key: {key}")
     out = {}
-    for key, (typ, pred, default) in SCHEMA.items():
+    for key, (typ, default) in SCHEMA.items():
+        val = cfg.get(key, default)
         if key in cfg:
-            val = cfg[key]
             if typ is float and isinstance(val, int) and not isinstance(val, bool):
                 val = float(val)
             if not isinstance(val, typ) or isinstance(val, bool):
                 raise ConfigError(f"config key {key}: expected {typ.__name__}, "
                                   f"got {type(val).__name__}")
-            if pred is not None and not pred(val):
+            if typ is float and not math.isfinite(val):
+                raise ConfigError(f"config key {key}: value {val!r} is not finite")
+            if key in _CHOICES and val not in _CHOICES[key]:
                 raise ConfigError(f"config key {key}: value {val!r} out of domain")
-            out[key] = val
-        else:
-            out[key] = default
+        out[key] = val
 
     model = out["harvester.model"]
-    required = _MODEL_A_KEYS if model == "A" else _MODEL_B_KEYS
-    for key in required:
-        if out[key] is None:
+    for f in fields(_MODELS[model]):
+        if out[f"harvester.{f.name}"] is None:
             raise ConfigError(f"missing required config key for harvester "
-                              f"model {model}: {key}")
-    if model == "A" and out["harvester.alpha"] <= 0:
-        raise ConfigError("config key harvester.alpha: must be positive")
-    if model == "A" and out["harvester.beta"] < 0:
-        raise ConfigError("config key harvester.beta: must be non-negative")
+                              f"model {model}: harvester.{f.name}")
 
     profile = PROFILES[out["profile"]]
     m = out["M"]
@@ -132,42 +116,19 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
         out["epochs"] = profile["epochs"]
     if out["restarts"] is None:
         out["restarts"] = profile["restarts"]
-    if out["minibatch_size"] > out["train_set_size"]:
-        raise ConfigError("config key minibatch_size: exceeds train_set_size")
     return out
 
 
 def harvester_from(resolved: dict):
-    if resolved["harvester.model"] == "A":
-        return ModelAParams(alpha=resolved["harvester.alpha"],
-                            beta=resolved["harvester.beta"],
-                            gamma=resolved["harvester.gamma"])
-    return ModelBParams(ls=resolved["harvester.ls"], a=resolved["harvester.a"],
-                        b=resolved["harvester.b"])
+    cls = _MODELS[resolved["harvester.model"]]
+    return cls(**{f.name: resolved[f"harvester.{f.name}"] for f in fields(cls)})
 
 
 def train_config_from(resolved: dict) -> TrainConfig:
-    cfg = TrainConfig(
-        m=resolved["M"],
-        p_a=resolved["p_a"],
-        snr=resolved["snr"],
-        harvester=harvester_from(resolved),
-        epochs=resolved["epochs"],
-        minibatch_size=resolved["minibatch_size"],
-        train_set_size=resolved["train_set_size"],
-        learning_rate=resolved["learning_rate"],
-        restarts=resolved["restarts"],
-        lambda_start=resolved["lambda.start"],
-        lambda_factor=resolved["lambda.factor"],
-        lambda_max_points=resolved["lambda.max_points"],
-        ser_max=resolved["ser_max"],
-        seed=resolved["seed"],
-        encoder_hidden=tuple(resolved["encoder_hidden"])
-        if resolved["encoder_hidden"] else None,
-        decoder_hidden=tuple(resolved["decoder_hidden"])
-        if resolved["decoder_hidden"] else None,
-        eval_samples=resolved["eval_samples"],
-        noise_variance=resolved["noise_variance"],
-    ).resolved()
-    cfg.validate()
-    return cfg
+    """The TrainConfig of a resolve() output; a rejected value is a ConfigError."""
+    kw = {f.name: resolved[_KEY_OF.get(f.name, f.name)]
+          for f in fields(TrainConfig) if f.name != "harvester"}
+    try:
+        return TrainConfig(harvester=harvester_from(resolved), **kw)
+    except ValueError as exc:
+        raise ConfigError(f"invalid training config: {exc}") from exc

@@ -12,6 +12,7 @@ pdel_with_grads picks it, and pdel_exact is its value on a constellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,23 @@ class ModelAParams:
     beta: float
     gamma: float
 
+    def __post_init__(self):
+        if not (self.alpha > 0 and self.beta >= 0
+                and math.isfinite(self.alpha + self.beta + self.gamma)):
+            raise ValueError(f"Model A needs finite constants, alpha > 0 and "
+                             f"beta >= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class ModelBParams:
     ls: float   # saturation power
     a: float    # steepness, 1/W
     b: float    # knee position, W
+
+    def __post_init__(self):
+        if not (min(self.ls, self.a, self.b) > 0
+                and math.isfinite(self.ls + self.a + self.b)):
+            raise ValueError(f"Model B needs finite, positive constants, got {self}")
 
     @property
     def omega(self) -> float:

@@ -9,7 +9,7 @@ backpropagation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,8 @@ class TrainingFailure(Exception):
 
 
 # Scale defaults of the two profiles, the sizes per message. TrainConfig
-# resolves the desk row; config.resolve the row its `profile` key names.
+# fills unset sizes from the desk row; config.resolve from the row its
+# `profile` key names.
 PROFILES = {
     "desk": {"epochs": 1000, "restarts": 10, "minibatch_per_m": 100,
              "train_per_m": 10_000, "eval_per_m": 100_000},
@@ -39,8 +40,13 @@ PROFILES = {
 DESK = PROFILES["desk"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training constants, complete and checked once, when built.
+
+    Sizes and hidden widths left as None are filled from the desk profile;
+    a value outside its domain raises ValueError naming the field.
+    """
     m: int
     p_a: float
     snr: float
@@ -60,47 +66,57 @@ class TrainConfig:
     eval_samples: int | None = None       # default eval_per_m * M
     noise_variance: float | None = None   # explicit sigma^2 override
 
-    def resolved(self) -> "TrainConfig":
+    def __post_init__(self):
         m = self.m
-        return replace(
-            self,
-            minibatch_size=self.minibatch_size or DESK["minibatch_per_m"] * m,
-            train_set_size=self.train_set_size or DESK["train_per_m"] * m,
-            encoder_hidden=tuple(self.encoder_hidden or (2 * m,)),
-            decoder_hidden=tuple(self.decoder_hidden or (2 * m,)),
-            eval_samples=self.eval_samples or DESK["eval_per_m"] * m,
-        )
+        for name, per_m in (("minibatch_size", "minibatch_per_m"),
+                            ("train_set_size", "train_per_m"),
+                            ("eval_samples", "eval_per_m")):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, DESK[per_m] * m)
+        for name in ("encoder_hidden", "decoder_hidden"):
+            ws = getattr(self, name)
+            object.__setattr__(self, name, (2 * m,) if ws is None else tuple(ws))
+
+        def above(v, floor=0.0):
+            return math.isfinite(v) and v > floor
+
+        def widths(ws):   # at least one hidden layer, each a positive int
+            return len(ws) > 0 and all(isinstance(w, int) and w > 0 for w in ws)
+
+        nv = self.noise_variance
+        for name, ok, need in [
+            ("m", isinstance(m, int) and m >= 2, "an int >= 2"),
+            ("p_a", above(self.p_a), "finite and positive"),
+            ("snr", above(self.snr), "finite and positive"),
+            ("noise_variance", nv is None or (math.isfinite(nv) and nv >= 0),
+             "finite and >= 0"),
+            ("epochs", self.epochs > 0, "positive"),
+            ("restarts", self.restarts > 0, "positive"),
+            ("minibatch_size", 0 < self.minibatch_size <= self.train_set_size,
+             "positive and at most train_set_size"),
+            ("learning_rate", above(self.learning_rate), "finite and positive"),
+            ("lambda_start", above(self.lambda_start), "finite and positive"),
+            ("lambda_factor", above(self.lambda_factor, 1.0), "finite and > 1"),
+            ("lambda_max_points", self.lambda_max_points >= 1, ">= 1"),
+            ("ser_max", 0.0 < self.ser_max < 1.0, "in (0, 1)"),
+            ("encoder_hidden", widths(self.encoder_hidden), "positive ints"),
+            ("decoder_hidden", widths(self.decoder_hidden), "positive ints"),
+            ("eval_samples", self.eval_samples >= MIN_SAMPLES, f">= {MIN_SAMPLES}"),
+        ]:
+            if not ok:
+                raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
     def encoder_dims(self) -> list[int]:
-        return [self.m, *(self.encoder_hidden or (2 * self.m,)), 2]
+        return [self.m, *self.encoder_hidden, 2]
 
     def decoder_dims(self) -> list[int]:
-        return [2, *(self.decoder_hidden or (2 * self.m,)), self.m]
+        return [2, *self.decoder_hidden, self.m]
 
     def sigma2(self) -> float:
         """Total complex-noise variance: P_a / snr (linear), or the override."""
         if self.noise_variance is not None:
             return float(self.noise_variance)
         return self.p_a / self.snr
-
-    def validate(self) -> None:
-        if self.m < 2:
-            raise ValueError("m must be >= 2")
-        if self.p_a <= 0 or self.snr <= 0:
-            raise ValueError("p_a and snr must be positive")
-        if self.noise_variance is not None and self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
-        cfg = self.resolved()
-        if cfg.eval_samples < MIN_SAMPLES:
-            raise ValueError(f"eval_samples must be >= {MIN_SAMPLES}")
-        if cfg.minibatch_size <= 0 or cfg.train_set_size < cfg.minibatch_size:
-            raise ValueError("need minibatch_size <= train_set_size, both positive")
-        if self.epochs <= 0 or self.restarts <= 0:
-            raise ValueError("epochs and restarts must be positive")
-        if not 0.0 < self.ser_max < 1.0:
-            raise ValueError("ser_max must lie in (0, 1)")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
 
 
 @dataclass
@@ -199,10 +215,10 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
 def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     """One full optimization run at a fixed lambda and restart seed."""
+    # imported per call so a tracer patching evaluator.estimate_ser (perfbench)
+    # also sees these evaluations; this is not an import cycle
     from .evaluator import estimate_ser
 
-    cfg = cfg.resolved()
-    cfg.validate()
     sigma2 = cfg.sigma2()
     params = init_params(cfg.encoder_dims(), cfg.decoder_dims(), seed)
     state = AdamState.for_params(params, cfg.learning_rate)
@@ -273,7 +289,6 @@ def lambda_sweep(cfg: TrainConfig, progress=None) -> list[RunRecord]:
 
     The violating record is retained and marked terminal.
     """
-    cfg = cfg.resolved()
     records = []
     for k, lam in enumerate(lambda_schedule(cfg)):
         rec = multi_restart(cfg, lam, restart_seeds(cfg, k))

@@ -77,6 +77,29 @@ def test_train_too_few_eval_samples_exit_2(tmp_path, capsys):
     assert "eval_samples" in err and not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("lam", ["-1", "-1e-9", "nan", "inf", "-inf"])
+def test_train_bad_lambda_exit_2(tmp_path, capsys, lam):
+    # rejected before any training and before the output dir exists
+    cfg = _write_cfg(tmp_path, TINY_A)
+    out = tmp_path / "o"
+    assert cli.main(["train", cfg, f"--lambda={lam}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "--lambda" in err[0] and not out.exists()
+
+
+@pytest.mark.parametrize("key", ["p_a", "noise_variance", "learning_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_train_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
+    # Python's json reads the NaN and Infinity literals json.dumps writes
+    cfg = _write_cfg(tmp_path, dict(TINY_A, **{key: value}))
+    out = tmp_path / "o"
+    assert cli.main(["train", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and "not finite" in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -213,6 +236,18 @@ def test_plot_from_csv(tmp_path):
     assert svg.read_text().count('class="symbol"') == 32
 
 
+@pytest.mark.parametrize("p_a", ["0", "-1", "nan", "inf"])
+def test_plot_bad_p_a_exit_2(tmp_path, capsys, p_a):
+    csv = tmp_path / "c.csv"
+    write_constellation_csv(Constellation(points=np.array([0.03, -0.03j]),
+                                          probabilities=np.full(2, 0.5)), csv)
+    svg = tmp_path / "c.svg"
+    assert cli.main(["plot", str(csv), str(svg), f"--p-a={p_a}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "--p-a" in err[0]
+    assert not svg.exists()
+
+
 def test_plot_malformed_csv_exit_3(tmp_path, capsys):
     csv = tmp_path / "bad.csv"
     csv.write_text("index,probability,real,imag\n0,0.5,oops,2\n")
@@ -247,6 +282,13 @@ def test_gradcheck_command_passes(capsys):
     assert cli.main(["gradcheck", "--configs", "4"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("configs", ["0", "-3"])
+def test_gradcheck_too_few_configs_exit_2(capsys, configs):
+    assert cli.main(["gradcheck", f"--configs={configs}"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "--configs" in err[0]
 
 
 def test_gradcheck_corrupt_hook_fails(capsys):

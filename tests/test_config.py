@@ -1,6 +1,7 @@
 """Tests for configuration loading, validation and profile resolution."""
 
 import json
+import math
 
 import pytest
 
@@ -89,7 +90,8 @@ def test_int_promoted_to_float_but_bool_rejected():
 
 def test_minibatch_exceeding_train_set_rejected():
     with pytest.raises(ConfigError, match="minibatch_size"):
-        resolve(dict(VALID_A, minibatch_size=1000, train_set_size=500))
+        train_config_from(resolve(dict(VALID_A, minibatch_size=1000,
+                                       train_set_size=500)))
 
 
 def test_harvester_from_both_models():
@@ -106,7 +108,6 @@ def test_train_config_from_round_trip():
     assert cfg.epochs == 50
     assert cfg.restarts == 2
     assert cfg.minibatch_size == 800
-    cfg.validate()
 
 
 def test_eval_samples_floor_accepted():
@@ -152,6 +153,10 @@ _BAD_MUTATIONS = [
     {"encoder_hidden": [0]}, {"encoder_hidden": [-16]},
     {"encoder_hidden": [16.0]}, {"encoder_hidden": "wide"},
     {"decoder_hidden": [8, 0]}, {"decoder_hidden": 16},
+    {"p_a": math.inf}, {"snr": math.inf}, {"noise_variance": math.inf},
+    {"learning_rate": 1e400}, {"lambda.start": math.inf},
+    {"lambda.factor": math.inf},
+    {"harvester.gamma": math.nan}, {"harvester.gamma": -math.inf},
     {"eval_samples": 0}, {"eval_samples": -100}, {"eval_samples": 999},
     {"profile": "cluster"}, {"profile": 1},
     {"out_dir": 3},
@@ -162,7 +167,21 @@ _BAD_MUTATIONS = [
 @pytest.mark.parametrize("mutation", _BAD_MUTATIONS,
                          ids=[str(m) for m in _BAD_MUTATIONS])
 def test_invalid_mutations_rejected(mutation):
+    # through the pipeline every caller runs: the file checks, then the types
     cfg = dict(VALID_A)
     cfg.update(mutation)
     with pytest.raises(ConfigError):
-        resolve(cfg)
+        train_config_from(resolve(cfg))
+
+
+def test_model_b_constants_checked_by_their_type():
+    for key in ("harvester.ls", "harvester.a", "harvester.b"):
+        with pytest.raises(ConfigError, match="Model B"):
+            train_config_from(resolve(dict(VALID_B, **{key: 0.0})))
+
+
+def test_empty_hidden_widths_rejected():
+    # an empty list is not the default: the default is an unset key
+    for key in ("encoder_hidden", "decoder_hidden"):
+        with pytest.raises(ConfigError, match=key):
+            train_config_from(resolve(dict(VALID_A, **{key: []})))

@@ -159,9 +159,28 @@ def test_pdel_model_a_not_rotation_invariant():
     assert p_axis > p_diag  # the axis-aligned layout harvests more
 
 
+@pytest.mark.parametrize("alpha,beta,gamma", [
+    (0.0, 0.0034, 0.0), (-1.0, -2.0, 0.0), (0.3829, -0.1, 0.0),
+    (np.nan, 0.0034, 0.0), (np.inf, 0.0034, 0.0), (0.3829, np.inf, 0.0),
+    (0.3829, 0.0034, np.nan), (0.3829, 0.0034, -np.inf),
+])
+def test_model_a_params_reject_bad_constants(alpha, beta, gamma):
+    with pytest.raises(ValueError, match="Model A"):
+        ModelAParams(alpha=alpha, beta=beta, gamma=gamma)
+
+
 # ---------------------------------------------------------------------------
 # Model B
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("ls,a,b", [
+    (0.0, 6400.0, 0.003), (0.02, -6400.0, 0.003), (0.02, 6400.0, 0.0),
+    (np.nan, 6400.0, 0.003), (0.02, np.inf, 0.003), (0.02, 6400.0, np.nan),
+])
+def test_model_b_params_reject_bad_constants(ls, a, b):
+    with pytest.raises(ValueError, match="Model B"):
+        ModelBParams(ls=ls, a=a, b=b)
+
 
 def test_model_b_zero_input_zero_output_exact():
     assert pdel_model_b(np.zeros(5), MODEL_B) == 0.0

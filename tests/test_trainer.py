@@ -1,5 +1,6 @@
 """Tests for the training loop, restart selection and the lambda schedule."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -294,7 +295,7 @@ def test_lambda_sweep_runs_full_schedule(monkeypatch):
     monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
     cfg = _tiny_cfg(lambda_max_points=4)
     records = lambda_sweep(cfg)
-    assert [r.lam for r in records] == lambda_schedule(cfg.resolved())
+    assert [r.lam for r in records] == lambda_schedule(cfg)
     assert not records[-1].terminal
 
 
@@ -303,7 +304,7 @@ def test_lambda_sweep_runs_full_schedule(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_config_resolved_desk_defaults():
-    cfg = TrainConfig(m=16, p_a=0.001, snr=50.0, harvester=MODEL_A).resolved()
+    cfg = TrainConfig(m=16, p_a=0.001, snr=50.0, harvester=MODEL_A)
     assert cfg.minibatch_size == 1600
     assert cfg.train_set_size == 160_000
     assert cfg.encoder_hidden == (32,)
@@ -318,9 +319,29 @@ def test_config_resolved_desk_defaults():
     dict(restarts=0), dict(ser_max=1.5), dict(learning_rate=0.0),
     dict(minibatch_size=300, train_set_size=200),
     dict(noise_variance=-1e-3), dict(eval_samples=999),
+    dict(minibatch_size=0), dict(train_set_size=0),
+    dict(lambda_start=0.0), dict(lambda_start=-1.0), dict(lambda_factor=1.0),
+    dict(lambda_factor=0.5), dict(lambda_max_points=0),
+    dict(encoder_hidden=(0,)), dict(encoder_hidden=(16.0,)),
+    dict(decoder_hidden=(8, 0)), dict(decoder_hidden=(16.0,)), dict(decoder_hidden=()),
+    dict(learning_rate=math.inf), dict(p_a=math.nan), dict(snr=math.inf),
+    dict(noise_variance=math.inf), dict(lambda_factor=math.inf),
 ])
 def test_config_validate_rejects(kw):
+    # checked once, when the config is built
     base = dict(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A)
     base.update(kw)
-    with pytest.raises(ValueError):
-        TrainConfig(**base).validate()
+    with pytest.raises(ValueError, match=next(iter(kw))):
+        TrainConfig(**base)
+
+
+def test_config_explicit_values_kept_and_frozen():
+    cfg = _tiny_cfg(encoder_hidden=[8, 6], decoder_hidden=(5,), minibatch_size=1,
+                    noise_variance=0.0)
+    assert cfg.encoder_dims() == [4, 8, 6, 2]
+    assert cfg.decoder_dims() == [2, 5, 4]
+    assert cfg.minibatch_size == 1 and cfg.sigma2() == 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.minibatch_size = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.lambda_start = -1.0
