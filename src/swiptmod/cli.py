@@ -117,6 +117,8 @@ def _unusable_checkpoint(path, exc: Exception) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     resolved = _load_resolved(args)
     cfg = cfgmod.train_config_from(resolved)
     samples = cfg.eval_samples if args.samples is None else args.samples
@@ -165,6 +167,8 @@ def cmd_plot(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.configs < 1:
         raise ConfigError(f"--configs must be >= 1, got {args.configs}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     report = run_gradcheck(num_configs=args.configs, seed=args.seed,
                            corrupt=args.corrupt)
     for name, err in sorted(report.worst_blocks().items()):

@@ -6,17 +6,20 @@ a polynomial in the second/fourth moments of the baseband symbol.
 Model B (large input power): a normalized logistic of the instantaneous input
 power, saturating at L_s, applied per symbol and averaged.
 
-Each model has one function giving P_del and its gradient together;
-pdel_with_grads picks it, and pdel_exact is its value on a constellation.
+Points are real (2, M) rows (re, im). Each model has one function giving
+P_del and its (2, M) gradient together; pdel_with_grads picks it, and
+pdel_exact is its value on a constellation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from .nn import scratch
 from .transceiver import Constellation
 
 
@@ -44,66 +47,69 @@ class ModelBParams:
                 and math.isfinite(self.ls + self.a + self.b)):
             raise ValueError(f"Model B needs finite, positive constants, got {self}")
 
-    @property
+    @cached_property
     def omega(self) -> float:
         # Same expression as the per-symbol sigmoid at zero input, so the
         # zero-input/zero-output cancellation is exact in floating point.
-        return _sigmoid(-self.a * self.b)
+        return float(_sigmoid(-self.a * self.b))
 
 
 HarvesterModel = ModelAParams | ModelBParams
 
 
 def _sigmoid(t):
-    scalar = np.ndim(t) == 0
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    return float(out[0]) if scalar else out
+    """Logistic of t without overflow: exp(-|t|) is at most 1."""
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def _weights_for(points: np.ndarray, probabilities) -> np.ndarray:
-    if points.size == 0:
+def _weights_for(m: int, probabilities) -> np.ndarray:
+    if m == 0:
         raise ValueError("empty input to the harvester model")
     if probabilities is None:
-        return np.full(points.shape[0], 1.0 / points.shape[0])
+        return np.full(m, 1.0 / m)
     return np.asarray(probabilities, dtype=float)
 
 
-def pdel_model_a_with_grads(points, prm: ModelAParams, probabilities=None):
-    """(P_del, dP_del/d re, dP_del/d im) for a weighted complex batch."""
-    x = np.asarray(points, dtype=complex).ravel()
-    w = _weights_for(x, probabilities)
-    r, i = x.real, x.imag
-    r2, i2 = r * r, i * i
-    m2 = r2 + i2
-    mu_r, mu_i = w @ r, w @ i
-    p_r, p_i = w @ r2, w @ i2
-    t_r, t_i = w @ (r2 * r), w @ (i2 * i)
-    q_r, q_i = w @ (r2 * r2), w @ (i2 * i2)
-    q = w @ (m2 * m2)
-    p = p_r + p_i
+def _rows(points) -> np.ndarray:
+    """(2, M) real rows (re, im) of complex points."""
+    z = np.asarray(points, dtype=complex).ravel()
+    return np.array([z.real, z.imag])
+
+
+def _model_a(x, prm: ModelAParams, w, ws):
+    # rows: re, im, their squares, cubes and fourth powers, |x|^4, then |x|^2
+    pw = scratch(ws, "pdel_pow", (10, x.shape[1]))
+    sq = np.multiply(x, x, out=pw[2:4])
+    pw[0:2] = x
+    np.multiply(sq, x, out=pw[4:6])
+    np.multiply(sq, sq, out=pw[6:8])
+    m2 = np.add(sq[0], sq[1], out=pw[9])
+    np.multiply(m2, m2, out=pw[8])
+    mu_r, mu_i, p_r, p_i, t_r, t_i, q_r, q_i, q = (pw[:9] @ w).tolist()
+
+    al, be = prm.alpha, prm.beta
     qt = (q_r + q_i + 2.0 * (mu_r * t_r + mu_i * t_i) + 6.0 * p_r * p_i
           + 6.0 * p_r * (p_r - mu_r ** 2) + 6.0 * p_i * (p_i - mu_i ** 2)) / 3.0
-    p_del = prm.alpha * (q + qt) + prm.beta * p + prm.gamma
+    p_del = al * (q + qt) + be * (p_r + p_i) + prm.gamma
 
-    # d(qt)/dr_k, every moment contributing a w_k factor
-    dqt_r = (4.0 * r2 * r
-             + 2.0 * (t_r + 3.0 * mu_r * r2)
-             + 12.0 * r * p_i
-             + 6.0 * (2.0 * r * (p_r - mu_r ** 2) + 2.0 * p_r * (r - mu_r))) * w / 3.0
-    dqt_i = (4.0 * i2 * i
-             + 2.0 * (t_i + 3.0 * mu_i * i2)
-             + 12.0 * i * p_r
-             + 6.0 * (2.0 * i * (p_i - mu_i ** 2) + 2.0 * p_i * (i - mu_i))) * w / 3.0
-    dq_r = 4.0 * w * m2 * r
-    dq_i = 4.0 * w * m2 * i
-    dr = prm.alpha * (dq_r + dqt_r) + prm.beta * 2.0 * w * r
-    di = prm.alpha * (dq_i + dqt_i) + prm.beta * 2.0 * w * i
-    return float(p_del), dr, di
+    # dP_del/da_k on axis a (b the other axis) is w_k times the cubic
+    #   al * (4/3 a^3 + 2 mu_a a^2 + (4 |x_k|^2 + 4 p_b + 8 p_a - 4 mu_a^2) a
+    #         + 2/3 t_a - 4 p_a mu_a) + 2 be a,
+    # evaluated by Horner's rule from each row's coefficients c
+    c = np.array([[2.0 * al * mu, al * (4.0 * pb + 8.0 * pa - 4.0 * mu * mu) + 2.0 * be,
+                   al * (2.0 * t / 3.0 - 4.0 * pa * mu)]
+                  for mu, pa, pb, t in ((mu_r, p_r, p_i, t_r), (mu_i, p_i, p_r, t_i))])
+    g = np.multiply(x, 4.0 * al / 3.0, out=scratch(ws, "pdel_grad", x.shape))
+    g += c[:, 0:1]
+    g *= x
+    m2 *= 4.0 * al
+    g += m2
+    g += c[:, 1:2]
+    g *= x
+    g += c[:, 2:3]
+    g *= w
+    return p_del, g
 
 
 def _model_b_terms(p_in, prm: ModelBParams):
@@ -114,33 +120,39 @@ def _model_b_terms(p_in, prm: ModelBParams):
             prm.ls * prm.a * sig * (1.0 - sig) / (1.0 - omega))
 
 
+def _model_b(x, prm: ModelBParams, w, ws):
+    value, slope = _model_b_terms(x[0] * x[0] + x[1] * x[1], prm)
+    g = np.multiply(x, w * slope * 2.0, out=scratch(ws, "pdel_grad", x.shape))
+    return float(w @ value), g
+
+
 def model_b_per_symbol(powers, prm: ModelBParams):
     """Per-symbol delivered power for input powers |x|^2 (array-valued)."""
     return _model_b_terms(np.asarray(powers, dtype=float), prm)[0]
 
 
 def pdel_model_b(powers, prm: ModelBParams, probabilities=None) -> float:
+    """Weighted Model B delivered power of input powers |x|^2, uniform
+    weights by default."""
     p_in = np.asarray(powers, dtype=float).ravel()
-    w = _weights_for(p_in, probabilities)
+    w = _weights_for(p_in.size, probabilities)
     return float(w @ model_b_per_symbol(p_in, prm))
 
 
-def pdel_model_b_with_grads(points, prm: ModelBParams, probabilities=None):
-    """(P_del, dP_del/d re, dP_del/d im) for a weighted complex batch."""
-    x = np.asarray(points, dtype=complex).ravel()
-    w = _weights_for(x, probabilities)
-    r, i = x.real, x.imag
-    value, slope = _model_b_terms(r * r + i * i, prm)
-    return float(w @ value), w * slope * 2.0 * r, w * slope * 2.0 * i
-
-
-def pdel_with_grads(points, model: HarvesterModel, probabilities=None):
-    """(P_del, dP_del/d re, dP_del/d im) of a weighted complex batch, uniform
+def pdel_with_grads(x, model: HarvesterModel, weights=None, ws: dict | None = None):
+    """(P_del, (2, M) gradient) of the weighted real rows x = (re, im), uniform
     weights by default: the one delivered-power code, training and evaluation
-    alike."""
+    alike. With a workspace the gradient is its buffer, overwritten by the
+    next call."""
+    x = np.asarray(x)
+    if x.ndim != 2 or x.shape[0] != 2 or x.dtype.kind != "f":
+        raise ValueError(f"pdel_with_grads needs (2, M) real rows, got {x.dtype} {x.shape}")
+    w = _weights_for(x.shape[1], weights)
+    if ws is None:
+        ws = {}
     if isinstance(model, ModelAParams):
-        return pdel_model_a_with_grads(points, model, probabilities)
-    return pdel_model_b_with_grads(points, model, probabilities)
+        return _model_a(x, model, w, ws)
+    return _model_b(x, model, w, ws)
 
 
 def pdel_exact(constellation: Constellation, model: HarvesterModel) -> float:
@@ -153,7 +165,7 @@ def pdel_exact(constellation: Constellation, model: HarvesterModel) -> float:
             and (probs >= 0.0).all()):
         raise ValueError("pdel_exact needs finite points and finite, "
                          "non-negative probabilities")
-    return pdel_with_grads(constellation.points, model, probs)[0]
+    return pdel_with_grads(_rows(constellation.points), model, probs)[0]
 
 
 def pdel_monte_carlo_check(constellation: Constellation, model: HarvesterModel,
@@ -169,9 +181,10 @@ def pdel_monte_carlo_check(constellation: Constellation, model: HarvesterModel,
     group = num_samples // num_groups
     estimates = np.empty(num_groups)
     probs = constellation.probabilities
+    rows = _rows(constellation.points)
     for g in range(num_groups):
         idx = rng.choice(constellation.size, size=group, p=probs)
-        estimates[g] = pdel_with_grads(constellation.points[idx], model)[0]
+        estimates[g] = pdel_with_grads(rows[:, idx], model)[0]
     mean = float(estimates.mean())
     stderr = float(estimates.std(ddof=1) / np.sqrt(num_groups))
     return mean, stderr

@@ -80,28 +80,35 @@ class TrainConfig:
         def above(v, floor=0.0):
             return math.isfinite(v) and v > floor
 
+        def count(v, floor=1):   # an int (not a bool) >= floor
+            return isinstance(v, int) and not isinstance(v, bool) and v >= floor
+
         def widths(ws):   # at least one hidden layer, each a positive int
-            return len(ws) > 0 and all(isinstance(w, int) and w > 0 for w in ws)
+            return len(ws) > 0 and all(count(w) for w in ws)
 
         nv = self.noise_variance
         for name, ok, need in [
-            ("m", isinstance(m, int) and m >= 2, "an int >= 2"),
+            ("m", count(m, 2), "an int >= 2"),
             ("p_a", above(self.p_a), "finite and positive"),
             ("snr", above(self.snr), "finite and positive"),
             ("noise_variance", nv is None or (math.isfinite(nv) and nv >= 0),
              "finite and >= 0"),
-            ("epochs", self.epochs > 0, "positive"),
-            ("restarts", self.restarts > 0, "positive"),
-            ("minibatch_size", 0 < self.minibatch_size <= self.train_set_size,
-             "positive and at most train_set_size"),
+            ("epochs", count(self.epochs), "a positive int"),
+            ("restarts", count(self.restarts), "a positive int"),
+            ("train_set_size", count(self.train_set_size), "a positive int"),
+            ("minibatch_size", count(self.minibatch_size)
+             and self.minibatch_size <= self.train_set_size,
+             "a positive int, at most train_set_size"),
             ("learning_rate", above(self.learning_rate), "finite and positive"),
             ("lambda_start", above(self.lambda_start), "finite and positive"),
             ("lambda_factor", above(self.lambda_factor, 1.0), "finite and > 1"),
-            ("lambda_max_points", self.lambda_max_points >= 1, ">= 1"),
+            ("lambda_max_points", count(self.lambda_max_points), "a positive int"),
             ("ser_max", 0.0 < self.ser_max < 1.0, "in (0, 1)"),
+            ("seed", count(self.seed, 0), "an int >= 0"),
             ("encoder_hidden", widths(self.encoder_hidden), "positive ints"),
             ("decoder_hidden", widths(self.decoder_hidden), "positive ints"),
-            ("eval_samples", self.eval_samples >= MIN_SAMPLES, f">= {MIN_SAMPLES}"),
+            ("eval_samples", count(self.eval_samples, MIN_SAMPLES),
+             f"an int >= {MIN_SAMPLES}"),
         ]:
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
@@ -141,46 +148,67 @@ def total_cost(batch_ce: float, p_del: float, lam: float) -> float:
     return batch_ce + lam / max(p_del, EPS_PDEL)
 
 
+def _step_constants(params: NetworkParams, batch: int, ws: dict):
+    """The M x M identity, arange(B), and a gradient vector laid out like
+    params.flat with its params.views; kept in `ws` while the parameters
+    and the batch size stay."""
+    c = ws.get("step")
+    if c is None or c[0] is not params.flat or c[1] != batch:
+        grads = np.empty_like(params.flat)
+        c = ws["step"] = (params.flat, batch, np.eye(params.encoder[0].in_dim),
+                          np.arange(batch), grads, params.views(grads))
+    return c[2:]
+
+
 def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
                  p_a: float, lam: float, harvester: HarvesterModel,
                  want_grads: bool = True, ws: dict | None = None):
     """Cost of one minibatch with frozen noise; optionally its gradients.
 
     messages are 0-based indices, noise is (B, 2) real/imag components.
-    Returns (cost, info, grads) where grads is a new vector laid out like
+    Returns (cost, info, grads) where grads is a vector laid out like
     params.flat (split it with params.views) or None. A workspace dict `ws`,
-    reused from step to step, holds every batch-sized buffer; the results
-    never point into it.
+    reused from step to step, holds every batch-sized buffer, the step's
+    constants and the gradient vector: with one, grads is the workspace's
+    vector, valid until the next call; without one, grads is a new vector.
     """
+    if ws is None:
+        ws = {}   # a fresh workspace: every buffer and the gradient are new
     enc, dec = params.encoder, params.decoder
     msgs = np.asarray(messages, dtype=int)
     batch = msgs.shape[0]
-    m = enc[0].in_dim
+    eye, cols, grads, views = _step_constants(params, batch, ws)
+    m = eye.shape[0]
 
     # encoder on the M one-hot columns (first pre-activation W0 + b0[:, None]);
     # the batch is a gather of its output columns
-    u, zs_e, post_e = mlp_forward(enc, np.eye(m), ws, "enc")
+    u, zs_e, post_e = mlp_forward(enc, eye, ws, "enc")
 
     xk, scale, energy, degenerate, counts = normalize_power(u, msgs, p_a)
     # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
-    y = np.take(xk, msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
+    y = xk.take(msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
     y += noise.T
 
     logits, zs_d, post_d = mlp_forward(dec, y, ws, "dec")
     probs = softmax(logits, out=logits)
 
-    cols = np.arange(batch)
-    ce = float(-np.log(np.maximum(probs[msgs, cols], EPS_LOG)).mean())
+    # each sample's probability of its own message, at msgs * B + cols of the
+    # flattened (M, B) probabilities
+    pick_at = np.multiply(msgs, batch, out=scratch(ws, "pick_at", (batch,), int))
+    pick_at += cols
+    pick = probs.take(pick_at, out=scratch(ws, "pick", (batch,)), mode="clip")
+    logp = np.maximum(pick, EPS_LOG, out=scratch(ws, "logp", (batch,)))
+    ce = -float(np.log(logp, out=logp).sum()) / batch
 
     # per-point gradients weighted by counts/B are sums over that message's rows
-    p_del, dpdel_r, dpdel_i = pdel_with_grads(xk[0] + 1j * xk[1],
-                                              harvester, counts / batch)
+    weights = np.divide(counts, batch, out=scratch(ws, "weights", (m,)))
+    p_del, dpdel = pdel_with_grads(xk, harvester, weights, ws)
     cost = total_cost(ce, p_del, lam)
     info = {
         "cross_entropy": ce,
         "p_del": p_del,
         "degenerate": degenerate,
-        "batch_power": float(np.sum(xk * xk, axis=0) @ counts) / batch,
+        "batch_power": float((xk * xk).sum(axis=0) @ counts) / batch,
     }
     if not want_grads:
         return cost, info, None
@@ -188,24 +216,26 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     # softmax + cross entropy head, averaged over the batch; the logits buffer
     # holds the probabilities and becomes dlogits in place
     dlogits = probs
-    dlogits[msgs, cols] -= 1.0
+    pick -= 1.0
+    dlogits.put(pick_at, pick)
     dlogits /= batch
-    grads = np.empty_like(params.flat)
-    views = params.views(grads)
     dy = mlp_backward(dec, zs_d, post_d, dlogits, views[2 * len(enc):], ws, "dec")
 
-    # fold the (2, B) channel-input gradient onto the M points
-    dx = np.stack([np.bincount(msgs, weights=dy[j], minlength=m) for j in range(2)])
+    # fold the (2, B) channel-input gradient onto the M points: one bincount
+    # of row j's samples into bins j*M + msgs
+    fold_at = scratch(ws, "fold_at", (2, batch), int)
+    fold_at[0] = msgs
+    np.add(msgs, m, out=fold_at[1])
+    dx = np.bincount(fold_at.reshape(-1), weights=dy.reshape(-1),
+                     minlength=2 * m).reshape(2, m)
     if lam > 0.0 and p_del > EPS_PDEL:
-        coef = -lam / (p_del * p_del)
-        dx[0] += coef * dpdel_r
-        dx[1] += coef * dpdel_i
+        dx += np.multiply(dpdel, -lam / (p_del * p_del), out=dpdel)
 
     # power normalization: x_k = scale(u) * u_k, energy = sum_k counts_k |u_k|^2
     if degenerate:
         du = scale * dx
     else:
-        du = scale * (dx - (float(np.sum(dx * u)) / energy) * counts * u)
+        du = scale * (dx - (float((dx * u).sum()) / energy) * counts * u)
 
     # the encoder output layer is linear, so d(cost)/d(last z) is du itself;
     # its input is the identity, so d(cost)/d(W0) is dz0 exactly

@@ -100,6 +100,24 @@ def test_train_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+def test_train_negative_config_seed_exit_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, dict(TINY_A, seed=-1))
+    out = tmp_path / "o"
+    assert cli.main(["train", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "seed" in err and "\n" not in err
+    assert not out.exists()
+
+
+def test_train_negative_seed_flag_exit_2(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TINY_A)
+    out = tmp_path / "o"
+    assert cli.main(["train", cfg, "--seed", "-2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "seed" in err and "\n" not in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -203,6 +221,13 @@ def test_eval_too_few_samples_exit_2(trained, capsys, samples):
     assert err.startswith("config error") and "1000" in err and "\n" not in err
 
 
+def test_eval_negative_seed_exit_2(trained, capsys):
+    cfg, ckpt = trained
+    assert cli.main(["eval", str(ckpt), cfg, "--seed", "-3"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "--seed" in err and "\n" not in err
+
+
 @pytest.mark.parametrize("layer, value, raised", [
     ("encoder", 0.0, "degenerate encoder"),      # every message at the origin
     ("decoder", np.nan, "non-finite logits"),
@@ -289,6 +314,12 @@ def test_gradcheck_too_few_configs_exit_2(capsys, configs):
     assert cli.main(["gradcheck", f"--configs={configs}"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and "--configs" in err[0]
+
+
+def test_gradcheck_negative_seed_exit_2(capsys):
+    assert cli.main(["gradcheck", "--configs", "1", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "--seed" in err[0]
 
 
 def test_gradcheck_corrupt_hook_fails(capsys):

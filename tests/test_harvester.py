@@ -1,6 +1,8 @@
 """Tests for the delivered-power models: closed forms, limits, gradients, and
 a 60-digit moment reference for the value."""
 
+import warnings
+
 import numpy as np
 import pytest
 from mpmath import mp
@@ -15,6 +17,11 @@ MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
 MODEL_B = ModelBParams(ls=0.02, a=6400.0, b=0.003)
 # Model A reduced to its fourth-moment part Q + Qtilde
 FOURTH = ModelAParams(alpha=1.0, beta=0.0, gamma=0.0)
+
+
+def _rows(points):
+    points = np.asarray(points, dtype=complex)
+    return np.stack([points.real, points.imag])
 
 
 def _uniform(points):
@@ -59,19 +66,19 @@ def test_moments_single_real_point():
     c = 0.07
     const = _uniform([c])
     # one point: Qtilde = Q = c^4, so P_del = 2 alpha c^4 + beta c^2
-    p_a, dr, di = pdel_with_grads(const.points, MODEL_A)
+    p_a, grad = pdel_with_grads(_rows(const.points), MODEL_A)
     assert p_a == pytest.approx(2 * MODEL_A.alpha * c ** 4 + MODEL_A.beta * c ** 2,
                                 rel=1e-14)
-    assert dr[0] == pytest.approx(8 * MODEL_A.alpha * c ** 3 + 2 * MODEL_A.beta * c,
-                                  rel=1e-13)
-    assert di[0] == 0.0
+    assert grad[0, 0] == pytest.approx(8 * MODEL_A.alpha * c ** 3 + 2 * MODEL_A.beta * c,
+                                       rel=1e-13)
+    assert grad[1, 0] == 0.0
     assert pdel_exact(const, MODEL_B) == pytest.approx(
         float(model_b_per_symbol(np.array([c * c]), MODEL_B)[0]), rel=1e-15)
 
 
 def test_moments_bpsk_symmetry():
     # +-1: odd moments vanish, P = Q = 1, Qtilde = (1 + 6) / 3
-    value, dr, di = pdel_with_grads(np.array([1 + 0j, -1 + 0j]), FOURTH)
+    value, (dr, di) = pdel_with_grads(np.array([[1.0, -1.0], [0.0, 0.0]]), FOURTH)
     assert value == pytest.approx(1 + 7 / 3, rel=1e-15)
     assert dr[0] == -dr[1] and not di.any()
 
@@ -98,7 +105,9 @@ def test_moments_probability_weighted():
 def test_moments_empty_input_rejected():
     for model in (MODEL_A, MODEL_B):
         with pytest.raises(ValueError):
-            pdel_with_grads(np.array([], dtype=complex), model)
+            pdel_with_grads(np.empty((2, 0)), model)
+        with pytest.raises(ValueError, match="real rows"):
+            pdel_with_grads(np.array([0.1 + 0.2j, 0.3]), model)
         with pytest.raises(ValueError):
             pdel_exact(Constellation(points=[], probabilities=[]), model)
 
@@ -113,8 +122,8 @@ def test_q_tilde_single_real_point():
 
 
 def test_q_tilde_zero_constellation():
-    value, dr, di = pdel_with_grads(np.zeros(4, dtype=complex), FOURTH)
-    assert value == 0.0 and not dr.any() and not di.any()
+    value, grad = pdel_with_grads(np.zeros((2, 4)), FOURTH)
+    assert value == 0.0 and not grad.any()
 
 
 def test_q_tilde_real_imag_swap_invariant():
@@ -198,6 +207,16 @@ def test_model_b_saturation():
     assert abs(pdel_model_b(np.array([0.03]), MODEL_B) - 0.02) < 1e-9
 
 
+def test_model_b_finite_far_past_saturation_and_at_origin():
+    # exp(-|t|) never overflows, so neither end warns or leaves a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        far, far_grad = pdel_with_grads(np.full((2, 3), np.sqrt(500.0)), MODEL_B)
+        zero, zero_grad = pdel_with_grads(np.zeros((2, 3)), MODEL_B)
+    assert far == MODEL_B.ls and not far_grad.any()
+    assert zero == 0.0 and not zero_grad.any()
+
+
 def test_model_b_monotone_and_bounded_on_grid():
     grid = np.linspace(0.0, 0.05, 1000)
     vals = model_b_per_symbol(grid, MODEL_B)
@@ -256,7 +275,7 @@ def test_monte_carlo_check_sample_floor():
 def test_pdel_gradients_match_finite_differences(model, scale):
     rng = substream(27, ROLE_MISC)
     pts = scale * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    _, dr, di = pdel_with_grads(pts, model)
+    _, (dr, di) = pdel_with_grads(_rows(pts), model)
     step = 1e-7
 
     def value(re, im):

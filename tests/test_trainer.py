@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from swiptmod.channel import ROLE_MISC, sample_noise, substream
-from swiptmod.harvester import ModelAParams, ModelBParams
+from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import init_params
 from swiptmod.trainer import (EPS_PDEL, RunRecord, TrainConfig, TrainingFailure,
                               lambda_schedule, lambda_sweep, multi_restart,
                               network_cost, restart_seeds, total_cost, train_run)
+from swiptmod.transceiver import export_constellation
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
 MODEL_B = ModelBParams(ls=0.02, a=6400.0, b=0.003)
@@ -83,6 +84,21 @@ def test_network_cost_leaves_inputs_unchanged():
     assert not any(np.shares_memory(g, a) for g in grads for a in inputs)
 
 
+@pytest.mark.parametrize("model", [MODEL_A, MODEL_B], ids=["modelA", "modelB"])
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_network_cost_p_del_is_pdel_exact_of_the_export(model, m):
+    # a batch holding each message once weights the points as the export does,
+    # so the step's P_del and the reported one are the same code on the same bits
+    p_a = 0.1 if isinstance(model, ModelAParams) else 0.004
+    for seed in range(5):
+        params = init_params([m, 2 * m, 2], [2, 2 * m, m], seed=100 + seed)
+        msgs = substream(seed, ROLE_MISC).permutation(m)
+        noise = np.zeros((m, 2))
+        _, info, _ = network_cost(params, msgs, noise, p_a, 1e-3, model, ws={})
+        const = export_constellation(params.encoder, m, p_a)
+        assert info["p_del"] == pdel_exact(const, model)
+
+
 def _desk_m16_step(seed):
     params = init_params([16, 32, 2], [2, 32, 16], seed=seed)
     rng = substream(seed, ROLE_MISC)
@@ -115,12 +131,30 @@ def test_network_cost_workspace_results_are_independent():
     _, msgs2, noise2 = _desk_m16_step(9)   # a different batch on the same workspace
     other = network_cost(params, msgs2, noise2, 0.004, 80.0, MODEL_B, ws=ws)
     assert other[0] != cost
-    assert (cost, info) == kept[:2] and np.array_equal(grads, kept[2])
+    assert (cost, info) == kept[:2]
+    # with a workspace the gradient is its vector, overwritten by the next call
+    assert other[2] is grads and not np.array_equal(grads, kept[2])
     assert grads.shape == params.flat.shape
-    for g in (grads, other[2]):
-        assert not np.shares_memory(g, params.flat)
-        assert not any(np.shares_memory(g, buf) for buf in ws.values())
-    assert not np.shares_memory(grads, other[2])
+    assert not np.shares_memory(grads, params.flat)
+    # without one, every call returns a new vector
+    again = network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B)[2]
+    assert np.array_equal(again, kept[2]) and not np.shares_memory(again, ref_grads)
+
+
+def test_network_cost_workspace_follows_params_and_batch():
+    # one workspace through networks and batch sizes of different shapes
+    # gives what a fresh workspace gives at every call
+    ws = {}
+    for dims, batch, seed in (((4, 8, 2), 64, 1), ((4, 8, 2), 16, 1),
+                              ((4, 8, 2), 16, 2), ((8, 6, 2), 16, 3)):
+        m = dims[0]
+        params = init_params(list(dims), [2, 2 * m, m], seed)
+        rng = substream(seed, ROLE_MISC)
+        msgs = rng.integers(0, m, size=batch)
+        noise = sample_noise(batch, 2e-5, rng)
+        ref = network_cost(params, msgs, noise, 0.001, 1e-3, MODEL_A)
+        got = network_cost(params, msgs, noise, 0.001, 1e-3, MODEL_A, ws=ws)
+        assert got[:2] == ref[:2] and np.array_equal(got[2], ref[2])
 
 
 # (batch size, messages drawn from range(n)): a full batch, a batch in which
@@ -325,7 +359,7 @@ def test_config_resolved_desk_defaults():
     dict(encoder_hidden=(0,)), dict(encoder_hidden=(16.0,)),
     dict(decoder_hidden=(8, 0)), dict(decoder_hidden=(16.0,)), dict(decoder_hidden=()),
     dict(learning_rate=math.inf), dict(p_a=math.nan), dict(snr=math.inf),
-    dict(noise_variance=math.inf), dict(lambda_factor=math.inf),
+    dict(noise_variance=math.inf), dict(lambda_factor=math.inf), dict(seed=-1),
 ])
 def test_config_validate_rejects(kw):
     # checked once, when the config is built
@@ -333,6 +367,20 @@ def test_config_validate_rejects(kw):
     base.update(kw)
     with pytest.raises(ValueError, match=next(iter(kw))):
         TrainConfig(**base)
+
+
+_COUNTS = {"epochs": 3, "restarts": 2, "minibatch_size": 100, "train_set_size": 2000,
+           "lambda_max_points": 4, "eval_samples": 2000, "seed": 5}
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+def test_config_counts_must_be_ints(name):
+    # a float or bool count would reach range() or an RNG size in train_run
+    base = dict(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A, **_COUNTS)
+    assert getattr(TrainConfig(**base), name) == _COUNTS[name]
+    for bad in (float(_COUNTS[name]), True):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            TrainConfig(**dict(base, **{name: bad}))
 
 
 def test_config_explicit_values_kept_and_frozen():
