@@ -1,9 +1,8 @@
 """Learned modulation design for SWIPT over AWGN with nonlinear harvesters."""
 
 from .channel import substream
-from .evaluator import EvalReport, classical_baseline, estimate_ser
-from .harvester import (HarvesterModel, ModelAParams, ModelBParams, pdel_exact,
-                        pdel_model_b, pdel_monte_carlo_check)
+from .evaluator import EvalReport, estimate_ser
+from .harvester import HarvesterModel, ModelAParams, ModelBParams, pdel_exact
 from .nn import (AdamState, DenseLayer, NetworkParams, adam_step, init_params,
                  load_checkpoint, save_checkpoint, softmax)
 from .trainer import (RunRecord, TrainConfig, lambda_sweep, multi_restart,

@@ -18,8 +18,9 @@ from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .svgplot import write_constellation_svg
 from .trainer import (RunRecord, TrainingFailure, lambda_sweep, multi_restart,
                       restart_seeds)
-from .transceiver import (ConstellationFormatError, export_constellation,
-                          read_constellation_csv, write_constellation_csv)
+from .transceiver import (ConstellationFormatError, DegenerateEncoderError,
+                          export_constellation, read_constellation_csv,
+                          write_constellation_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -133,11 +134,11 @@ def cmd_eval(args) -> int:
         raise CheckpointFormatError(
             f"checkpoint dims encoder={got_enc} decoder={got_dec} do not match "
             f"config dims encoder={expect_enc} decoder={expect_dec}")
-    try:   # a degenerate encoder (a ValueError) or non-finite decoder output
+    try:   # a degenerate or non-finite encoder, or non-finite decoder output
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
         report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
                               seed=args.seed)
-    except (FloatingPointError, ValueError) as exc:
+    except (FloatingPointError, DegenerateEncoderError) as exc:
         return _unusable_checkpoint(args.checkpoint, exc)
     payload = {
         "ser": report.ser,
@@ -169,8 +170,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--configs must be >= 1, got {args.configs}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    report = run_gradcheck(num_configs=args.configs, seed=args.seed,
-                           corrupt=args.corrupt)
+    report = run_gradcheck(num_configs=args.configs, seed=args.seed)
     for name, err in sorted(report.worst_blocks().items()):
         print(f"{name:>8s}  worst rel err {err:.3e}")
     print(f"overall max rel err {report.max_rel_err:.3e} "
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     p.add_argument("--configs", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return ap
 

@@ -1,4 +1,4 @@
-"""Monte-Carlo SER estimation, delivered-power measurement and baselines."""
+"""Monte-Carlo SER estimation of a constellation and its decoder."""
 
 from __future__ import annotations
 
@@ -98,25 +98,3 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     ce = ce_sum / num_samples if decoder is not None else math.nan
     return EvalReport(ser=ser, ser_stderr=stderr, rate_bits=math.log2(m),
                       num_samples=num_samples, cross_entropy=ce)
-
-
-_QAM_GRIDS = {4: (2, 2), 8: (4, 2), 16: (4, 4), 32: (8, 4)}
-_SUPPORTED_M = (4, 8, 16, 32)
-
-
-def classical_baseline(kind: str, m: int, p_a: float) -> Constellation:
-    """Uniform square/rectangular QAM or a PSK ring, mean power p_a."""
-    if m not in _SUPPORTED_M:
-        raise ValueError(f"unsupported constellation size {m}, pick from {_SUPPORTED_M}")
-    if kind.upper() == "QAM":
-        cols, rows = _QAM_GRIDS[m]
-        re = np.arange(-(cols - 1), cols, 2, dtype=float)
-        im = np.arange(-(rows - 1), rows, 2, dtype=float)
-        pts = (re[:, None] + 1j * im[None, :]).ravel()
-    elif kind.upper() == "PSK":
-        pts = np.exp(2j * np.pi * np.arange(m) / m)
-    else:
-        raise ValueError(f"unknown baseline kind {kind!r}")
-    probs = np.full(m, 1.0 / m)
-    pts = pts * math.sqrt(p_a / float(np.mean(np.abs(pts) ** 2)))
-    return Constellation(points=pts, probabilities=probs)

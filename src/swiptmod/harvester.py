@@ -63,14 +63,6 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
-def _weights_for(m: int, probabilities) -> np.ndarray:
-    if m == 0:
-        raise ValueError("empty input to the harvester model")
-    if probabilities is None:
-        return np.full(m, 1.0 / m)
-    return np.asarray(probabilities, dtype=float)
-
-
 def _rows(points) -> np.ndarray:
     """(2, M) real rows (re, im) of complex points."""
     z = np.asarray(points, dtype=complex).ravel()
@@ -126,28 +118,16 @@ def _model_b(x, prm: ModelBParams, w, ws):
     return float(w @ value), g
 
 
-def model_b_per_symbol(powers, prm: ModelBParams):
-    """Per-symbol delivered power for input powers |x|^2 (array-valued)."""
-    return _model_b_terms(np.asarray(powers, dtype=float), prm)[0]
-
-
-def pdel_model_b(powers, prm: ModelBParams, probabilities=None) -> float:
-    """Weighted Model B delivered power of input powers |x|^2, uniform
-    weights by default."""
-    p_in = np.asarray(powers, dtype=float).ravel()
-    w = _weights_for(p_in.size, probabilities)
-    return float(w @ model_b_per_symbol(p_in, prm))
-
-
-def pdel_with_grads(x, model: HarvesterModel, weights=None, ws: dict | None = None):
-    """(P_del, (2, M) gradient) of the weighted real rows x = (re, im), uniform
-    weights by default: the one delivered-power code, training and evaluation
-    alike. With a workspace the gradient is its buffer, overwritten by the
-    next call."""
+def pdel_with_grads(x, model: HarvesterModel, weights, ws: dict | None = None):
+    """(P_del, (2, M) gradient) of the real rows x = (re, im) weighted by the
+    M `weights` (a message's probability, or its share of a batch): the one
+    delivered-power code, training and evaluation alike. With a workspace
+    the gradient is its buffer, overwritten by the next call."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != 2 or x.dtype.kind != "f":
-        raise ValueError(f"pdel_with_grads needs (2, M) real rows, got {x.dtype} {x.shape}")
-    w = _weights_for(x.shape[1], weights)
+    if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] == 0 or x.dtype.kind != "f":
+        raise ValueError(f"pdel_with_grads needs non-empty (2, M) real rows, "
+                         f"got {x.dtype} {x.shape}")
+    w = np.asarray(weights, dtype=float)
     if ws is None:
         ws = {}
     if isinstance(model, ModelAParams):
@@ -166,25 +146,3 @@ def pdel_exact(constellation: Constellation, model: HarvesterModel) -> float:
         raise ValueError("pdel_exact needs finite points and finite, "
                          "non-negative probabilities")
     return pdel_with_grads(_rows(constellation.points), model, probs)[0]
-
-
-def pdel_monte_carlo_check(constellation: Constellation, model: HarvesterModel,
-                           num_samples: int, rng: np.random.Generator,
-                           num_groups: int = 100):
-    """Monte-Carlo estimate of P_del with a batch-means standard error.
-
-    Samples messages by their probabilities and re-estimates the model from
-    each group of samples; intended as a test oracle, not a production path.
-    """
-    if num_samples < 10_000:
-        raise ValueError("pdel_monte_carlo_check needs at least 1e4 samples")
-    group = num_samples // num_groups
-    estimates = np.empty(num_groups)
-    probs = constellation.probabilities
-    rows = _rows(constellation.points)
-    for g in range(num_groups):
-        idx = rng.choice(constellation.size, size=group, p=probs)
-        estimates[g] = pdel_with_grads(rows[:, idx], model)[0]
-    mean = float(estimates.mean())
-    stderr = float(estimates.std(ddof=1) / np.sqrt(num_groups))
-    return mean, stderr

@@ -104,8 +104,11 @@ def write_constellation_csv(constellation: Constellation, path) -> None:
 
 
 def read_constellation_csv(path) -> Constellation:
-    with open(path) as fh:
-        rows = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path) as fh:
+            rows = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise ConstellationFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise ConstellationFormatError(f"{path}: empty constellation CSV", line=0)
     if rows[0] != CSV_HEADER:

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import (classical_baseline, model_b_per_symbol, pdel_model_b,
+                     pdel_monte_carlo_check)
 from swiptmod import cli
 from swiptmod.channel import ROLE_MISC, substream
-from swiptmod.evaluator import classical_baseline, estimate_ser
+from swiptmod.evaluator import estimate_ser
 from swiptmod.gradcheck import run_gradcheck
-from swiptmod.harvester import (ModelAParams, ModelBParams, model_b_per_symbol,
-                                pdel_exact, pdel_model_b,
-                                pdel_monte_carlo_check)
+from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.trainer import (TrainConfig, lambda_sweep, multi_restart,
                               restart_seeds)
 from swiptmod.transceiver import Constellation

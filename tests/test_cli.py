@@ -29,6 +29,10 @@ TINY_A = {
 }
 
 
+# bytes that do not decode as UTF-8
+NON_UTF8 = b"\xff\xfe\x00bad\xff"
+
+
 def _write_cfg(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -67,6 +71,14 @@ def test_train_missing_harvester_key_exit_2(tmp_path, capsys):
 
 def test_train_unreadable_config_exit_2(tmp_path):
     assert cli.main(["train", str(tmp_path / "nope.json")]) == 2
+
+
+def test_sweep_non_utf8_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.bin"
+    cfg.write_bytes(NON_UTF8)
+    assert cli.main(["sweep", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "bad.bin" in err and "\n" not in err
 
 
 def test_train_too_few_eval_samples_exit_2(tmp_path, capsys):
@@ -291,6 +303,16 @@ def test_plot_non_finite_csv_exit_3(tmp_path, capsys):
     assert not svg.exists()
 
 
+def test_plot_non_utf8_csv_exit_3(tmp_path, capsys):
+    csv = tmp_path / "bad.bin"
+    csv.write_bytes(NON_UTF8)
+    svg = tmp_path / "bad.svg"
+    assert cli.main(["plot", str(csv), str(svg)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("format error:") and "bad.bin" in err and "\n" not in err
+    assert not svg.exists()
+
+
 def test_plot_empty_csv_exit_3(tmp_path):
     csv = tmp_path / "empty.csv"
     csv.write_text("")
@@ -322,6 +344,6 @@ def test_gradcheck_negative_seed_exit_2(capsys):
     assert len(err) == 1 and err[0].startswith("config error:") and "--seed" in err[0]
 
 
-def test_gradcheck_corrupt_hook_fails(capsys):
-    assert cli.main(["gradcheck", "--configs", "2", "--corrupt"]) == 1
+def test_gradcheck_corrupt_hook_fails(capsys, corrupt_gradients):
+    assert cli.main(["gradcheck", "--configs", "2"]) == 1
     assert "FAIL" in capsys.readouterr().out

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import classical_baseline
 from swiptmod.channel import ROLE_EVAL, sample_noise, substream
-from swiptmod.evaluator import classical_baseline, estimate_ser
+from swiptmod.evaluator import estimate_ser
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import DenseLayer, init_params, mlp_forward, softmax
 from swiptmod.transceiver import EPS_LOG, Constellation

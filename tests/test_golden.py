@@ -23,8 +23,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import classical_baseline
 from swiptmod.channel import ROLE_MISC, sample_noise, substream
-from swiptmod.evaluator import classical_baseline, estimate_ser
+from swiptmod.evaluator import estimate_ser
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import init_params, save_checkpoint
 from swiptmod.trainer import TrainConfig, network_cost, train_run

@@ -14,8 +14,8 @@ def test_gradcheck_small_sample_passes():
     assert lams == {0.0, 1e-4, 1e-2}
 
 
-def test_gradcheck_detects_corrupted_gradient():
-    report = run_gradcheck(num_configs=2, seed=0, corrupt=True)
+def test_gradcheck_detects_corrupted_gradient(corrupt_gradients):
+    report = run_gradcheck(num_configs=2, seed=0)
     assert not report.passed
 
 

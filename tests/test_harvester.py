@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from oracles import model_b_per_symbol, pdel_model_b, pdel_monte_carlo_check
 from swiptmod.channel import ROLE_MISC, substream
-from swiptmod.harvester import (ModelAParams, ModelBParams, model_b_per_symbol,
-                                pdel_exact, pdel_model_b, pdel_monte_carlo_check,
-                                pdel_with_grads)
+from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact, pdel_with_grads
 from swiptmod.transceiver import Constellation
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
@@ -66,7 +65,7 @@ def test_moments_single_real_point():
     c = 0.07
     const = _uniform([c])
     # one point: Qtilde = Q = c^4, so P_del = 2 alpha c^4 + beta c^2
-    p_a, grad = pdel_with_grads(_rows(const.points), MODEL_A)
+    p_a, grad = pdel_with_grads(_rows(const.points), MODEL_A, const.probabilities)
     assert p_a == pytest.approx(2 * MODEL_A.alpha * c ** 4 + MODEL_A.beta * c ** 2,
                                 rel=1e-14)
     assert grad[0, 0] == pytest.approx(8 * MODEL_A.alpha * c ** 3 + 2 * MODEL_A.beta * c,
@@ -78,7 +77,8 @@ def test_moments_single_real_point():
 
 def test_moments_bpsk_symmetry():
     # +-1: odd moments vanish, P = Q = 1, Qtilde = (1 + 6) / 3
-    value, (dr, di) = pdel_with_grads(np.array([[1.0, -1.0], [0.0, 0.0]]), FOURTH)
+    value, (dr, di) = pdel_with_grads(np.array([[1.0, -1.0], [0.0, 0.0]]), FOURTH,
+                                      np.full(2, 0.5))
     assert value == pytest.approx(1 + 7 / 3, rel=1e-15)
     assert dr[0] == -dr[1] and not di.any()
 
@@ -105,9 +105,9 @@ def test_moments_probability_weighted():
 def test_moments_empty_input_rejected():
     for model in (MODEL_A, MODEL_B):
         with pytest.raises(ValueError):
-            pdel_with_grads(np.empty((2, 0)), model)
+            pdel_with_grads(np.empty((2, 0)), model, np.empty(0))
         with pytest.raises(ValueError, match="real rows"):
-            pdel_with_grads(np.array([0.1 + 0.2j, 0.3]), model)
+            pdel_with_grads(np.array([0.1 + 0.2j, 0.3]), model, np.full(2, 0.5))
         with pytest.raises(ValueError):
             pdel_exact(Constellation(points=[], probabilities=[]), model)
 
@@ -122,7 +122,7 @@ def test_q_tilde_single_real_point():
 
 
 def test_q_tilde_zero_constellation():
-    value, grad = pdel_with_grads(np.zeros((2, 4)), FOURTH)
+    value, grad = pdel_with_grads(np.zeros((2, 4)), FOURTH, np.full(4, 0.25))
     assert value == 0.0 and not grad.any()
 
 
@@ -211,8 +211,9 @@ def test_model_b_finite_far_past_saturation_and_at_origin():
     # exp(-|t|) never overflows, so neither end warns or leaves a NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        far, far_grad = pdel_with_grads(np.full((2, 3), np.sqrt(500.0)), MODEL_B)
-        zero, zero_grad = pdel_with_grads(np.zeros((2, 3)), MODEL_B)
+        third = np.full(3, 1.0 / 3)
+        far, far_grad = pdel_with_grads(np.full((2, 3), np.sqrt(500.0)), MODEL_B, third)
+        zero, zero_grad = pdel_with_grads(np.zeros((2, 3)), MODEL_B, third)
     assert far == MODEL_B.ls and not far_grad.any()
     assert zero == 0.0 and not zero_grad.any()
 
@@ -275,7 +276,7 @@ def test_monte_carlo_check_sample_floor():
 def test_pdel_gradients_match_finite_differences(model, scale):
     rng = substream(27, ROLE_MISC)
     pts = scale * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    _, (dr, di) = pdel_with_grads(_rows(pts), model)
+    _, (dr, di) = pdel_with_grads(_rows(pts), model, np.full(6, 1.0 / 6))
     step = 1e-7
 
     def value(re, im):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from mpmath import mp
 
+from oracles import classical_baseline
 from swiptmod.channel import ROLE_MISC, sample_noise, substream
-from swiptmod.evaluator import classical_baseline, estimate_ser
+from swiptmod.evaluator import estimate_ser
 from swiptmod.harvester import ModelAParams
 from swiptmod.nn import DenseLayer, NetworkParams, init_params, mlp_forward
 from swiptmod.trainer import network_cost
