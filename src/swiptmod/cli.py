@@ -30,17 +30,18 @@ EXIT_TRAINING = 4
 OUT_ROOT_ENV = "SWIPTMOD_OUT_ROOT"
 
 
-def _lambda_dirname(lam: float) -> str:
-    return f"lambda_{lam:.6e}"
-
-
 def _out_root(resolved: dict, flag: str | None) -> Path:
-    root = flag or os.environ.get(OUT_ROOT_ENV) or resolved["out_dir"]
-    return Path(root) / resolved["profile"]
+    """<out>/<profile>/, created: an unwritable root fails before training."""
+    root = Path(flag or os.environ.get(OUT_ROOT_ENV) or resolved["out_dir"])
+    root = root / resolved["profile"]
+    root.mkdir(parents=True, exist_ok=True)
+    return root
 
 
-def _write_record(rec: RunRecord, resolved: dict, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_record(rec: RunRecord, resolved: dict, root: Path) -> Path:
+    """The four files of one lambda point, in root/lambda_<value>/."""
+    out_dir = root / f"lambda_{rec.lam:.6e}"
+    out_dir.mkdir(exist_ok=True)
     meta = {
         "lambda": rec.lam,
         "seed": rec.seed,
@@ -60,11 +61,11 @@ def _write_record(rec: RunRecord, resolved: dict, out_dir: Path) -> None:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     write_constellation_csv(rec.constellation, out_dir / "constellation.csv")
-    if rec.params is not None:
-        save_checkpoint(out_dir / "checkpoint.bin", rec.params)
+    save_checkpoint(out_dir / "checkpoint.bin", rec.params)
     write_constellation_svg(rec.constellation, resolved["p_a"],
                             out_dir / "plot.svg",
                             title=f"lambda={rec.lam:g}  M={resolved['M']}")
+    return out_dir
 
 
 def _load_resolved(args, overrides=None) -> dict:
@@ -81,40 +82,34 @@ def cmd_train(args) -> int:
         raise ConfigError(f"--lambda must be finite and >= 0, got {lam}")
     resolved = _load_resolved(args, {"seed": args.seed})
     cfg = cfgmod.train_config_from(resolved)
+    root = _out_root(resolved, args.out)
     rec = multi_restart(cfg, lam, restart_seeds(cfg, 0))
-    out_dir = _out_root(resolved, args.out) / _lambda_dirname(lam)
-    _write_record(rec, resolved, out_dir)
+    out_dir = _write_record(rec, resolved, root)
     print(f"lambda={lam:g} seed={rec.seed} cost={rec.final_cost:.6g} "
           f"ser={rec.ser:.6g} p_del={rec.p_del:.6g} -> {out_dir}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    """Writes each point, then its summary.csv row, as soon as it is chosen."""
     resolved = _load_resolved(args)
     cfg = cfgmod.train_config_from(resolved)
     root = _out_root(resolved, args.out)
-
-    def progress(rec: RunRecord) -> None:
+    summary = root / "summary.csv"
+    lines = ["lambda,seed,final_cost,cross_entropy,ser,p_del,terminal"]
+    for rec in lambda_sweep(cfg):
         print(f"lambda={rec.lam:.6e} cost={rec.final_cost:.6g} "
               f"ser={rec.ser:.6g} p_del={rec.p_del:.6g}", flush=True)
-
-    records = lambda_sweep(cfg, progress=progress)
-    lines = ["lambda,seed,final_cost,cross_entropy,ser,p_del,terminal"]
-    for rec in records:
-        _write_record(rec, resolved, root / _lambda_dirname(rec.lam))
+        _write_record(rec, resolved, root)
         lines.append(f"{rec.lam:.17g},{rec.seed},{rec.final_cost:.17g},"
                      f"{rec.cross_entropy:.17g},{rec.ser:.17g},"
                      f"{rec.p_del:.17g},{int(rec.terminal)}")
-    root.mkdir(parents=True, exist_ok=True)
-    with open(root / "summary.csv", "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    print(f"sweep: {len(records)} lambda points -> {root / 'summary.csv'}")
+        # renamed over the old file, so a kill leaves the old rows or the new
+        tmp = root / "summary.csv.tmp"
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, summary)
+    print(f"sweep: {len(lines) - 1} lambda points -> {summary}")
     return EXIT_OK
-
-
-def _unusable_checkpoint(path, exc: Exception) -> int:
-    print(f"unusable checkpoint {path}: {exc}", file=sys.stderr)
-    return EXIT_TRAINING
 
 
 def cmd_eval(args) -> int:
@@ -139,7 +134,8 @@ def cmd_eval(args) -> int:
         report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
                               seed=args.seed)
     except (FloatingPointError, DegenerateEncoderError) as exc:
-        return _unusable_checkpoint(args.checkpoint, exc)
+        print(f"unusable checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
     payload = {
         "ser": report.ser,
         "ser_stderr": report.ser_stderr,

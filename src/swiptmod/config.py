@@ -16,7 +16,7 @@ import math
 from dataclasses import fields
 
 from .harvester import ModelAParams, ModelBParams
-from .trainer import PROFILES, TrainConfig
+from .trainer import PROFILES, TrainConfig, profile_sizes
 
 
 class ConfigError(Exception):
@@ -25,8 +25,8 @@ class ConfigError(Exception):
 
 _DEFAULT = {f.name: f.default for f in fields(TrainConfig)}
 
-# key -> (type, default or None); the epochs, restarts and per-M sizes left
-# unset come from the selected profile in trainer.PROFILES
+# key -> (type, default or None); the epochs, restarts and sizes left unset
+# come from trainer.profile_sizes of the selected profile
 SCHEMA = {
     "profile": (str, "desk"),
     "M": (int, 16),
@@ -105,17 +105,9 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
             raise ConfigError(f"missing required config key for harvester "
                               f"model {model}: harvester.{f.name}")
 
-    profile = PROFILES[out["profile"]]
-    m = out["M"]
-    for key, per_m in (("minibatch_size", "minibatch_per_m"),
-                       ("train_set_size", "train_per_m"),
-                       ("eval_samples", "eval_per_m")):
+    for key, size in profile_sizes(out["profile"], out["M"]).items():
         if out[key] is None:
-            out[key] = profile[per_m] * m
-    if out["epochs"] is None:
-        out["epochs"] = profile["epochs"]
-    if out["restarts"] is None:
-        out["restarts"] = profile["restarts"]
+            out[key] = size
     return out
 
 

@@ -11,7 +11,7 @@ from .channel import ROLE_EVAL, sample_noise, substream
 from .nn import DenseLayer, scratch
 from .transceiver import EPS_LOG, Constellation, decode
 
-DEFAULT_BLOCK = 1 << 16
+BLOCK_SIZE = 1 << 16   # samples per RNG block, each with its own substream
 MIN_SAMPLES = 1_000
 _TILE = 1 << 13   # samples per compute tile: its (M, tile) buffers stay in cache
 
@@ -35,21 +35,20 @@ def _first_match(a: np.ndarray, extreme: np.ndarray, out: np.ndarray,
 
 def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
                  sigma2: float, num_samples: int, seed: int,
-                 block_size: int = DEFAULT_BLOCK, num_shards: int = 1) -> EvalReport:
+                 num_shards: int = 1) -> EvalReport:
     """Monte-Carlo symbol error rate over the AWGN channel.
 
-    Messages are drawn uniformly. Noise comes from fixed-size blocks, each
-    with its own (seed, ROLE_EVAL, block) substream, so the result does not
-    depend on how blocks are distributed over shards (error counts are merged
-    by summation). decoder=None selects minimum-distance detection. Each
-    block is detected in column tiles of _TILE samples whose buffers, like
-    the block's, belong to one workspace per call.
+    Messages are drawn uniformly. Noise comes from blocks of BLOCK_SIZE
+    samples, each with its own (seed, ROLE_EVAL, block) substream, so the
+    result does not depend on how blocks are distributed over shards (error
+    counts are merged by summation). decoder=None selects minimum-distance
+    detection. Each block is detected in column tiles of _TILE samples whose
+    buffers, like the block's, belong to one workspace per call.
     """
     if num_samples < MIN_SAMPLES:
         raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
-    if block_size < 1 or num_shards < 1:
-        raise ValueError(f"block_size and num_shards must be >= 1, "
-                         f"got {block_size} and {num_shards}")
+    if num_shards < 1:
+        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     points = constellation.points
@@ -57,15 +56,15 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
         raise ValueError("non-finite constellation points")
     m = constellation.size
     pr, pi = points.real, points.imag
-    num_blocks = (num_samples + block_size - 1) // block_size
-    cap = min(block_size, num_samples)
+    num_blocks = (num_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
+    cap = min(BLOCK_SIZE, num_samples)
     y, s_hat, picked = np.empty((2, cap)), np.empty(cap, np.int64), np.empty(cap)
     cols = np.arange(min(_TILE, cap))
     tiles = {}   # tile width -> its buffers, so a short tail keeps the full ones
     shard_errors = np.zeros(num_shards, dtype=np.int64)
     ce_sum = 0.0
     for blk in range(num_blocks):
-        n = min(block_size, num_samples - blk * block_size)
+        n = min(BLOCK_SIZE, num_samples - blk * BLOCK_SIZE)
         rng = substream(seed, ROLE_EVAL, blk)
         s = rng.integers(0, m, size=n)
         noise = sample_noise(n, sigma2, rng)

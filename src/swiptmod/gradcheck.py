@@ -57,12 +57,10 @@ class GradcheckReport:
 
 
 def _block_names(params: NetworkParams) -> list[str]:
-    names = []
-    for side, layers in (("enc", params.encoder), ("dec", params.decoder)):
-        for i in range(len(layers)):
-            names.append(f"{side}{i}.W")
-            names.append(f"{side}{i}.b")
-    return names
+    """Block names in params.arrays() order: enc0.W, enc0.b, enc1.W, ..."""
+    return [f"{side}{i}.{ab}"
+            for side, layers in (("enc", params.encoder), ("dec", params.decoder))
+            for i in range(len(layers)) for ab in "Wb"]
 
 
 def _rel_errors(analytic: np.ndarray, numeric: np.ndarray,
@@ -130,25 +128,21 @@ def check_one(model, p_a, lam, m, seed) -> dict[str, float] | None:
             or info["degenerate"]):
         return None
 
-    floor = _denominator_floor(cost)
-    blocks = {}
-    for name, arr, grad in zip(_block_names(params), params.arrays(),
-                               params.views(grads)):
-        numeric = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        nflat = numeric.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + STEP
-            up, _, _ = network_cost(params, msgs, noise, p_a, lam, model,
-                                    want_grads=False)
-            flat[j] = orig - STEP
-            dn, _, _ = network_cost(params, msgs, noise, p_a, lam, model,
-                                    want_grads=False)
-            flat[j] = orig
-            nflat[j] = (up - dn) / (2.0 * STEP)
-        blocks[name] = float(_rel_errors(grad, numeric, floor).max())
-    return blocks
+    flat = params.flat
+    numeric = np.empty_like(flat)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + STEP
+        up, _, _ = network_cost(params, msgs, noise, p_a, lam, model,
+                                want_grads=False)
+        flat[j] = orig - STEP
+        dn, _, _ = network_cost(params, msgs, noise, p_a, lam, model,
+                                want_grads=False)
+        flat[j] = orig
+        numeric[j] = (up - dn) / (2.0 * STEP)
+    errors = _rel_errors(grads, numeric, _denominator_floor(cost))
+    return {name: float(err.max())
+            for name, err in zip(_block_names(params), params.views(errors))}
 
 
 def run_gradcheck(num_configs: int = 20, seed: int = 0) -> GradcheckReport:

@@ -9,6 +9,7 @@ backpropagation.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,34 +29,40 @@ class TrainingFailure(Exception):
     """All restarts diverged (non-finite cost)."""
 
 
-# Scale defaults of the two profiles, the sizes per message. TrainConfig
-# fills unset sizes from the desk row; config.resolve from the row its
-# `profile` key names.
+# Scale defaults of the two profiles, by TrainConfig field; the three sizes
+# are per message. TrainConfig fills its unset ones from the desk row,
+# config.resolve from the row its `profile` key names.
 PROFILES = {
-    "desk": {"epochs": 1000, "restarts": 10, "minibatch_per_m": 100,
-             "train_per_m": 10_000, "eval_per_m": 100_000},
-    "paper": {"epochs": 5000, "restarts": 100, "minibatch_per_m": 1000,
-              "train_per_m": 100_000, "eval_per_m": 5_000_000},
+    "desk": {"epochs": 1000, "restarts": 10, "minibatch_size": 100,
+             "train_set_size": 10_000, "eval_samples": 100_000},
+    "paper": {"epochs": 5000, "restarts": 100, "minibatch_size": 1000,
+              "train_set_size": 100_000, "eval_samples": 5_000_000},
 }
-DESK = PROFILES["desk"]
+_PER_M = ("minibatch_size", "train_set_size", "eval_samples")
+
+
+def profile_sizes(profile: str, m: int) -> dict:
+    """A profile's epochs, restarts and sizes for M messages, by field."""
+    return {k: v * m if k in _PER_M else v for k, v in PROFILES[profile].items()}
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Training constants, complete and checked once, when built.
 
-    Sizes and hidden widths left as None are filled from the desk profile;
-    a value outside its domain raises ValueError naming the field.
+    Epochs, restarts and sizes left as None are filled from the desk profile,
+    hidden widths with (2M,); a value outside its domain raises ValueError
+    naming the field.
     """
     m: int
     p_a: float
     snr: float
     harvester: HarvesterModel
-    epochs: int = DESK["epochs"]
-    minibatch_size: int | None = None     # default minibatch_per_m * M
-    train_set_size: int | None = None     # default train_per_m * M
+    epochs: int | None = None             # default: the desk profile's
+    minibatch_size: int | None = None     # default: the desk profile's, times M
+    train_set_size: int | None = None     # default: the desk profile's, times M
     learning_rate: float = 0.01
-    restarts: int = DESK["restarts"]
+    restarts: int | None = None           # default: the desk profile's
     lambda_start: float = 1e-5
     lambda_factor: float = 2.0
     lambda_max_points: int = 12
@@ -63,16 +70,14 @@ class TrainConfig:
     seed: int = 0
     encoder_hidden: tuple[int, ...] | None = None   # default (2M,)
     decoder_hidden: tuple[int, ...] | None = None   # default (2M,)
-    eval_samples: int | None = None       # default eval_per_m * M
+    eval_samples: int | None = None       # default: the desk profile's, times M
     noise_variance: float | None = None   # explicit sigma^2 override
 
     def __post_init__(self):
         m = self.m
-        for name, per_m in (("minibatch_size", "minibatch_per_m"),
-                            ("train_set_size", "train_per_m"),
-                            ("eval_samples", "eval_per_m")):
+        for name, size in profile_sizes("desk", m).items():
             if getattr(self, name) is None:
-                object.__setattr__(self, name, DESK[per_m] * m)
+                object.__setattr__(self, name, size)
         for name in ("encoder_hidden", "decoder_hidden"):
             ws = getattr(self, name)
             object.__setattr__(self, name, (2 * m,) if ws is None else tuple(ws))
@@ -314,18 +319,13 @@ def restart_seeds(cfg: TrainConfig, lam_index: int) -> list[int]:
     return [derive_seed(cfg.seed, lam_index, r) for r in range(cfg.restarts)]
 
 
-def lambda_sweep(cfg: TrainConfig, progress=None) -> list[RunRecord]:
-    """Sweep lambda upward until SER exceeds ser_max or the schedule ends.
-
-    The violating record is retained and marked terminal.
-    """
-    records = []
+def lambda_sweep(cfg: TrainConfig) -> Iterator[RunRecord]:
+    """Yield each lambda point's best-of-restarts record, in schedule order,
+    until one's SER exceeds ser_max: that record is marked terminal and is
+    the last one."""
     for k, lam in enumerate(lambda_schedule(cfg)):
         rec = multi_restart(cfg, lam, restart_seeds(cfg, k))
-        records.append(rec)
-        if progress is not None:
-            progress(rec)
-        if rec.ser > cfg.ser_max:
-            rec.terminal = True
-            break
-    return records
+        rec.terminal = rec.ser > cfg.ser_max
+        yield rec
+        if rec.terminal:
+            return

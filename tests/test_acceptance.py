@@ -43,12 +43,12 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def sweep_a():
-    return lambda_sweep(SWEEP_A_CFG)
+    return list(lambda_sweep(SWEEP_A_CFG))
 
 
 @pytest.fixture(scope="module")
 def sweep_b():
-    return lambda_sweep(SWEEP_B_CFG)
+    return list(lambda_sweep(SWEEP_B_CFG))
 
 
 def test_criterion_1_gradient_integrity():

@@ -184,6 +184,50 @@ def test_nan_after_last_step_is_failed_and_sweep_exits_4(tmp_path, monkeypatch,
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_unwritable_out_exit_3_before_training(tmp_path, monkeypatch, capsys,
+                                               command):
+    def no_training(*args):
+        raise AssertionError("trained before checking the output root")
+    monkeypatch.setattr("swiptmod.cli.multi_restart", no_training)
+    monkeypatch.setattr("swiptmod.trainer.multi_restart", no_training)
+    cfg = _write_cfg(tmp_path, TINY_A)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert cli.main([command, cfg, "--out", str(blocker / "o")]) == 3
+    out, err = capsys.readouterr()
+    assert "lambda=" not in out
+    assert err.startswith("i/o error:")
+
+
+def test_sweep_failure_keeps_finished_points(tmp_path, monkeypatch, capsys):
+    # the second lambda point fails: the first keeps its files and its row
+    cfg = _write_cfg(tmp_path, TINY_A)
+    full, out = tmp_path / "full", tmp_path / "s"
+    assert cli.main(["sweep", cfg, "--out", str(full)]) == 0
+    multi_restart = trainer.multi_restart
+    calls = []
+
+    def fail_second(cfg, lam, seeds):
+        calls.append(lam)
+        if len(calls) == 2:
+            raise trainer.TrainingFailure(f"all restarts diverged at lambda={lam}")
+        return multi_restart(cfg, lam, seeds)
+    monkeypatch.setattr("swiptmod.trainer.multi_restart", fail_second)
+    capsys.readouterr()
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 4
+    assert capsys.readouterr().out.count("lambda=") == 1
+    for name in ("meta.json", "constellation.csv", "checkpoint.bin", "plot.svg"):
+        assert (_run_dir(out) / name).read_bytes() == \
+            (_run_dir(full) / name).read_bytes()
+    assert not _run_dir(out, 1e-4).exists()
+    rows = (out / "desk" / "summary.csv").read_text().splitlines()
+    assert len(rows) == 2
+    assert rows == (full / "desk" / "summary.csv").read_text().splitlines()[:2]
+    assert sorted(p.name for p in (out / "desk").iterdir()) == \
+        [_run_dir(out).name, "summary.csv"]
+
+
 # ---------------------------------------------------------------------------
 # eval
 # ---------------------------------------------------------------------------

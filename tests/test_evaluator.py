@@ -42,13 +42,14 @@ def test_estimate_ser_nn_ties_go_to_lowest_index():
     assert report.cross_entropy == pytest.approx(np.log(4), rel=1e-15)
 
 
-def test_estimate_ser_nn_matches_per_sample_reference():
+def test_estimate_ser_nn_matches_per_sample_reference(monkeypatch):
+    monkeypatch.setattr("swiptmod.evaluator.BLOCK_SIZE", 1024)
     const = classical_baseline("QAM", 4, 0.01)
     decoder = init_params([4, 8, 2], [2, 8, 4], seed=3).decoder
     decoder[0].weights *= 30.0   # a decoder that is right on most samples
     before = [a.copy() for l in decoder for a in (l.weights, l.biases)]
     points = const.points.copy()
-    report = estimate_ser(const, decoder, 2e-3, 2500, seed=5, block_size=1024)
+    report = estimate_ser(const, decoder, 2e-3, 2500, seed=5)
     errors, ce = 0, 0.0
     for blk, n in enumerate((1024, 1024, 452)):
         rng = substream(5, ROLE_EVAL, blk)
@@ -177,16 +178,15 @@ def test_estimate_ser_sample_floor():
         estimate_ser(const, None, 0.1, 500, seed=0)
 
 
-@pytest.mark.parametrize("kw", [{"block_size": 0}, {"block_size": -5},
-                                {"num_shards": 0}, {"num_shards": -1}])
-def test_estimate_ser_rejects_bad_block_size_and_shards(kw, monkeypatch):
+@pytest.mark.parametrize("num_shards", [0, -1])
+def test_estimate_ser_rejects_bad_num_shards(num_shards, monkeypatch):
     const = classical_baseline("QAM", 4, 1.0)
 
     def no_draw(*args):
         raise AssertionError("drew samples before checking its arguments")
     monkeypatch.setattr("swiptmod.evaluator.substream", no_draw)
-    with pytest.raises(ValueError, match="block_size and num_shards"):
-        estimate_ser(const, None, 0.1, 1000, seed=0, **kw)
+    with pytest.raises(ValueError, match="num_shards must be >= 1"):
+        estimate_ser(const, None, 0.1, 1000, seed=0, num_shards=num_shards)
 
 
 def test_pdel_exact_zero_constellation():

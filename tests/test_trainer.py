@@ -316,7 +316,7 @@ def test_lambda_sweep_stop_rule(monkeypatch):
                          p_del=0.01, cross_entropy=1.0, constellation=None)
     monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
     cfg = _tiny_cfg(lambda_max_points=4, ser_max=0.95)
-    records = lambda_sweep(cfg)
+    records = list(lambda_sweep(cfg))
     assert len(records) == 3  # stops at the violating record
     assert records[-1].terminal
     assert sum(r.ser > 0.95 for r in records) == 1
@@ -328,7 +328,7 @@ def test_lambda_sweep_runs_full_schedule(monkeypatch):
                          p_del=0.01, cross_entropy=1.0, constellation=None)
     monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
     cfg = _tiny_cfg(lambda_max_points=4)
-    records = lambda_sweep(cfg)
+    records = list(lambda_sweep(cfg))
     assert [r.lam for r in records] == lambda_schedule(cfg)
     assert not records[-1].terminal
 
