@@ -32,8 +32,14 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def sample_noise(num: int, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """(num, 2) array of real/imag noise components, variance sigma2/2 each."""
+def sample_noise(num: int, sigma2: float, rng: np.random.Generator,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """(num, 2) array of real/imag noise components, variance sigma2/2 each,
+    drawn into `out` if given; draws in chunks give the numbers of one draw."""
+    out = np.empty((num, 2)) if out is None else out
     if sigma2 == 0.0:
-        return np.zeros((num, 2))
-    return rng.normal(0.0, np.sqrt(sigma2 / 2.0), size=(num, 2))
+        out.fill(0.0)
+        return out
+    rng.standard_normal(out=out)
+    out *= np.sqrt(sigma2 / 2.0)
+    return out

@@ -97,10 +97,11 @@ def cmd_sweep(args) -> int:
     root = _out_root(resolved, args.out)
     summary = root / "summary.csv"
     lines = ["lambda,seed,final_cost,cross_entropy,ser,p_del,terminal"]
+    written = set()
     for rec in lambda_sweep(cfg):
         print(f"lambda={rec.lam:.6e} cost={rec.final_cost:.6g} "
               f"ser={rec.ser:.6g} p_del={rec.p_del:.6g}", flush=True)
-        _write_record(rec, resolved, root)
+        written.add(_write_record(rec, resolved, root).name)
         lines.append(f"{rec.lam:.17g},{rec.seed},{rec.final_cost:.17g},"
                      f"{rec.cross_entropy:.17g},{rec.ser:.17g},"
                      f"{rec.p_del:.17g},{int(rec.terminal)}")
@@ -109,6 +110,10 @@ def cmd_sweep(args) -> int:
         tmp.write_text("\n".join(lines) + "\n")
         os.replace(tmp, summary)
     print(f"sweep: {len(lines) - 1} lambda points -> {summary}")
+    stale = sorted(p.name for p in root.glob("lambda_*") if p.name not in written)
+    if stale:   # left by an earlier run into the same root; kept, not listed
+        print(f"sweep: {root} also holds {' '.join(stale)} from an earlier run, "
+              f"which {summary.name} does not list", file=sys.stderr)
     return EXIT_OK
 
 

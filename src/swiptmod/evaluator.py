@@ -14,6 +14,8 @@ from .transceiver import EPS_LOG, Constellation, decode
 BLOCK_SIZE = 1 << 16   # samples per RNG block, each with its own substream
 MIN_SAMPLES = 1_000
 _TILE = 1 << 13   # samples per compute tile: its (M, tile) buffers stay in cache
+_COLS = np.arange(_TILE)
+_WS = {}   # estimate_ser's buffers; kept between calls, so no call re-faults them
 
 
 @dataclass
@@ -42,8 +44,9 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     samples, each with its own (seed, ROLE_EVAL, block) substream, so the
     result does not depend on how blocks are distributed over shards (error
     counts are merged by summation). decoder=None selects minimum-distance
-    detection. Each block is detected in column tiles of _TILE samples whose
-    buffers, like the block's, belong to one workspace per call.
+    detection. Each block's messages are drawn whole; its noise is drawn and
+    detected in column tiles of _TILE samples. Every buffer lives in the
+    module workspace _WS, kept from call to call, so this is not thread-safe.
     """
     if num_samples < MIN_SAMPLES:
         raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
@@ -57,40 +60,41 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     m = constellation.size
     pr, pi = points.real, points.imag
     num_blocks = (num_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
-    cap = min(BLOCK_SIZE, num_samples)
-    y, s_hat, picked = np.empty((2, cap)), np.empty(cap, np.int64), np.empty(cap)
-    cols = np.arange(min(_TILE, cap))
-    tiles = {}   # tile width -> its buffers, so a short tail keeps the full ones
+    ws = _WS   # kept from call to call
     shard_errors = np.zeros(num_shards, dtype=np.int64)
     ce_sum = 0.0
     for blk in range(num_blocks):
         n = min(BLOCK_SIZE, num_samples - blk * BLOCK_SIZE)
         rng = substream(seed, ROLE_EVAL, blk)
         s = rng.integers(0, m, size=n)
-        noise = sample_noise(n, sigma2, rng)
-        for row, part in enumerate((pr, pi)):
-            np.take(part, s, out=y[row, :n], mode="clip")
-            y[row, :n] += noise[:, row]
+        picked = scratch(ws, "picked", (n,)) if decoder is not None else None
+        shard = blk % num_shards
         for t0 in range(0, n, _TILE):
             w = min(_TILE, n - t0)
-            ws, yt = tiles.setdefault(w, {}), y[:, t0:t0 + w]
+            st = s[t0:t0 + w]
+            noise = sample_noise(w, sigma2, rng, out=scratch(ws, "noise", (w, 2)))
+            y = scratch(ws, "y", (2, w))
+            for row, part in enumerate((pr, pi)):
+                np.take(part, st, out=y[row], mode="clip")
+                y[row] += noise[:, row]
             if decoder is None:
-                a = np.subtract(yt[0], pr[:, None], out=scratch(ws, "d2", (m, w)))
+                a = np.subtract(y[0], pr[:, None], out=scratch(ws, "d2", (m, w)))
                 np.square(a, out=a)
-                d = np.subtract(yt[1], pi[:, None], out=scratch(ws, "d", (m, w)))
+                d = np.subtract(y[1], pi[:, None], out=scratch(ws, "d", (m, w)))
                 a += np.square(d, out=d)
                 top = a.min(axis=0, out=scratch(ws, "top", (w,)))
             else:
-                a = decode(decoder, yt, ws)
+                a = decode(decoder, y, ws)
                 top = a.max(axis=0, out=scratch(ws, "top", (w,)))
-                idx = np.multiply(s[t0:t0 + w], w, out=scratch(ws, "idx", (w,), np.int64))
-                idx += cols[:w]
+                idx = np.multiply(st, w, out=scratch(ws, "idx", (w,), np.int64))
+                idx += _COLS[:w]
                 np.take(a.reshape(-1), idx, out=picked[t0:t0 + w], mode="clip")
-            _first_match(a, top, s_hat[t0:t0 + w], scratch(ws, "mask", (w,), bool))
+            s_hat = scratch(ws, "s_hat", (w,), np.int64)
+            _first_match(a, top, s_hat, mask := scratch(ws, "mask", (w,), bool))
+            shard_errors[shard] += np.count_nonzero(np.not_equal(s_hat, st, out=mask))
         if decoder is not None:   # one sum per block keeps the summation order
-            p = picked[:n]
-            ce_sum -= float(np.log(np.maximum(p, EPS_LOG, out=p), out=p).sum())
-        shard_errors[blk % num_shards] += int(np.count_nonzero(s_hat[:n] != s))
+            p = np.maximum(picked, EPS_LOG, out=picked)
+            ce_sum -= float(np.log(p, out=p).sum())
     errors = int(shard_errors.sum())
     ser = errors / num_samples
     stderr = math.sqrt(ser * (1.0 - ser) / num_samples)

@@ -10,6 +10,7 @@ checkpoint format. Everything is float64 and deterministic given its inputs.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -76,13 +77,18 @@ class NetworkParams:
 
 
 def scratch(ws: dict | None, key, shape, dtype=float) -> np.ndarray | None:
-    """Workspace buffer `key`, remade when its shape changes; None without a
-    workspace, so `out=scratch(...)` lets NumPy allocate on the same line."""
+    """Workspace buffer `key` shaped `shape`: a view of the key's one flat buffer,
+    grown to the largest size asked for. None without a workspace, so
+    `out=scratch(...)` lets NumPy allocate on the same line."""
     if ws is None:
         return None
     buf = ws.get(key)
     if buf is None or buf.shape != shape:
-        buf = ws[key] = np.empty(shape, dtype)
+        size = math.prod(shape)
+        flat = None if buf is None else buf.base   # the view's flat owner
+        if flat is None or flat.size < size or flat.dtype != dtype:
+            flat = np.empty(size, dtype)
+        buf = ws[key] = flat[:size].reshape(shape)
     return buf
 
 

@@ -23,6 +23,7 @@ from .transceiver import (EPS_LOG, Constellation, DegenerateEncoderError,
                           export_constellation, normalize_power)
 
 EPS_PDEL = 1e-12   # clamp on P_del inside the cost
+_DRAW_CHUNK = 1 << 14   # samples drawn at once: the same numbers as per minibatch
 
 
 class TrainingFailure(Exception):
@@ -259,7 +260,9 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     state = AdamState.for_params(params, cfg.learning_rate)
     data_rng = substream(seed, ROLE_DATA)
     noise_rng = substream(seed, ROLE_NOISE)
-    steps_per_epoch = max(1, cfg.train_set_size // cfg.minibatch_size)
+    batch = cfg.minibatch_size
+    steps = cfg.epochs * max(1, cfg.train_set_size // batch)
+    per_draw = max(1, _DRAW_CHUNK // batch)
     max_power_err = 0.0
     failed = RunRecord(lam=lam, seed=seed, final_cost=math.nan, ser=1.0,
                        p_del=math.nan, cross_entropy=math.nan,
@@ -268,10 +271,11 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
 
     # divergence shows as a non-finite cost or as softmax rejecting its logits
     try:
-        for _ in range(cfg.epochs):
-            for _ in range(steps_per_epoch):
-                msgs = data_rng.integers(0, cfg.m, size=cfg.minibatch_size)
-                noise = sample_noise(cfg.minibatch_size, sigma2, noise_rng)
+        for first in range(0, steps, per_draw):
+            k = min(per_draw, steps - first)
+            msgs_k = data_rng.integers(0, cfg.m, size=(k, batch))
+            noise_k = sample_noise(k * batch, sigma2, noise_rng).reshape(k, batch, 2)
+            for msgs, noise in zip(msgs_k, noise_k):
                 cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
                                                  lam, cfg.harvester, ws=ws)
                 if not math.isfinite(cost):
@@ -280,7 +284,7 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                     max_power_err = max(max_power_err,
                                         abs(info["batch_power"] - cfg.p_a))
                 adam_step(params.flat, grads, state)
-        ws.clear()   # released before the evaluation's own large blocks
+        ws.clear()   # the step buffers are not needed by the evaluation
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
         report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
                               seed=seed)

@@ -149,6 +149,25 @@ def test_sweep_summary_and_rerun_identical(tmp_path):
             (_run_dir(out2, lam) / "constellation.csv").read_bytes()
 
 
+def test_sweep_names_stale_points_from_an_earlier_run(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, TINY_A)
+    out = tmp_path / "s"
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 0
+    first = capsys.readouterr()
+    assert first.err == ""
+    summary = out / "desk" / "summary.csv"
+    before = summary.read_bytes()
+    stale = out / "desk" / "lambda_9.000000e+09"
+    stale.mkdir()
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 0
+    second = capsys.readouterr()
+    assert second.out == first.out
+    assert len(second.err.splitlines()) == 1
+    assert "lambda_9.000000e+09" in second.err and "summary.csv" in second.err
+    assert "lambda_0.000000e+00" not in second.err
+    assert stale.is_dir() and summary.read_bytes() == before
+
+
 def test_diverged_restarts_are_failed_and_sweep_exits_4(tmp_path, monkeypatch,
                                                          capsys):
     # a NaN decoder weight makes every logit non-finite on the first step

@@ -128,6 +128,45 @@ def test_estimate_ser_memory_stays_tile_sized(ml):
     assert peak < 16e6   # the full-block evaluator peaked at 55.6 MB (NN) and 20.4 MB (ML)
 
 
+def test_estimate_ser_does_not_depend_on_earlier_calls(monkeypatch):
+    n = (1 << 16) + 2 * 8192 + 37   # a full block, full tiles and a short tail
+    const = classical_baseline("QAM", 16, 0.01)
+    decoder = init_params([16, 32, 2], [2, 32, 16], seed=16).decoder
+    for layer in decoder:
+        layer.weights *= 20.0
+    # leave other shapes in the workspace first: M=8 NN, ML, a 1,000-sample call
+    estimate_ser(classical_baseline("PSK", 8, 0.01),
+                 init_params([8, 16, 2], [2, 16, 8], seed=8).decoder, 1e-3, 80_000, seed=1)
+    estimate_ser(const, None, 3e-4, 20_000, seed=2)
+    estimate_ser(const, decoder, 3e-4, 1_000, seed=3)
+    warm = [estimate_ser(const, d, 3e-4, n, seed=7) for d in (decoder, None)]
+    for d, w in zip((decoder, None), warm):
+        monkeypatch.setattr("swiptmod.evaluator._WS", {})   # each cold call alone
+        c = estimate_ser(const, d, 3e-4, n, seed=7)
+        assert w.ser.hex() == c.ser.hex() and 0.0 < c.ser < 1.0
+        assert w.cross_entropy.hex() == c.cross_entropy.hex()
+    assert np.isfinite(warm[0].cross_entropy)
+
+
+@pytest.mark.parametrize("ml", [False, True])
+def test_estimate_ser_warm_workspace_allocates_little(ml, monkeypatch):
+    monkeypatch.setattr("swiptmod.evaluator._WS", {})
+    const = classical_baseline("QAM", 16, 0.01)
+    decoder = None if ml else init_params([16, 32, 2], [2, 32, 16], seed=1).decoder
+
+    def peak():
+        tracemalloc.start()
+        try:
+            estimate_ser(const, decoder, 1e-3, 1 << 17, seed=0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    cold, warm = peak(), peak()
+    # a (2^16,) block of messages is 0.5 MB; the cold NN call also fills the
+    # (32, 8192) decoder buffers, 2 MB each
+    assert warm < 1.5e6 and warm < cold / 2
+
+
 @pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])
 @pytest.mark.parametrize("ml", [False, True])
 def test_estimate_ser_rejects_bad_noise_variance(sigma2, ml):

@@ -8,8 +8,8 @@ from mpmath import mp
 
 from swiptmod.nn import (ADAM_EPS, AdamState, CheckpointFormatError, DenseLayer,
                          NetworkParams, adam_step, init_params, load_checkpoint,
-                         mlp_backward, mlp_forward, save_checkpoint, softmax,
-                         xavier_uniform)
+                         mlp_backward, mlp_forward, save_checkpoint, scratch,
+                         softmax, xavier_uniform)
 from swiptmod.channel import substream
 from swiptmod.transceiver import decode
 
@@ -131,6 +131,26 @@ def test_forward_softmax_head_in_place_and_workspace_reuse():
     mlp_backward(layers, zs_ws, post, out - 0.25, grads, {}, "dec")
     mlp_backward(layers, zs, post, out - 0.25, ref)
     assert all(np.array_equal(a, b) for a, b in zip(grads, ref))
+
+
+def test_scratch_shapes_of_one_key_share_a_growing_buffer():
+    assert scratch(None, "k", (2, 3)) is None
+    ws = {}
+    full = scratch(ws, "k", (4, 8))
+    tail = scratch(ws, "k", (4, 5))   # a short tail tile reuses the full one
+    assert np.shares_memory(full, tail)
+    assert scratch(ws, "k", (4, 5)) is tail   # cached while the shape stays
+    assert np.shares_memory(scratch(ws, "k", (4, 8)), tail)
+    grown = scratch(ws, "k", (6, 8))   # larger than any before: a new buffer
+    assert not np.shares_memory(grown, full)
+    assert np.shares_memory(scratch(ws, "k", (4, 8)), grown)
+    ints = scratch(ws, "i", (3, 7), np.int64)
+    mask = scratch(ws, "m", (5,), bool)
+    assert not np.shares_memory(ints, grown) and not np.shares_memory(mask, grown)
+    for buf, shape, dtype in ((tail, (4, 5), np.float64), (grown, (6, 8), np.float64),
+                              (ints, (3, 7), np.int64), (mask, (5,), np.bool_)):
+        assert type(buf) is np.ndarray and buf.flags.c_contiguous
+        assert buf.shape == shape and buf.dtype == dtype
 
 
 def test_softmax_normalizes_columns_and_leaves_input_unchanged():

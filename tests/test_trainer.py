@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from swiptmod.channel import ROLE_MISC, sample_noise, substream
+from swiptmod.channel import ROLE_DATA, ROLE_MISC, ROLE_NOISE, sample_noise, substream
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import init_params
 from swiptmod.trainer import (EPS_PDEL, RunRecord, TrainConfig, TrainingFailure,
@@ -228,6 +228,35 @@ def test_train_run_deterministic():
     assert r1.ser == r2.ser
     assert r1.p_del == r2.p_del
     assert np.array_equal(r1.constellation.points, r2.constellation.points)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 16])
+@pytest.mark.parametrize("batch", [1, 7, 400])
+def test_chunked_draws_equal_per_step_draws(m, batch):
+    # train_run draws several minibatches' messages and noise at once
+    sigma2, chunks = 2e-5, (3, 1, 2)
+    data, noise = substream(9, ROLE_DATA), substream(9, ROLE_NOISE)
+    msgs = np.concatenate([data.integers(0, m, size=(k, batch)) for k in chunks])
+    noises = np.concatenate([sample_noise(k * batch, sigma2, noise).reshape(k, batch, 2)
+                             for k in chunks])
+    data, noise = substream(9, ROLE_DATA), substream(9, ROLE_NOISE)
+    normal = substream(9, ROLE_NOISE)   # rng.normal gives the same bits
+    for step in range(sum(chunks)):
+        assert data.integers(0, m, size=batch).tobytes() == msgs[step].tobytes()
+        assert sample_noise(batch, sigma2, noise).tobytes() == noises[step].tobytes()
+        assert normal.normal(0.0, np.sqrt(sigma2 / 2.0), size=(batch, 2)).tobytes() \
+            == noises[step].tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 14, 21])
+def test_train_run_does_not_depend_on_the_draw_chunk(chunk, monkeypatch):
+    cfg = _tiny_cfg(m=5, epochs=10, minibatch_size=7, train_set_size=21)
+    ref = train_run(cfg, 1e-4, seed=3)   # 30 steps, drawn in one chunk
+    monkeypatch.setattr("swiptmod.trainer._DRAW_CHUNK", chunk)
+    rec = train_run(cfg, 1e-4, seed=3)
+    assert rec.params.flat.tobytes() == ref.params.flat.tobytes()
+    assert (rec.final_cost, rec.ser, rec.max_power_err) == \
+        (ref.final_cost, ref.ser, ref.max_power_err)
 
 
 def test_train_run_improves_over_initialization():
