@@ -27,13 +27,10 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_TRAINING = 4
 
-OUT_ROOT_ENV = "SWIPTMOD_OUT_ROOT"
-
 
 def _out_root(resolved: dict, flag: str | None) -> Path:
     """<out>/<profile>/, created: an unwritable root fails before training."""
-    root = Path(flag or os.environ.get(OUT_ROOT_ENV) or resolved["out_dir"])
-    root = root / resolved["profile"]
+    root = Path(flag or resolved["out_dir"]) / resolved["profile"]
     root.mkdir(parents=True, exist_ok=True)
     return root
 
@@ -149,11 +146,7 @@ def cmd_eval(args) -> int:
         "num_samples": report.num_samples,
         "cross_entropy": report.cross_entropy,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -205,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
     p.add_argument("--paper-scale", action="store_true")
     p.set_defaults(func=cmd_eval)
 

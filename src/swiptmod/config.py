@@ -24,6 +24,7 @@ class ConfigError(Exception):
 
 
 _DEFAULT = {f.name: f.default for f in fields(TrainConfig)}
+_MODELS = {"A": ModelAParams, "B": ModelBParams}
 
 # key -> (type, default or None); the epochs, restarts and sizes left unset
 # come from trainer.profile_sizes of the selected profile
@@ -34,12 +35,8 @@ SCHEMA = {
     "snr": (float, 50.0),
     "noise_variance": (float, None),
     "harvester.model": (str, "A"),
-    "harvester.alpha": (float, None),
-    "harvester.beta": (float, None),
-    "harvester.gamma": (float, None),
-    "harvester.ls": (float, None),
-    "harvester.a": (float, None),
-    "harvester.b": (float, None),
+    **{f"harvester.{f.name}": (float, None)
+       for cls in _MODELS.values() for f in fields(cls)},
     "epochs": (int, None),
     "minibatch_size": (int, None),
     "train_set_size": (int, None),
@@ -55,7 +52,6 @@ SCHEMA = {
     "eval_samples": (int, None),
     "out_dir": (str, "runs"),
 }
-_MODELS = {"A": ModelAParams, "B": ModelBParams}
 _CHOICES = {"profile": tuple(PROFILES), "harvester.model": tuple(_MODELS)}
 # TrainConfig fields whose config key has another name
 _KEY_OF = {"m": "M", "lambda_start": "lambda.start",

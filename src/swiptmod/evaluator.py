@@ -36,39 +36,39 @@ def _first_match(a: np.ndarray, extreme: np.ndarray, out: np.ndarray,
 
 
 def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
-                 sigma2: float, num_samples: int, seed: int,
-                 num_shards: int = 1) -> EvalReport:
+                 sigma2: float, num_samples: int, seed: int) -> EvalReport:
     """Monte-Carlo symbol error rate over the AWGN channel.
 
-    Messages are drawn uniformly. Noise comes from blocks of BLOCK_SIZE
-    samples, each with its own (seed, ROLE_EVAL, block) substream, so the
-    result does not depend on how blocks are distributed over shards (error
-    counts are merged by summation). decoder=None selects minimum-distance
-    detection. Each block's messages are drawn whole; its noise is drawn and
-    detected in column tiles of _TILE samples. Every buffer lives in the
-    module workspace _WS, kept from call to call, so this is not thread-safe.
+    Uniform messages and their noise come from blocks of BLOCK_SIZE samples,
+    each with its own (seed, ROLE_EVAL, block) substream, so the result
+    depends only on (seed, num_samples): not on the tile size, nor on earlier
+    calls. decoder=None selects minimum-distance detection; a decoder must
+    map 2 inputs to M outputs. Each block's messages are drawn whole; its
+    noise is drawn and detected in column tiles of _TILE samples. Every
+    buffer lives in the module workspace _WS, kept from call to call, so
+    this is not thread-safe.
     """
     if num_samples < MIN_SAMPLES:
         raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be >= 1, got {num_shards}")
     if not (math.isfinite(sigma2) and sigma2 >= 0.0):
         raise ValueError(f"noise variance must be finite and >= 0, got {sigma2}")
     points = constellation.points
     if not np.isfinite(points).all():
         raise ValueError("non-finite constellation points")
     m = constellation.size
+    if decoder is not None and (decoder[0].in_dim, decoder[-1].out_dim) != (2, m):
+        raise ValueError(f"decoder maps {decoder[0].in_dim} inputs to "
+                         f"{decoder[-1].out_dim} outputs, need 2 to {m}")
     pr, pi = points.real, points.imag
     num_blocks = (num_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     ws = _WS   # kept from call to call
-    shard_errors = np.zeros(num_shards, dtype=np.int64)
+    errors = 0
     ce_sum = 0.0
     for blk in range(num_blocks):
         n = min(BLOCK_SIZE, num_samples - blk * BLOCK_SIZE)
         rng = substream(seed, ROLE_EVAL, blk)
         s = rng.integers(0, m, size=n)
         picked = scratch(ws, "picked", (n,)) if decoder is not None else None
-        shard = blk % num_shards
         for t0 in range(0, n, _TILE):
             w = min(_TILE, n - t0)
             st = s[t0:t0 + w]
@@ -91,11 +91,10 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
                 np.take(a.reshape(-1), idx, out=picked[t0:t0 + w], mode="clip")
             s_hat = scratch(ws, "s_hat", (w,), np.int64)
             _first_match(a, top, s_hat, mask := scratch(ws, "mask", (w,), bool))
-            shard_errors[shard] += np.count_nonzero(np.not_equal(s_hat, st, out=mask))
+            errors += int(np.count_nonzero(np.not_equal(s_hat, st, out=mask)))
         if decoder is not None:   # one sum per block keeps the summation order
             p = np.maximum(picked, EPS_LOG, out=picked)
             ce_sum -= float(np.log(p, out=p).sum())
-    errors = int(shard_errors.sum())
     ser = errors / num_samples
     stderr = math.sqrt(ser * (1.0 - ser) / num_samples)
     ce = ce_sum / num_samples if decoder is not None else math.nan

@@ -95,6 +95,8 @@ class TrainConfig:
         nv = self.noise_variance
         for name, ok, need in [
             ("m", count(m, 2), "an int >= 2"),
+            ("harvester", isinstance(self.harvester, HarvesterModel),
+             "a ModelAParams or ModelBParams"),
             ("p_a", above(self.p_a), "finite and positive"),
             ("snr", above(self.snr), "finite and positive"),
             ("noise_variance", nv is None or (math.isfinite(nv) and nv >= 0),

@@ -201,12 +201,11 @@ def test_estimate_ser_uniform_guesser():
     assert report.cross_entropy == pytest.approx(np.log(16), rel=1e-12)
 
 
-def test_estimate_ser_deterministic_and_shard_independent():
+def test_estimate_ser_deterministic():
     const = classical_baseline("PSK", 8, 0.001)
     r1 = estimate_ser(const, None, 2e-5, 200_000, seed=3)
     r2 = estimate_ser(const, None, 2e-5, 200_000, seed=3)
-    r3 = estimate_ser(const, None, 2e-5, 200_000, seed=3, num_shards=4)
-    assert r1.ser == r2.ser == r3.ser
+    assert r1.ser == r2.ser
     r4 = estimate_ser(const, None, 2e-5, 200_000, seed=4)
     assert r4.ser != r1.ser
 
@@ -217,15 +216,17 @@ def test_estimate_ser_sample_floor():
         estimate_ser(const, None, 0.1, 500, seed=0)
 
 
-@pytest.mark.parametrize("num_shards", [0, -1])
-def test_estimate_ser_rejects_bad_num_shards(num_shards, monkeypatch):
-    const = classical_baseline("QAM", 4, 1.0)
+@pytest.mark.parametrize("dec_dims", [[2, 16, 4], [3, 16, 8]])
+def test_estimate_ser_rejects_mismatched_decoder(dec_dims, monkeypatch):
+    # an M=8 constellation needs a decoder from 2 inputs to 8 outputs
+    const = classical_baseline("PSK", 8, 0.001)
+    decoder = init_params([8, 16, 2], dec_dims, seed=0).decoder
 
     def no_draw(*args):
         raise AssertionError("drew samples before checking its arguments")
     monkeypatch.setattr("swiptmod.evaluator.substream", no_draw)
-    with pytest.raises(ValueError, match="num_shards must be >= 1"):
-        estimate_ser(const, None, 0.1, 1000, seed=0, num_shards=num_shards)
+    with pytest.raises(ValueError, match="decoder maps"):
+        estimate_ser(const, decoder, 1e-3, 1000, seed=0)
 
 
 def test_pdel_exact_zero_constellation():

@@ -389,6 +389,7 @@ def test_config_resolved_desk_defaults():
     dict(decoder_hidden=(8, 0)), dict(decoder_hidden=(16.0,)), dict(decoder_hidden=()),
     dict(learning_rate=math.inf), dict(p_a=math.nan), dict(snr=math.inf),
     dict(noise_variance=math.inf), dict(lambda_factor=math.inf), dict(seed=-1),
+    dict(harvester=None), dict(harvester="A"),
 ])
 def test_config_validate_rejects(kw):
     # checked once, when the config is built
