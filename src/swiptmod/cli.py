@@ -66,11 +66,7 @@ def _write_record(rec: RunRecord, resolved: dict, root: Path) -> Path:
 
 
 def _load_resolved(args, overrides=None) -> dict:
-    raw = cfgmod.load_config_file(args.config)
-    ov = dict(overrides or {})
-    if getattr(args, "paper_scale", False):
-        ov["profile"] = "paper"
-    return cfgmod.resolve(raw, ov)
+    return cfgmod.resolve(cfgmod.load_config_file(args.config), overrides)
 
 
 def cmd_train(args) -> int:
@@ -151,10 +147,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    if not (math.isfinite(args.p_a) and args.p_a > 0):
-        raise ConfigError(f"--p-a must be finite and positive, got {args.p_a}")
     const = read_constellation_csv(args.csv)
-    write_constellation_svg(const, args.p_a, args.out)
+    write_constellation_svg(const, const.mean_power(), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -183,14 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None, help="output root (overrides config)")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="use the full-size training constants")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="incremental lambda sweep with SER stop rule")
     p.add_argument("config")
     p.add_argument("--out", default=None)
-    p.add_argument("--paper-scale", action="store_true")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (SER + delivered power)")
@@ -198,14 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paper-scale", action="store_true")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("plot", help="render a constellation CSV to SVG")
     p.add_argument("csv")
     p.add_argument("out")
-    p.add_argument("--p-a", dest="p_a", type=float, default=0.001,
-                   help="average power for the reference circle")
     p.set_defaults(func=cmd_plot)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")

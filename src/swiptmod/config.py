@@ -5,8 +5,8 @@ mandatory for the selected model (they are calibration inputs, not universal
 truths). The ``paper`` profile switches to the full-size training constants;
 ``desk`` keeps runs laptop-sized. Domain rules live in the types that hold
 the values (TrainConfig, ModelAParams, ModelBParams); this module adds only
-what a file alone can get wrong: unknown keys, JSON types, and the NaN and
-Infinity literals that Python's json reads.
+what a file alone can get wrong: unknown keys, the other harvester model's
+keys, JSON types, and the NaN and Infinity literals that Python's json reads.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ SCHEMA = {
     "M": (int, 16),
     "p_a": (float, 0.001),
     "snr": (float, 50.0),
-    "noise_variance": (float, None),
     "harvester.model": (str, "A"),
     **{f"harvester.{f.name}": (float, None)
        for cls in _MODELS.values() for f in fields(cls)},
@@ -47,8 +46,6 @@ SCHEMA = {
     "lambda.max_points": (int, _DEFAULT["lambda_max_points"]),
     "ser_max": (float, _DEFAULT["ser_max"]),
     "seed": (int, _DEFAULT["seed"]),
-    "encoder_hidden": (list, None),
-    "decoder_hidden": (list, None),
     "eval_samples": (int, None),
     "out_dir": (str, "runs"),
 }
@@ -96,10 +93,15 @@ def resolve(raw: dict, overrides: dict | None = None) -> dict:
         out[key] = val
 
     model = out["harvester.model"]
-    for f in fields(_MODELS[model]):
-        if out[f"harvester.{f.name}"] is None:
+    own = [f"harvester.{f.name}" for f in fields(_MODELS[model])]
+    for key in cfg:
+        if key.startswith("harvester.") and key not in own and key != "harvester.model":
+            raise ConfigError(f"config key {key} is not a constant of harvester "
+                              f"model {model}")
+    for key in own:
+        if out[key] is None:
             raise ConfigError(f"missing required config key for harvester "
-                              f"model {model}: harvester.{f.name}")
+                              f"model {model}: {key}")
 
     for key, size in profile_sizes(out["profile"], out["M"]).items():
         if out[key] is None:

@@ -254,8 +254,8 @@ def load_checkpoint(path) -> NetworkParams:
     if not (n_enc and n_dec):
         raise CheckpointFormatError(f"empty encoder or decoder in {path}")
     off = 16 + 8 * len(shapes)
-    if off + 8 * sum(o * i + o for o, i in shapes) > len(blob):
-        raise CheckpointFormatError(f"truncated payload in {path}")
+    if off + 8 * sum(o * i + o for o, i in shapes) != len(blob):
+        raise CheckpointFormatError(f"payload size of {path} does not match its header")
     layers = [DenseLayer(np.empty((o, i)), np.empty(o)) for o, i in shapes]
     params = NetworkParams(encoder=layers[:n_enc], decoder=layers[n_enc:])
     params.flat[:] = np.frombuffer(blob, dtype="<f8", count=params.flat.size, offset=off)

@@ -51,9 +51,9 @@ def profile_sizes(profile: str, m: int) -> dict:
 class TrainConfig:
     """Training constants, complete and checked once, when built.
 
-    Epochs, restarts and sizes left as None are filled from the desk profile,
-    hidden widths with (2M,); a value outside its domain raises ValueError
-    naming the field.
+    Epochs, restarts and sizes left as None are filled from the desk profile;
+    a value outside its domain, or a lambda ladder that overflows, raises
+    ValueError naming the field.
     """
     m: int
     p_a: float
@@ -69,19 +69,13 @@ class TrainConfig:
     lambda_max_points: int = 12
     ser_max: float = 0.95
     seed: int = 0
-    encoder_hidden: tuple[int, ...] | None = None   # default (2M,)
-    decoder_hidden: tuple[int, ...] | None = None   # default (2M,)
     eval_samples: int | None = None       # default: the desk profile's, times M
-    noise_variance: float | None = None   # explicit sigma^2 override
 
     def __post_init__(self):
         m = self.m
         for name, size in profile_sizes("desk", m).items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, size)
-        for name in ("encoder_hidden", "decoder_hidden"):
-            ws = getattr(self, name)
-            object.__setattr__(self, name, (2 * m,) if ws is None else tuple(ws))
 
         def above(v, floor=0.0):
             return math.isfinite(v) and v > floor
@@ -89,18 +83,12 @@ class TrainConfig:
         def count(v, floor=1):   # an int (not a bool) >= floor
             return isinstance(v, int) and not isinstance(v, bool) and v >= floor
 
-        def widths(ws):   # at least one hidden layer, each a positive int
-            return len(ws) > 0 and all(count(w) for w in ws)
-
-        nv = self.noise_variance
         for name, ok, need in [
             ("m", count(m, 2), "an int >= 2"),
             ("harvester", isinstance(self.harvester, HarvesterModel),
              "a ModelAParams or ModelBParams"),
             ("p_a", above(self.p_a), "finite and positive"),
             ("snr", above(self.snr), "finite and positive"),
-            ("noise_variance", nv is None or (math.isfinite(nv) and nv >= 0),
-             "finite and >= 0"),
             ("epochs", count(self.epochs), "a positive int"),
             ("restarts", count(self.restarts), "a positive int"),
             ("train_set_size", count(self.train_set_size), "a positive int"),
@@ -113,24 +101,27 @@ class TrainConfig:
             ("lambda_max_points", count(self.lambda_max_points), "a positive int"),
             ("ser_max", 0.0 < self.ser_max < 1.0, "in (0, 1)"),
             ("seed", count(self.seed, 0), "an int >= 0"),
-            ("encoder_hidden", widths(self.encoder_hidden), "positive ints"),
-            ("decoder_hidden", widths(self.decoder_hidden), "positive ints"),
             ("eval_samples", count(self.eval_samples, MIN_SAMPLES),
              f"an int >= {MIN_SAMPLES}"),
         ]:
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        try:   # the ladder's top rung, computed as lambda_schedule computes it
+            top = self.lambda_start * self.lambda_factor ** (self.lambda_max_points - 2)
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError("lambda_start * lambda_factor ** (lambda_max_points - 2) "
+                             "must be a finite float")
 
     def encoder_dims(self) -> list[int]:
-        return [self.m, *self.encoder_hidden, 2]
+        return [self.m, 2 * self.m, 2]
 
     def decoder_dims(self) -> list[int]:
-        return [2, *self.decoder_hidden, self.m]
+        return [2, 2 * self.m, self.m]
 
     def sigma2(self) -> float:
-        """Total complex-noise variance: P_a / snr (linear), or the override."""
-        if self.noise_variance is not None:
-            return float(self.noise_variance)
+        """Total complex-noise variance: P_a / snr (linear)."""
         return self.p_a / self.snr
 
 

@@ -31,12 +31,8 @@ def test_snr_to_variance_rejects_nonpositive(p_a, snr):
         _cfg(p_a, snr)
 
 
-def test_noise_variance_default_and_override():
+def test_noise_variance_is_p_a_over_snr():
     assert _cfg(0.001, 50.0).sigma2() == 0.001 / 50.0
-    assert _cfg(0.001, 50.0, noise_variance=1e-3).sigma2() == 1e-3
-    assert _cfg(0.001, 50.0, noise_variance=0.0).sigma2() == 0.0
-    with pytest.raises(ValueError):
-        _cfg(0.001, 50.0, noise_variance=-1e-3)
 
 
 def test_sample_noise_zero_variance_is_zero():

@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from swiptmod import cli, config, trainer
 from swiptmod.nn import init_params, save_checkpoint
+from swiptmod.svgplot import render_constellation_svg
 from swiptmod.transceiver import Constellation, write_constellation_csv
 
 TINY_A = {
@@ -81,6 +83,30 @@ def test_sweep_non_utf8_config_exit_2(tmp_path, capsys):
     assert err.startswith("config error:") and "bad.bin" in err and "\n" not in err
 
 
+@pytest.mark.parametrize("ladder", [{"lambda.factor": 1e300, "lambda.max_points": 4},
+                                    {"lambda.start": 1e308, "lambda.max_points": 3}],
+                         ids=["power-overflows", "product-is-inf"])
+def test_sweep_overflowing_lambda_ladder_exit_2(tmp_path, capsys, ladder):
+    # the ladder's top value must be a finite float, or no point trains
+    cfg = _write_cfg(tmp_path, dict(TINY_A, **ladder))
+    out = tmp_path / "o"
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "lambda_factor" in err and "\n" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "CFG", "--paper-scale"], ["sweep", "CFG", "--paper-scale"],
+    ["eval", "CKPT", "CFG", "--paper-scale"], ["plot", "CSV", "OUT", "--p-a", "0.001"],
+], ids=["train", "sweep", "eval", "plot"])
+def test_removed_flags_exit_2(argv):
+    # "profile": "paper" selects the paper scale; plot reads P_a off the CSV
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+
+
 def test_train_too_few_eval_samples_exit_2(tmp_path, capsys):
     # rejected while the config is read, before any restart is trained
     cfg = _write_cfg(tmp_path, dict(TINY_A, eval_samples=500))
@@ -100,7 +126,7 @@ def test_train_bad_lambda_exit_2(tmp_path, capsys, lam):
     assert "--lambda" in err[0] and not out.exists()
 
 
-@pytest.mark.parametrize("key", ["p_a", "noise_variance", "learning_rate"])
+@pytest.mark.parametrize("key", ["p_a", "learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_train_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
     # Python's json reads the NaN and Infinity literals json.dumps writes
@@ -332,20 +358,21 @@ def test_plot_from_csv(tmp_path):
     csv = tmp_path / "c.csv"
     write_constellation_csv(const, csv)
     svg = tmp_path / "c.svg"
-    assert cli.main(["plot", str(csv), str(svg), "--p-a", "0.001"]) == 0
+    assert cli.main(["plot", str(csv), str(svg)]) == 0
     assert svg.read_text().count('class="symbol"') == 32
 
 
-@pytest.mark.parametrize("p_a", ["0", "-1", "nan", "inf"])
-def test_plot_bad_p_a_exit_2(tmp_path, capsys, p_a):
-    csv = tmp_path / "c.csv"
-    write_constellation_csv(Constellation(points=np.array([0.03, -0.03j]),
-                                          probabilities=np.full(2, 0.5)), csv)
-    svg = tmp_path / "c.svg"
-    assert cli.main(["plot", str(csv), str(svg), f"--p-a={p_a}"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:") and "--p-a" in err[0]
-    assert not svg.exists()
+def test_plot_circle_is_the_csv_mean_power(tmp_path):
+    # a P_a = 0.002 constellation: the circle is sqrt(0.002), not sqrt(0.001)
+    pts = np.sqrt(0.002) * np.exp(2j * np.pi * np.arange(8) / 8)
+    const = Constellation(points=pts, probabilities=np.full(8, 1 / 8))
+    csv, svg = tmp_path / "c.csv", tmp_path / "c.svg"
+    write_constellation_csv(const, csv)
+    assert cli.main(["plot", str(csv), str(svg)]) == 0
+    ring = re.compile(r'r="[0-9.]+" fill="none"')
+    drawn = ring.findall(svg.read_text())
+    assert drawn == ring.findall(render_constellation_svg(const, 0.002))
+    assert drawn != ring.findall(render_constellation_svg(const, 0.001))
 
 
 def test_plot_malformed_csv_exit_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -136,7 +137,6 @@ _BAD_MUTATIONS = [
     {"M": 1}, {"M": 0}, {"M": -4}, {"M": 2.5}, {"M": "8"},
     {"p_a": 0.0}, {"p_a": -0.001}, {"p_a": "small"},
     {"snr": 0.0}, {"snr": -50}, {"snr": []},
-    {"noise_variance": -1e-5}, {"noise_variance": "auto"},
     {"harvester.model": "C"}, {"harvester.model": 1}, {"harvester.model": None},
     {"harvester.alpha": -0.1}, {"harvester.alpha": 0.0},
     {"harvester.beta": -0.5}, {"harvester.alpha": "x"},
@@ -150,10 +150,7 @@ _BAD_MUTATIONS = [
     {"lambda.max_points": 0}, {"lambda.max_points": -3},
     {"ser_max": 0.0}, {"ser_max": 1.0}, {"ser_max": 1.5}, {"ser_max": -0.1},
     {"seed": 1.5}, {"seed": "zero"},
-    {"encoder_hidden": [0]}, {"encoder_hidden": [-16]},
-    {"encoder_hidden": [16.0]}, {"encoder_hidden": "wide"},
-    {"decoder_hidden": [8, 0]}, {"decoder_hidden": 16},
-    {"p_a": math.inf}, {"snr": math.inf}, {"noise_variance": math.inf},
+    {"p_a": math.inf}, {"snr": math.inf},
     {"learning_rate": 1e400}, {"lambda.start": math.inf},
     {"lambda.factor": math.inf},
     {"harvester.gamma": math.nan}, {"harvester.gamma": -math.inf},
@@ -180,8 +177,27 @@ def test_model_b_constants_checked_by_their_type():
             train_config_from(resolve(dict(VALID_B, **{key: 0.0})))
 
 
-def test_empty_hidden_widths_rejected():
-    # an empty list is not the default: the default is an unset key
-    for key in ("encoder_hidden", "decoder_hidden"):
-        with pytest.raises(ConfigError, match=key):
-            train_config_from(resolve(dict(VALID_A, **{key: []})))
+def test_removed_keys_rejected():
+    # the hidden widths are fixed at 2M, and the noise variance is p_a / snr
+    for key, val in (("encoder_hidden", [16]), ("decoder_hidden", [16]),
+                     ("noise_variance", 2e-5)):
+        with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
+            resolve(dict(VALID_A, **{key: val}))
+
+
+@pytest.mark.parametrize("valid, key, val", [
+    (VALID_A, "harvester.ls", 0.02), (VALID_A, "harvester.b", 0.003),
+    (VALID_B, "harvester.alpha", 0.3829), (VALID_B, "harvester.gamma", 0.0),
+], ids=["A-ls", "A-b", "B-alpha", "B-gamma"])
+def test_other_models_harvester_key_rejected(valid, key, val):
+    # a key the selected model does not read would be silently ignored
+    with pytest.raises(ConfigError, match=key):
+        resolve(dict(valid, **{key: val}))
+
+
+def test_shipped_configs_resolve():
+    # no other test or CI step loads some of them
+    paths = sorted(Path(__file__).resolve().parents[1].glob("configs/*.json"))
+    assert len(paths) == 3
+    for path in paths:
+        train_config_from(resolve(load_config_file(path)))

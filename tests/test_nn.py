@@ -409,6 +409,16 @@ def test_checkpoint_truncated(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    # the header fixes the payload size, so extra bytes are not a checkpoint
+    params = init_params([4, 8, 2], [2, 8, 4], seed=1)
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, params)
+    path.write_bytes(path.read_bytes() + bytes(64))
+    with pytest.raises(CheckpointFormatError, match="does not match its header"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("n_enc, n_dec", [(0, 0), (0, 2), (2, 0)])
 def test_checkpoint_empty_stack_rejected(tmp_path, n_enc, n_dec):
     params = init_params([4, 8, 2], [2, 8, 4], seed=1)

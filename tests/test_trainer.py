@@ -370,8 +370,6 @@ def test_config_resolved_desk_defaults():
     cfg = TrainConfig(m=16, p_a=0.001, snr=50.0, harvester=MODEL_A)
     assert cfg.minibatch_size == 1600
     assert cfg.train_set_size == 160_000
-    assert cfg.encoder_hidden == (32,)
-    assert cfg.decoder_hidden == (32,)
     assert cfg.eval_samples == 1_600_000
     assert cfg.encoder_dims() == [16, 32, 2]
     assert cfg.decoder_dims() == [2, 32, 16]
@@ -381,15 +379,18 @@ def test_config_resolved_desk_defaults():
     dict(m=1), dict(p_a=0.0), dict(snr=-1.0), dict(epochs=0),
     dict(restarts=0), dict(ser_max=1.5), dict(learning_rate=0.0),
     dict(minibatch_size=300, train_set_size=200),
-    dict(noise_variance=-1e-3), dict(eval_samples=999),
+    dict(eval_samples=999),
     dict(minibatch_size=0), dict(train_set_size=0),
     dict(lambda_start=0.0), dict(lambda_start=-1.0), dict(lambda_factor=1.0),
     dict(lambda_factor=0.5), dict(lambda_max_points=0),
-    dict(encoder_hidden=(0,)), dict(encoder_hidden=(16.0,)),
-    dict(decoder_hidden=(8, 0)), dict(decoder_hidden=(16.0,)), dict(decoder_hidden=()),
     dict(learning_rate=math.inf), dict(p_a=math.nan), dict(snr=math.inf),
-    dict(noise_variance=math.inf), dict(lambda_factor=math.inf), dict(seed=-1),
+    dict(lambda_factor=math.inf), dict(seed=-1),
     dict(harvester=None), dict(harvester="A"),
+    # a ladder whose top overflows: factor ** 2 raises, start * factor ** 2
+    # rounds to inf, and factor ** 2 raises although start * factor ** 2 is finite
+    dict(lambda_factor=1e300, lambda_max_points=4),
+    dict(lambda_start=1e308, lambda_factor=10.0, lambda_max_points=3),
+    dict(lambda_start=1e-100, lambda_factor=1e200, lambda_max_points=4),
 ])
 def test_config_validate_rejects(kw):
     # checked once, when the config is built
@@ -413,12 +414,15 @@ def test_config_counts_must_be_ints(name):
             TrainConfig(**dict(base, **{name: bad}))
 
 
+def test_config_ladder_with_a_finite_top_accepted():
+    cfg = TrainConfig(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A,
+                      lambda_start=1.0, lambda_factor=1e300, lambda_max_points=3)
+    assert lambda_schedule(cfg) == [0.0, 1.0, 1e300]
+
+
 def test_config_explicit_values_kept_and_frozen():
-    cfg = _tiny_cfg(encoder_hidden=[8, 6], decoder_hidden=(5,), minibatch_size=1,
-                    noise_variance=0.0)
-    assert cfg.encoder_dims() == [4, 8, 6, 2]
-    assert cfg.decoder_dims() == [2, 5, 4]
-    assert cfg.minibatch_size == 1 and cfg.sigma2() == 0.0
+    cfg = _tiny_cfg(minibatch_size=1)
+    assert cfg.minibatch_size == 1
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.minibatch_size = 0
     with pytest.raises(dataclasses.FrozenInstanceError):
