@@ -391,6 +391,8 @@ def test_config_resolved_desk_defaults():
     dict(lambda_factor=1e300, lambda_max_points=4),
     dict(lambda_start=1e308, lambda_factor=10.0, lambda_max_points=3),
     dict(lambda_start=1e-100, lambda_factor=1e200, lambda_max_points=4),
+    dict(ser_max=0.0), dict(ser_max=math.nan), dict(lambda_start=math.inf),
+    dict(learning_rate=-0.01),
 ])
 def test_config_validate_rejects(kw):
     # checked once, when the config is built
