@@ -27,12 +27,18 @@ class EvalReport:
     cross_entropy: float = math.nan
 
 
-def _first_match(a: np.ndarray, extreme: np.ndarray, out: np.ndarray,
-                 mask: np.ndarray) -> None:
+def _first_match(a: np.ndarray, extreme: np.ndarray, ranks: np.ndarray,
+                 ws: dict) -> np.ndarray:
     """Row index of each column's first entry equal to `extreme` (its max or
-    min), so ties go to the lowest index as with np.argmax/np.argmin."""
-    for k in range(a.shape[0] - 1, -1, -1):
-        np.putmask(out, np.equal(a[k], extreme, out=mask), k)
+    min), so ties go to the lowest index as with np.argmax/np.argmin. The
+    matches, weighted by the reversed ranks M..1 (an (M, 1) column), peak at
+    the first one, whose rank is M minus its index. The result is a
+    workspace buffer of the ranks' dtype."""
+    m, w = a.shape
+    hits = np.equal(a, extreme, out=scratch(ws, "hits", (m, w), ranks.dtype))
+    hits *= ranks
+    best = hits.max(axis=0, out=scratch(ws, "best", (w,), ranks.dtype))
+    return np.subtract(m, best, out=best)
 
 
 def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
@@ -60,6 +66,7 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
         raise ValueError(f"decoder maps {decoder[0].in_dim} inputs to "
                          f"{decoder[-1].out_dim} outputs, need 2 to {m}")
     pr, pi = points.real, points.imag
+    ranks = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
     num_blocks = (num_samples + BLOCK_SIZE - 1) // BLOCK_SIZE
     ws = _WS   # kept from call to call
     errors = 0
@@ -89,9 +96,9 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
                 idx = np.multiply(st, w, out=scratch(ws, "idx", (w,), np.int64))
                 idx += _COLS[:w]
                 np.take(a.reshape(-1), idx, out=picked[t0:t0 + w], mode="clip")
-            s_hat = scratch(ws, "s_hat", (w,), np.int64)
-            _first_match(a, top, s_hat, mask := scratch(ws, "mask", (w,), bool))
-            errors += int(np.count_nonzero(np.not_equal(s_hat, st, out=mask)))
+            s_hat = _first_match(a, top, ranks, ws)
+            wrong = np.not_equal(s_hat, st, out=scratch(ws, "wrong", (w,), bool))
+            errors += int(np.count_nonzero(wrong))
         if decoder is not None:   # one sum per block keeps the summation order
             p = np.maximum(picked, EPS_LOG, out=picked)
             ce_sum -= float(np.log(p, out=p).sum())

@@ -83,7 +83,7 @@ def scratch(ws: dict | None, key, shape, dtype=float) -> np.ndarray | None:
     if ws is None:
         return None
     buf = ws.get(key)
-    if buf is None or buf.shape != shape:
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
         size = math.prod(shape)
         flat = None if buf is None else buf.base   # the view's flat owner
         if flat is None or flat.size < size or flat.dtype != dtype:
@@ -113,36 +113,36 @@ def mlp_forward(layers: list[DenseLayer], x: np.ndarray, ws: dict | None = None,
                 key: str = ""):
     """Run a stack of layers on (features, batch) columns.
 
-    Every layer but the last is ReLU; the last is linear, so the output is
-    zs[-1]. Returns (output, pre-activations, post-activations); post[0] is
-    the input itself and post[-1] the output. With a workspace every result
-    lands in its buffers under `key`, which must differ between stacks
-    sharing one workspace.
+    Every layer but the last is ReLU, applied in place over its
+    pre-activation; the last is linear. Returns (output, post-activations);
+    post[0] is the input itself and post[-1] the output. With a workspace
+    every result lands in its buffers under `key`, which must differ between
+    stacks sharing one workspace.
     """
-    zs = []
     post = [np.asarray(x, dtype=float)]
     h = post[0]
     last = len(layers) - 1
     for li, layer in enumerate(layers):
         shape = (layer.out_dim, h.shape[-1])
-        z = np.matmul(layer.weights, h, out=scratch(ws, (key, "z", li), shape))
-        z += layer.biases[:, None]
-        zs.append(z)
-        h = z if li == last else np.maximum(z, 0.0, out=scratch(ws, (key, "a", li), shape))
+        h = np.matmul(layer.weights, h, out=scratch(ws, (key, "z", li), shape))
+        h += layer.biases[:, None]
+        if li < last:
+            np.maximum(h, 0.0, out=h)
         post.append(h)
-    return h, zs, post
+    return h, post
 
 
-def mlp_backward(layers: list[DenseLayer], zs, post, d_last_z: np.ndarray,
+def mlp_backward(layers: list[DenseLayer], post, d_last_z: np.ndarray,
                  grads: list[np.ndarray], ws: dict | None = None, key: str = ""):
     """Backpropagate through a stack given d(cost)/d(last pre-activation).
 
     All arrays are (features, batch). For a softmax+cross-entropy head the
     caller passes probs - onehot (already averaged over the batch). Reads
-    post[:len(layers)] and zs[:len(layers) - 1]. Writes the layer gradients
-    into `grads`, the views [dW0, db0, dW1, ...], and returns d(cost)/d(input);
-    an empty stack passes d_last_z through. `ws` and `key` are as in
-    mlp_forward.
+    post[:len(layers)]; a ReLU passes the gradient where its output is
+    positive, which is where its pre-activation was. Writes the layer
+    gradients into `grads`, the views [dW0, db0, dW1, ...], and returns
+    d(cost)/d(input); an empty stack passes d_last_z through. `ws` and `key`
+    are as in mlp_forward.
     """
     dz = d_last_z
     dinp = d_last_z
@@ -152,7 +152,7 @@ def mlp_backward(layers: list[DenseLayer], zs, post, d_last_z: np.ndarray,
         shape = (layers[li].in_dim, dz.shape[1])
         dinp = np.matmul(layers[li].weights.T, dz, out=scratch(ws, (key, "d", li), shape))
         if li > 0:
-            dinp *= np.greater(zs[li - 1], 0.0,
+            dinp *= np.greater(post[li], 0.0,
                                out=scratch(ws, (key, "mask", li), shape, bool))
             dz = dinp
     return dinp

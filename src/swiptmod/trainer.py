@@ -181,14 +181,14 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # encoder on the M one-hot columns (first pre-activation W0 + b0[:, None]);
     # the batch is a gather of its output columns
-    u, zs_e, post_e = mlp_forward(enc, eye, ws, "enc")
+    u, post_e = mlp_forward(enc, eye, ws, "enc")
 
     xk, scale, energy, degenerate, counts = normalize_power(u, msgs, p_a)
     # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
     y = xk.take(msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
     y += noise.T
 
-    logits, zs_d, post_d = mlp_forward(dec, y, ws, "dec")
+    logits, post_d = mlp_forward(dec, y, ws, "dec")
     probs = softmax(logits, out=logits)
 
     # each sample's probability of its own message, at msgs * B + cols of the
@@ -218,7 +218,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     pick -= 1.0
     dlogits.put(pick_at, pick)
     dlogits /= batch
-    dy = mlp_backward(dec, zs_d, post_d, dlogits, views[2 * len(enc):], ws, "dec")
+    dy = mlp_backward(dec, post_d, dlogits, views[2 * len(enc):], ws, "dec")
 
     # fold the (2, B) channel-input gradient onto the M points: one bincount
     # of row j's samples into bins j*M + msgs
@@ -238,7 +238,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # the encoder output layer is linear, so d(cost)/d(last z) is du itself;
     # its input is the identity, so d(cost)/d(W0) is dz0 exactly
-    mlp_backward(enc, zs_e, post_e, du, views[:2 * len(enc)], ws, "enc")
+    mlp_backward(enc, post_e, du, views[:2 * len(enc)], ws, "enc")
     return cost, info, grads
 
 
@@ -262,21 +262,23 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                        constellation=None, failed=True)
     ws = {}   # this restart's batch-sized buffers, reused by every step
 
-    # divergence shows as a non-finite cost or as softmax rejecting its logits
+    # divergence shows as a non-finite cost, as softmax rejecting its logits,
+    # or as an overflow or invalid operation in a step, which raises here
     try:
-        for first in range(0, steps, per_draw):
-            k = min(per_draw, steps - first)
-            msgs_k = data_rng.integers(0, cfg.m, size=(k, batch))
-            noise_k = sample_noise(k * batch, sigma2, noise_rng).reshape(k, batch, 2)
-            for msgs, noise in zip(msgs_k, noise_k):
-                cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
-                                                 lam, cfg.harvester, ws=ws)
-                if not math.isfinite(cost):
-                    return failed
-                if not info["degenerate"]:
-                    max_power_err = max(max_power_err,
-                                        abs(info["batch_power"] - cfg.p_a))
-                adam_step(params.flat, grads, state)
+        with np.errstate(over="raise", invalid="raise"):
+            for first in range(0, steps, per_draw):
+                k = min(per_draw, steps - first)
+                msgs_k = data_rng.integers(0, cfg.m, size=(k, batch))
+                noise_k = sample_noise(k * batch, sigma2, noise_rng).reshape(k, batch, 2)
+                for msgs, noise in zip(msgs_k, noise_k):
+                    cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
+                                                     lam, cfg.harvester, ws=ws)
+                    if not math.isfinite(cost):
+                        return failed
+                    if not info["degenerate"]:
+                        max_power_err = max(max_power_err,
+                                            abs(info["batch_power"] - cfg.p_a))
+                    adam_step(params.flat, grads, state)
         ws.clear()   # the step buffers are not needed by the evaluation
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
         report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,

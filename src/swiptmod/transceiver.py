@@ -71,7 +71,7 @@ def decode(decoder: list[DenseLayer], y: np.ndarray, ws: dict | None = None) -> 
     """(2, B) real columns (re, im) of noisy symbols -> (M, B) probability
     columns (the softmax of the logits, computed in place over them). With a
     workspace the result is its buffer, overwritten by the next call."""
-    logits, _, _ = mlp_forward(decoder, y, ws)
+    logits, _ = mlp_forward(decoder, y, ws)
     return softmax(logits, out=logits)
 
 
@@ -79,7 +79,7 @@ def export_constellation(encoder: list[DenseLayer], m: int, p_a: float) -> Const
     """The M messages' points, normalized as a batch holding each once."""
     if encoder[-1].out_dim != 2:
         raise ValueError("encoder output must be 2-wide (re, im)")
-    u, _, _ = mlp_forward(encoder, np.eye(m))
+    u, _ = mlp_forward(encoder, np.eye(m))
     x, _, _, degenerate, _ = normalize_power(u, np.arange(m), p_a)
     if degenerate:
         raise DegenerateEncoderError("degenerate encoder: every message maps to the origin")

@@ -1,7 +1,9 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
 import json
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +231,18 @@ def test_nan_after_last_step_is_failed_and_sweep_exits_4(tmp_path, monkeypatch,
     assert "diverged" in capsys.readouterr().err
 
 
+def test_overflow_in_a_step_fails_the_restart_and_sweep_exits_4(tmp_path, capsys):
+    # at lambda 1.5e234 the power term's gradient overflows the Adam update:
+    # the restart fails rather than finishing with frozen parameters
+    cfg = _write_cfg(tmp_path, dict(TINY_A, M=3, **{"lambda.start": 1.5e234}))
+    out = tmp_path / "s"
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("training failure:") and len(err.splitlines()) == 1
+    rows = (out / "desk" / "summary.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0"]
+
+
 @pytest.mark.parametrize("command", ["train", "sweep"])
 def test_unwritable_out_exit_3_before_training(tmp_path, monkeypatch, capsys,
                                                command):
@@ -271,6 +285,61 @@ def test_sweep_failure_keeps_finished_points(tmp_path, monkeypatch, capsys):
     assert rows == (full / "desk" / "summary.csv").read_text().splitlines()[:2]
     assert sorted(p.name for p in (out / "desk").iterdir()) == \
         [_run_dir(out).name, "summary.csv"]
+
+
+def _log_uniform(rng, lo, hi):
+    return float(10.0 ** rng.uniform(math.log10(lo), math.log10(hi)))
+
+
+def _fuzz_config(rng):
+    """A tiny sweep config with extreme but valid constants."""
+    m = int(rng.integers(2, 5))
+    train = int(rng.integers(1, 4)) * 10 * m
+    cfg = {"M": m, "p_a": _log_uniform(rng, 1e-12, 1e6),
+           "snr": _log_uniform(rng, 1e-6, 1e9), "epochs": int(rng.integers(1, 3)),
+           "train_set_size": train, "minibatch_size": int(rng.integers(1, train + 1)),
+           "restarts": int(rng.integers(1, 3)), "eval_samples": 1000,
+           "learning_rate": _log_uniform(rng, 1e-12, 1e6),
+           "lambda.start": _log_uniform(rng, 1e-300, 1e300),
+           "lambda.factor": 1.0 + _log_uniform(rng, 1e-12, 1e12),
+           "lambda.max_points": int(rng.integers(1, 4)),
+           "seed": int(rng.integers(0, 2 ** 31))}
+    if rng.random() < 0.5:
+        cfg.update({"harvester.model": "A",
+                    "harvester.alpha": _log_uniform(rng, 1e-12, 1e12),
+                    "harvester.beta": _log_uniform(rng, 1e-12, 1e12) * (rng.random() < 0.8),
+                    "harvester.gamma": rng.uniform(-1.0, 1.0) * _log_uniform(rng, 1e-12, 1e6)})
+    else:
+        cfg.update({"harvester.model": "B", "harvester.ls": _log_uniform(rng, 1e-9, 1e9),
+                    "harvester.a": _log_uniform(rng, 1e-6, 1e12),
+                    "harvester.b": _log_uniform(rng, 1e-12, 1e3)})
+    return cfg
+
+
+def test_sweep_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
+    # a seeded loop of tiny sweeps: each exits 0, 2, 3 or 4, raises nothing,
+    # warns nothing and lists only finite values in summary.csv
+    rng = np.random.default_rng(0)
+    codes = set()
+    for case in range(120):
+        cfg = _fuzz_config(rng)
+        path = _write_cfg(tmp_path, cfg, f"cfg{case}.json")
+        out = tmp_path / f"s{case}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(["sweep", path, "--out", str(out)])
+            except Exception as exc:
+                raise AssertionError(f"case {case} raised: {cfg}") from exc
+        capsys.readouterr()
+        assert code in (0, 2, 3, 4), (case, cfg)
+        assert not caught, (case, cfg, [str(w.message) for w in caught])
+        summary = out / "desk" / "summary.csv"
+        if summary.exists():
+            for row in summary.read_text().splitlines()[1:]:
+                assert all(math.isfinite(float(v)) for v in row.split(",")), (case, row)
+        codes.add(code)
+    assert {0, 4} <= codes   # the loop reaches both trained and failed sweeps
 
 
 # ---------------------------------------------------------------------------

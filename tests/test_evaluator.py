@@ -31,6 +31,21 @@ def test_estimate_ser_ml_ties_go_to_lowest_index():
     assert report.ser == np.isin(s, [1, 3]).sum() / TIE_SAMPLES
 
 
+def test_estimate_ser_ml_ties_above_255_messages(monkeypatch):
+    # M=300 needs 16-bit ranks: samples of 290 and 299 tie with their
+    # duplicates 260 and 256 and decode to those
+    monkeypatch.setattr("swiptmod.evaluator._WS", {})   # drop the (300, tile) buffers after
+    points = 0.1 * np.exp(2j * np.pi * np.arange(300) / 300)
+    points[[290, 299]] = points[[260, 256]]
+    const = _uniform(points)
+    report = estimate_ser(const, None, 0.0, TIE_SAMPLES, seed=6)
+    s = substream(6, ROLE_EVAL, 0).integers(0, 300, size=TIE_SAMPLES)
+    assert report.ser == np.isin(s, [290, 299]).sum() / TIE_SAMPLES > 0.0
+    noisy = estimate_ser(const, None, 1e-6, TIE_SAMPLES, seed=6)
+    assert noisy.ser > report.ser
+    assert noisy.ser == _full_block_ser(const, None, 1e-6, TIE_SAMPLES, seed=6)[0]
+
+
 def test_estimate_ser_nn_ties_go_to_lowest_index():
     # an all-zero decoder gives uniform probabilities: every sample decodes to 0
     decoder = init_params([4, 8, 2], [2, 8, 4], seed=0).decoder
@@ -163,7 +178,7 @@ def test_estimate_ser_warm_workspace_allocates_little(ml, monkeypatch):
             tracemalloc.stop()
     cold, warm = peak(), peak()
     # a (2^16,) block of messages is 0.5 MB; the cold NN call also fills the
-    # (32, 8192) decoder buffers, 2 MB each
+    # decoder's (32, 8192) hidden buffer, 2 MB
     assert warm < 1.5e6 and warm < cold / 2
 
 

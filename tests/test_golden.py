@@ -12,6 +12,7 @@ Regenerate after an intended change with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import hashlib
 import json
 import platform
@@ -57,14 +58,33 @@ def _sha(*values) -> str:
     return h.hexdigest()
 
 
+def _openblas_core() -> str:
+    """The kernel core that NumPy's bundled OpenBLAS chose when it loaded (it
+    follows the CPU, or OPENBLAS_CORETYPE), or "unknown" when there is no
+    such library or it lacks the symbol."""
+    here = Path(np.__file__).parent
+    for lib in sorted([*here.parent.glob("numpy.libs/libscipy_openblas*"),
+                       *here.glob(".dylibs/libscipy_openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes = []
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def stack() -> dict:
-    """The NumPy build, its BLAS library and the machine the bits belong to."""
+    """The NumPy build, its BLAS library and core, and the machine the bits
+    belong to."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):   # NumPy before 1.26 has no mode="dicts"
         blas = "unknown"
-    return {"numpy": np.__version__, "blas": blas, "machine": platform.machine()}
+    return {"numpy": np.__version__, "blas": blas, "blas_core": _openblas_core(),
+            "machine": platform.machine()}
 
 
 def _network_cost_entries(out: dict) -> None:

@@ -33,7 +33,7 @@ def _grads(layers):
 # ---------------------------------------------------------------------------
 
 def _dense_forward(layer, x):
-    out, _, _ = mlp_forward([layer], x)
+    out, _ = mlp_forward([layer], x)
     return out
 
 
@@ -44,10 +44,12 @@ def test_dense_forward_identity():
 
 
 def test_dense_forward_relu_clamps_negative_bias():
-    # every layer but the last is ReLU: post[1] is the hidden layer's output
+    # every layer but the last is ReLU: post[1] is the hidden layer's output,
+    # written over its pre-activation buffer
     layers = [_layer(np.zeros((2, 2)), [0.5, -1.0]), _layer(np.eye(2), np.zeros(2))]
-    out, zs, post = mlp_forward(layers, np.zeros((2, 3)))
-    assert np.array_equal(zs[0], [[0.5] * 3, [-1.0] * 3])
+    ws = {}
+    out, post = mlp_forward(layers, np.zeros((2, 3)), ws)
+    assert post[1] is ws[("", "z", 0)]
     assert np.array_equal(post[1], [[0.5] * 3, [0.0] * 3])
     assert np.array_equal(out, post[1])
 
@@ -113,8 +115,8 @@ def test_softmax_in_place_matches_new_array():
 def test_forward_softmax_head_in_place_and_workspace_reuse():
     layers = init_params([4, 8, 2], [2, 8, 3], seed=1).decoder
     x = substream(15, 0).standard_normal((2, 5))
-    out, zs, post = mlp_forward(layers, x)
-    assert out is zs[-1] and out is post[-1]   # the last layer is linear
+    out, post = mlp_forward(layers, x)
+    assert out is post[-1]   # the last layer is linear
     # decode applies the softmax in place over its logits buffer
     ws = {}
     probs = decode(layers, x, ws)
@@ -122,14 +124,14 @@ def test_forward_softmax_head_in_place_and_workspace_reuse():
     assert np.array_equal(probs, softmax(out))
     assert np.all(probs >= 0.0) and np.allclose(probs.sum(axis=0), 1.0, atol=1e-15)
     ws = {}
-    first, zs_ws, _ = mlp_forward(layers, x, ws, "dec")
+    first, post_ws = mlp_forward(layers, x, ws, "dec")
     assert np.array_equal(first, out)
     assert any(first is buf for buf in ws.values())
-    again, _, _ = mlp_forward(layers, x, ws, "dec")
+    again, _ = mlp_forward(layers, x, ws, "dec")
     assert again is first   # the same buffers are refilled
     grads, ref = _grads(layers), _grads(layers)
-    mlp_backward(layers, zs_ws, post, out - 0.25, grads, {}, "dec")
-    mlp_backward(layers, zs, post, out - 0.25, ref)
+    mlp_backward(layers, post_ws, out - 0.25, grads, {}, "dec")
+    mlp_backward(layers, post, out - 0.25, ref)
     assert all(np.array_equal(a, b) for a, b in zip(grads, ref))
 
 
@@ -151,6 +153,8 @@ def test_scratch_shapes_of_one_key_share_a_growing_buffer():
                               (ints, (3, 7), np.int64), (mask, (5,), np.bool_)):
         assert type(buf) is np.ndarray and buf.flags.c_contiguous
         assert buf.shape == shape and buf.dtype == dtype
+    narrow = scratch(ws, "m", (5,), np.uint16)   # same shape, another dtype
+    assert narrow.dtype == np.uint16 and not np.shares_memory(narrow, mask)
 
 
 def test_softmax_normalizes_columns_and_leaves_input_unchanged():
@@ -174,10 +178,10 @@ def test_backward_single_linear_layer_closed_form():
     layer = _layer(rng.standard_normal((3, 2)), rng.standard_normal(3))
     x = rng.standard_normal((2, 1))
     t = rng.standard_normal((3, 1))
-    out, zs, post = mlp_forward([layer], x)
+    out, post = mlp_forward([layer], x)
     d_last_z = 2.0 * (out - t)
     grads = _grads([layer])
-    dinp = mlp_backward([layer], zs, post, d_last_z, grads)
+    dinp = mlp_backward([layer], post, d_last_z, grads)
     dw, db = grads
     resid = (out - t)[:, 0]
     assert np.allclose(dw, 2.0 * np.outer(resid, x[:, 0]), atol=1e-14)
@@ -190,9 +194,9 @@ def test_backward_zero_upstream_gives_zero_grads():
     layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
               _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
     x = rng.standard_normal((3, 5))
-    _, zs, post = mlp_forward(layers, x)
+    _, post = mlp_forward(layers, x)
     grads = _grads(layers)
-    dinp = mlp_backward(layers, zs, post, np.zeros((2, 5)), grads)
+    dinp = mlp_backward(layers, post, np.zeros((2, 5)), grads)
     for g in grads:
         assert not g.any()
     assert not dinp.any()
@@ -204,17 +208,19 @@ def test_backward_relu_mask_and_inputs_unchanged():
               _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
     x = rng.standard_normal((3, 5))
     d = rng.standard_normal((2, 5))
-    _, zs, post = mlp_forward(layers, x)
-    before = [a.copy() for a in zs + post + [d]]
+    _, post = mlp_forward(layers, x)
+    before = [a.copy() for a in post + [d]]
     grads = _grads(layers)
-    dinp = mlp_backward(layers, zs, post, d, grads)
-    dz0 = (layers[1].weights.T @ d) * (zs[0] > 0.0)
+    dinp = mlp_backward(layers, post, d, grads)
+    # the mask of the hidden pre-activation, recomputed here
+    z0 = layers[0].weights @ x + layers[0].biases[:, None]
+    dz0 = (layers[1].weights.T @ d) * (z0 > 0.0)
     assert np.allclose(grads[0], dz0 @ x.T, atol=1e-14)
     assert np.allclose(grads[1], dz0.sum(axis=1), atol=1e-14)
     assert np.allclose(grads[2], d @ post[1].T, atol=1e-14)
     assert np.allclose(grads[3], d.sum(axis=1), atol=1e-14)
     assert np.allclose(dinp, layers[0].weights.T @ dz0, atol=1e-14)
-    assert all(np.array_equal(a, b) for a, b in zip(zs + post + [d], before))
+    assert all(np.array_equal(a, b) for a, b in zip(post + [d], before))
 
 
 def test_backward_two_layer_matches_finite_differences():
@@ -224,12 +230,12 @@ def test_backward_two_layer_matches_finite_differences():
     x = rng.standard_normal((3, 6)) + 0.1  # keep away from ReLU kinks
 
     def cost():
-        out, _, _ = mlp_forward(layers, x)
+        out, _ = mlp_forward(layers, x)
         return float(np.sum(out ** 2))
 
-    out, zs, post = mlp_forward(layers, x)
+    out, post = mlp_forward(layers, x)
     grads = _grads(layers)
-    mlp_backward(layers, zs, post, 2.0 * out, grads)
+    mlp_backward(layers, post, 2.0 * out, grads)
     step = 1e-6
     for li, layer in enumerate(layers):
         for arr, grad in ((layer.weights, grads[2 * li]),

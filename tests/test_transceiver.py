@@ -196,7 +196,7 @@ def test_batch_cross_entropy_matches_scalar_mean():
     msgs = rng.integers(0, 4, size=6)
     noise = sample_noise(6, 2e-4, rng)
     _, info, _ = network_cost(params, msgs, noise, 0.01, 0.0, MODEL_A)
-    u, _, _ = mlp_forward(params.encoder, np.eye(4))
+    u, _ = mlp_forward(params.encoder, np.eye(4))
     x, _, _, _, _ = normalize_power(u, msgs, 0.01)
     scalar = np.mean([-np.log(decode(params.decoder, x[:, s:s + 1] + noise[j, :, None])[s, 0])
                       for j, s in enumerate(msgs)])
