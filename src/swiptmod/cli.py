@@ -9,6 +9,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import config as cfgmod
 from .config import ConfigError
 from .evaluator import MIN_SAMPLES, estimate_ser
@@ -127,17 +129,19 @@ def cmd_eval(args) -> int:
         raise CheckpointFormatError(
             f"checkpoint dims encoder={got_enc} decoder={got_dec} do not match "
             f"config dims encoder={expect_enc} decoder={expect_dec}")
-    try:   # a degenerate or non-finite encoder, or non-finite decoder output
-        const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-        report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
-                              seed=args.seed)
+    try:   # a degenerate encoder, non-finite logits, or an overflow anywhere
+        with np.errstate(over="raise", invalid="raise"):
+            const = export_constellation(params.encoder, cfg.m, cfg.p_a)
+            report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
+                                  seed=args.seed)
+            p_del = pdel_exact(const, cfg.harvester)
     except (FloatingPointError, DegenerateEncoderError) as exc:
         print(f"unusable checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
         return EXIT_TRAINING
     payload = {
         "ser": report.ser,
         "ser_stderr": report.ser_stderr,
-        "p_del": pdel_exact(const, cfg.harvester),
+        "p_del": p_del,
         "rate_bits": report.rate_bits,
         "num_samples": report.num_samples,
         "cross_entropy": report.cross_entropy,
@@ -148,7 +152,11 @@ def cmd_eval(args) -> int:
 
 def cmd_plot(args) -> int:
     const = read_constellation_csv(args.csv)
-    write_constellation_svg(const, const.mean_power(), args.out)
+    with np.errstate(over="ignore"):   # an overflow shows as an infinite power
+        p_a = const.mean_power()
+    if not math.isfinite(p_a):
+        raise ConstellationFormatError(f"{args.csv}: the points' mean power overflows")
+    write_constellation_svg(const, p_a, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -16,6 +16,9 @@ MIN_SAMPLES = 1_000
 _TILE = 1 << 13   # samples per compute tile: its (M, tile) buffers stay in cache
 _COLS = np.arange(_TILE)
 _WS = {}   # estimate_ser's buffers; kept between calls, so no call re-faults them
+# no e = exp(z - max z) at or below this has e / s round to fl(1 / s): 1.0 and
+# 1 - 2^-51 are 4 ulps apart, so their exact quotients are 2 ulps apart or more
+NEAR_ONE = 1.0 - 2.0 ** -51
 
 
 @dataclass
@@ -27,18 +30,34 @@ class EvalReport:
     cross_entropy: float = math.nan
 
 
-def _first_match(a: np.ndarray, extreme: np.ndarray, ranks: np.ndarray,
-                 ws: dict) -> np.ndarray:
-    """Row index of each column's first entry equal to `extreme` (its max or
-    min), so ties go to the lowest index as with np.argmax/np.argmin. The
-    matches, weighted by the reversed ranks M..1 (an (M, 1) column), peak at
-    the first one, whose rank is M minus its index. The result is a
-    workspace buffer of the ranks' dtype."""
-    m, w = a.shape
-    hits = np.equal(a, extreme, out=scratch(ws, "hits", (m, w), ranks.dtype))
+def _first(hits: np.ndarray, ranks: np.ndarray, ws: dict) -> np.ndarray:
+    """Row index of each column's first nonzero entry of `hits`, an (M, w)
+    0/1 buffer of the ranks' dtype, overwritten. Weighted by the reversed
+    ranks M..1 (an (M, 1) column), the hits peak at the first one, whose
+    rank is M minus its index. The result is a workspace buffer of the
+    ranks' dtype."""
+    m, w = hits.shape
     hits *= ranks
     best = hits.max(axis=0, out=scratch(ws, "best", (w,), ranks.dtype))
     return np.subtract(m, best, out=best)
+
+
+def _decide(e: np.ndarray, sums: np.ndarray, ranks: np.ndarray, ws: dict) -> np.ndarray:
+    """np.argmax of decode's probabilities e / sums over axis 0, without
+    dividing e. Each column's top e is exactly 1.0, so its largest
+    probability is fl(1 / sums), which no e <= NEAR_ONE reaches: the first
+    e >= NEAR_ONE is the answer when it is 1.0, and the rare other columns
+    are decided on their probabilities."""
+    m, w = e.shape
+    hits = scratch(ws, "hits", (m, w), ranks.dtype)
+    s_hat = _first(np.greater_equal(e, NEAR_ONE, out=hits), ranks, ws)
+    at = np.multiply(s_hat, w, out=scratch(ws, "at", (w,), np.int64), dtype=np.int64)
+    at += _COLS[:w]
+    first = np.take(e.reshape(-1), at, out=scratch(ws, "first", (w,)), mode="clip")
+    near = np.flatnonzero(first != 1.0)
+    if near.size:
+        s_hat[near] = np.argmax(e[:, near] / sums[near], axis=0)
+    return s_hat
 
 
 def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
@@ -90,13 +109,16 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
                 d = np.subtract(y[1], pi[:, None], out=scratch(ws, "d", (m, w)))
                 a += np.square(d, out=d)
                 top = a.min(axis=0, out=scratch(ws, "top", (w,)))
+                hits = np.equal(a, top, out=scratch(ws, "hits", (m, w), ranks.dtype))
+                s_hat = _first(hits, ranks, ws)
             else:
-                a = decode(decoder, y, ws)
-                top = a.max(axis=0, out=scratch(ws, "top", (w,)))
+                e, sums = decode(decoder, y, ws)
+                # each sample's probability of its own message: e / sums there
                 idx = np.multiply(st, w, out=scratch(ws, "idx", (w,), np.int64))
                 idx += _COLS[:w]
-                np.take(a.reshape(-1), idx, out=picked[t0:t0 + w], mode="clip")
-            s_hat = _first_match(a, top, ranks, ws)
+                own = np.take(e.reshape(-1), idx, out=picked[t0:t0 + w], mode="clip")
+                own /= sums
+                s_hat = _decide(e, sums, ranks, ws)
             wrong = np.not_equal(s_hat, st, out=scratch(ws, "wrong", (w,), bool))
             errors += int(np.count_nonzero(wrong))
         if decoder is not None:   # one sum per block keeps the summation order

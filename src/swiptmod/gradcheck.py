@@ -92,26 +92,24 @@ def _draw_case(rng, case_index):
 
 def _margins(params: NetworkParams, msgs: np.ndarray, noise: np.ndarray,
              p_a: float) -> tuple[float, float]:
-    """Smallest |pre-activation| and smallest picked probability of one step.
+    """Smallest |ReLU pre-activation| and smallest picked probability of one step.
 
     One forward pass as in network_cost; mlp_forward keeps only the ReLU
-    outputs, so each net's one hidden pre-activation is recomputed here with
-    the same matmul and add. Encoder pre-activations (hidden and output)
-    count only for messages present in the batch, the decoder's exclude the
-    logits.
+    outputs, so each net's one hidden pre-activation is recomputed by its
+    first layer alone, which is linear as the last of a stack. The encoder's
+    counts only for messages present in the batch. The linear outputs (the
+    encoder's points, the logits) have no kink and do not count.
     """
-    enc0, dec0 = params.encoder[0], params.decoder[0]
-    eye = np.eye(enc0.in_dim)
+    eye = np.eye(params.encoder[0].in_dim)
     u, _ = mlp_forward(params.encoder, eye)
     x, _, _, _, counts = normalize_power(u, msgs, p_a)
     y = x[:, msgs] + noise.T
     logits, _ = mlp_forward(params.decoder, y)
     probs = softmax(logits)
-    present = counts > 0
-    hidden_e = enc0.weights @ eye + enc0.biases[:, None]
-    hidden_d = dec0.weights @ y + dec0.biases[:, None]
-    relu = min(float(np.min(np.abs(z)))
-               for z in (hidden_e[:, present], u[:, present], hidden_d))
+    hidden_e, _ = mlp_forward(params.encoder[:1], eye)
+    hidden_d, _ = mlp_forward(params.decoder[:1], y)
+    relu = min(float(np.min(np.abs(hidden_e[:, counts > 0]))),
+               float(np.min(np.abs(hidden_d))))
     return relu, float(probs[msgs, np.arange(msgs.size)].min())
 
 

@@ -92,11 +92,11 @@ def scratch(ws: dict | None, key, shape, dtype=float) -> np.ndarray | None:
     return buf
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stabilized softmax over axis 0, one column per sample.
-
-    The result goes to `out`, which may be `logits` itself; with out=None it
-    is a new array and the input is left unchanged.
+def softmax_terms(logits: np.ndarray, out: np.ndarray | None = None):
+    """The softmax over axis 0 before its division: (e, s) with
+    e = exp(z - max z), whose top entry in each column is exactly 1.0, and s
+    its column sums. Non-finite logits raise FloatingPointError. `e` goes to
+    `out`, which may be `logits` itself; with out=None it is a new array.
     """
     z = np.asarray(logits, dtype=float)
     top = z.max(axis=0)
@@ -105,7 +105,14 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         raise FloatingPointError("non-finite logits passed to softmax")
     e = np.subtract(z, top, out=out)
     np.exp(e, out=e)
-    e /= e.sum(axis=0)
+    return e, e.sum(axis=0)
+
+
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stabilized softmax over axis 0, one column per sample:
+    softmax_terms' e / s, in e's buffer (`out` as there)."""
+    e, s = softmax_terms(logits, out)
+    e /= s
     return e
 
 
@@ -114,22 +121,39 @@ def mlp_forward(layers: list[DenseLayer], x: np.ndarray, ws: dict | None = None,
     """Run a stack of layers on (features, batch) columns.
 
     Every layer but the last is ReLU, applied in place over its
-    pre-activation; the last is linear. Returns (output, post-activations);
-    post[0] is the input itself and post[-1] the output. With a workspace
-    every result lands in its buffers under `key`, which must differ between
-    stacks sharing one workspace.
+    pre-activation; the last is linear. The first layer is one matmul of
+    [W | b], copied into a workspace block, by the input over a row of ones:
+    the bias is the last term of each dot product, so for an identity or
+    2-wide input this rounds as W @ x + b[:, None]. Later layers add their
+    bias after the matmul, as BLAS may split their wider dot products into
+    partial sums. Returns (output, post-activations); post[0] is the input
+    itself and post[-1] the output. Every result lands in workspace buffers
+    under `key`, which must differ between stacks sharing one workspace;
+    with ws=None they are all new.
     """
+    if ws is None:
+        ws = {}
     post = [np.asarray(x, dtype=float)]
-    h = post[0]
+    rows, batch = post[0].shape
+    h = scratch(ws, (key, "x"), (rows + 1, batch))
+    h[:rows] = post[0]
+    h[rows] = 1.0
     last = len(layers) - 1
     for li, layer in enumerate(layers):
-        shape = (layer.out_dim, h.shape[-1])
-        h = np.matmul(layer.weights, h, out=scratch(ws, (key, "z", li), shape))
-        h += layer.biases[:, None]
+        z = scratch(ws, (key, "z", li), (layer.out_dim, batch))
+        if li == 0:
+            wb = scratch(ws, (key, "wb"), (layer.out_dim, rows + 1))
+            wb[:, :rows] = layer.weights
+            wb[:, rows] = layer.biases
+            np.matmul(wb, h, out=z)
+        else:
+            np.matmul(layer.weights, h, out=z)
+            z += layer.biases[:, None]
         if li < last:
-            np.maximum(h, 0.0, out=h)
-        post.append(h)
-    return h, post
+            np.maximum(z, 0.0, out=z)
+        post.append(z)
+        h = z
+    return post[-1], post
 
 
 def mlp_backward(layers: list[DenseLayer], post, d_last_z: np.ndarray,

@@ -263,7 +263,8 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     ws = {}   # this restart's batch-sized buffers, reused by every step
 
     # divergence shows as a non-finite cost, as softmax rejecting its logits,
-    # or as an overflow or invalid operation in a step, which raises here
+    # or as an overflow or invalid operation in a step or in the final
+    # evaluation, which raises here
     try:
         with np.errstate(over="raise", invalid="raise"):
             for first in range(0, steps, per_draw):
@@ -279,13 +280,13 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                         max_power_err = max(max_power_err,
                                             abs(info["batch_power"] - cfg.p_a))
                     adam_step(params.flat, grads, state)
-        ws.clear()   # the step buffers are not needed by the evaluation
-        const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-        report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
-                              seed=seed)
+            ws.clear()   # the step buffers are not needed by the evaluation
+            const = export_constellation(params.encoder, cfg.m, cfg.p_a)
+            report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
+                                  seed=seed)
+            p_del = pdel_exact(const, cfg.harvester)
     except (FloatingPointError, DegenerateEncoderError):
         return failed   # also when every point sits at the origin or is non-finite
-    p_del = pdel_exact(const, cfg.harvester)
     final_cost = total_cost(report.cross_entropy, p_del, lam)
     return RunRecord(lam=lam, seed=seed, final_cost=final_cost, ser=report.ser,
                      p_del=p_del, cross_entropy=report.cross_entropy,

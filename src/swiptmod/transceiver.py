@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import DenseLayer, mlp_forward, softmax
+from .nn import DenseLayer, mlp_forward, softmax_terms
 
 EPS_NORM = 1e-20   # degenerate-batch guard on the pre-normalization energy
 EPS_LOG = 1e-15    # clamp for log() in the cross entropy
@@ -67,12 +67,13 @@ def normalize_power(u: np.ndarray, msgs: np.ndarray, p_a: float):
     return scale * u, scale, energy, degenerate, counts
 
 
-def decode(decoder: list[DenseLayer], y: np.ndarray, ws: dict | None = None) -> np.ndarray:
-    """(2, B) real columns (re, im) of noisy symbols -> (M, B) probability
-    columns (the softmax of the logits, computed in place over them). With a
-    workspace the result is its buffer, overwritten by the next call."""
+def decode(decoder: list[DenseLayer], y: np.ndarray, ws: dict | None = None):
+    """(2, B) real columns (re, im) of noisy symbols -> (e, s): the (M, B)
+    columns exp(z - max z) of the logits z, computed in place over them, and
+    their (B,) sums, so the probabilities are e / s. With a workspace e is
+    its buffer, overwritten by the next call."""
     logits, _ = mlp_forward(decoder, y, ws)
-    return softmax(logits, out=logits)
+    return softmax_terms(logits, out=logits)
 
 
 def export_constellation(encoder: list[DenseLayer], m: int, p_a: float) -> Constellation:

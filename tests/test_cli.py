@@ -11,7 +11,7 @@ import pytest
 from swiptmod import cli, config, trainer
 from swiptmod.nn import init_params, save_checkpoint
 from swiptmod.svgplot import render_constellation_svg
-from swiptmod.transceiver import Constellation, write_constellation_csv
+from swiptmod.transceiver import CSV_HEADER, Constellation, write_constellation_csv
 
 TINY_A = {
     "M": 4,
@@ -340,6 +340,67 @@ def test_sweep_fuzz_ends_in_a_documented_exit(tmp_path, capsys):
                 assert all(math.isfinite(float(v)) for v in row.split(",")), (case, row)
         codes.add(code)
     assert {0, 4} <= codes   # the loop reaches both trained and failed sweeps
+
+
+def _documented_exit(argv, case, capsys) -> int:
+    """cli.main(argv)'s exit code, which must be 0, 2, 3 or 4, reached with
+    no exception and no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = cli.main(argv)
+        except Exception as exc:
+            raise AssertionError(f"case {case} raised: {argv}") from exc
+    capsys.readouterr()
+    assert code in (0, 2, 3, 4), (case, argv)
+    assert not caught, (case, argv, [str(w.message) for w in caught])
+    return code
+
+
+def _fuzz_csv(rng, path):
+    """A constellation CSV of 1-6 rows with extreme but finite values."""
+    rows = [CSV_HEADER]
+    for i in range(int(rng.integers(1, 7))):
+        re, im = (float(rng.choice([-1.0, 1.0])) * _log_uniform(rng, 1e-300, 1e300)
+                  * (rng.random() < 0.9) for _ in range(2))
+        rows.append(f"{i},{_log_uniform(rng, 1e-300, 1e300):.17g},{re:.17g},{im:.17g}")
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_train_eval_plot_fuzz_end_in_a_documented_exit(tmp_path, capsys):
+    # the sweep fuzz's configs through train at one lambda; eval of its
+    # checkpoint and of a freshly initialized one with scaled weights; plot
+    # of its CSV and of a CSV with extreme values
+    rng = np.random.default_rng(1)
+    codes = {"train": set(), "eval": set(), "plot": set()}
+    for case in range(120):
+        cfg = _fuzz_config(rng)
+        path = _write_cfg(tmp_path, cfg, f"cfg{case}.json")
+        out = tmp_path / f"t{case}"
+        lam = 0.0 if rng.random() < 0.3 else _log_uniform(rng, 1e-300, 1e300)
+        code = _documented_exit(["train", path, "--lambda", repr(lam), "--out", str(out)],
+                                case, capsys)
+        codes["train"].add(code)
+        point = _run_dir(out, lam)
+        ckpts = [point / "checkpoint.bin"] if code == 0 else []
+        if code != 2:   # a config the CLI accepts
+            m = cfg["M"]
+            params = init_params([m, 2 * m, 2], [2, 2 * m, m], case)
+            params.flat *= _log_uniform(rng, 1e-300, 1e300)
+            ckpts.append(tmp_path / f"init{case}.bin")
+            save_checkpoint(ckpts[-1], params)
+        for ckpt in ckpts:
+            argv = ["eval", str(ckpt), path, "--samples", str(int(rng.integers(1000, 3000))),
+                    "--seed", str(int(rng.integers(0, 2 ** 31)))]
+            codes["eval"].add(_documented_exit(argv, case, capsys))
+        csvs = [point / "constellation.csv"] if code == 0 else []
+        csvs.append(tmp_path / f"fuzz{case}.csv")
+        _fuzz_csv(rng, csvs[-1])
+        for csv in csvs:
+            argv = ["plot", str(csv), str(tmp_path / f"plot{case}.svg")]
+            codes["plot"].add(_documented_exit(argv, case, capsys))
+    # the loop reaches both trained and failed runs, and plots both kinds of CSV
+    assert {0, 4} <= codes["train"] and {0, 4} <= codes["eval"] and 0 in codes["plot"]
 
 
 # ---------------------------------------------------------------------------

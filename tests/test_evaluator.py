@@ -7,9 +7,9 @@ import pytest
 
 from oracles import classical_baseline
 from swiptmod.channel import ROLE_EVAL, sample_noise, substream
-from swiptmod.evaluator import estimate_ser
+from swiptmod.evaluator import _decide, estimate_ser
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
-from swiptmod.nn import DenseLayer, init_params, mlp_forward, softmax
+from swiptmod.nn import DenseLayer, init_params, mlp_forward, softmax, softmax_terms
 from swiptmod.transceiver import EPS_LOG, Constellation
 
 
@@ -127,6 +127,95 @@ def test_estimate_ser_matches_full_block_reference(ml):
         assert np.isnan(report.cross_entropy)
     else:
         assert report.cross_entropy.hex() == ce.hex()
+
+
+# ---------------------------------------------------------------------------
+# the NN decision on exp(z - max z): near-ties against divide, max, first match
+# ---------------------------------------------------------------------------
+
+ULP1 = 2.0 ** -53   # the spacing of floats just below 1.0
+
+
+def _reference_decision(e, sums):
+    """The decision before it moved onto e: divide the (M, w) block by the
+    sums, take each column's max, and return its first match."""
+    p = e / sums
+    return np.argmax(p == p.max(axis=0), axis=0)
+
+
+def _planted_columns(rng, m, w):
+    """(e, sums) of w columns whose top e is 1.0 and which hold near-ties.
+
+    Half are planted on e: entries 1 - k * 2^-53 (k = 1..5) at random rows,
+    before or after the row of the exact 1.0. Half are planted on the logits:
+    entries 0-4 ulps below the column max, run through softmax_terms.
+    """
+    half = w // 2
+    e = rng.uniform(0.0, 0.9, size=(m, half))
+    cols = np.arange(half)
+    e[rng.integers(0, m, size=half), cols] = 1.0
+    for _ in range(3):
+        rows = rng.integers(0, m, size=half)
+        keep = e[rows, cols] != 1.0
+        e[rows[keep], cols[keep]] = 1.0 - rng.integers(1, 6, size=half)[keep] * ULP1
+    z = rng.uniform(-3.0, 3.0, size=(m, w - half))
+    cols = np.arange(w - half)
+    top = rng.integers(0, m, size=w - half)
+    z[top, cols] = 4.0
+    for _ in range(3):
+        rows = rng.integers(0, m, size=w - half)
+        keep = rows != top
+        below = np.full(keep.sum(), 4.0)
+        for _ in range(int(rng.integers(0, 5))):
+            below = np.nextafter(below, -np.inf)
+        z[rows[keep], cols[keep]] = below
+    ez, _ = softmax_terms(z)
+    e = np.concatenate([e, ez], axis=1)
+    return e, e.sum(axis=0)
+
+
+def test_nn_decision_matches_divide_max_first_match_on_near_ties():
+    rng = np.random.default_rng(17)
+    naive_misses = 0
+    for m in (4, 16, 300):
+        ranks = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
+        for _ in range(4):
+            e, sums = _planted_columns(rng, m, 8000)
+            ref = _reference_decision(e, sums)
+            assert np.array_equal(_decide(e, sums, ranks, {}), ref)
+            # the first exact 1.0 alone misses the near-ties that round up
+            naive_misses += np.count_nonzero(np.argmax(e == 1.0, axis=0) != ref)
+    assert naive_misses > 100
+
+
+def test_estimate_ser_nn_decides_planted_near_ties_as_the_reference(monkeypatch):
+    # noiseless samples of points 0..M-1 on the real axis tell each tile's
+    # messages; the fake decoder puts e = 1.0 at each sample's own message and
+    # near-ties at random rows, so the exact-1.0 rule alone would make no error
+    m, n = 16, 20_000
+    const = _uniform(np.arange(m, dtype=float))
+    rng = np.random.default_rng(5)
+    errors, own = [0], []
+
+    def planted_decode(decoder, y, ws):
+        st = y[0].astype(int)
+        w = st.size
+        e = rng.uniform(0.0, 0.9, size=(m, w))
+        cols = np.arange(w)
+        for _ in range(3):
+            e[rng.integers(0, m, size=w), cols] = 1.0 - rng.integers(1, 6, size=w) * ULP1
+        e[st, cols] = 1.0
+        sums = e.sum(axis=0)
+        errors[0] += np.count_nonzero(_reference_decision(e, sums) != st)
+        own.append(e[st, cols] / sums)
+        return e, sums
+
+    monkeypatch.setattr("swiptmod.evaluator.decode", planted_decode)
+    decoder = init_params([m, 2 * m, 2], [2, 2 * m, m], seed=0).decoder
+    report = estimate_ser(const, decoder, 0.0, n, seed=9)
+    assert errors[0] > 0 and report.ser == errors[0] / n
+    p = np.maximum(np.concatenate(own), EPS_LOG)
+    assert report.cross_entropy.hex() == (-float(np.log(p).sum()) / n).hex()
 
 
 @pytest.mark.parametrize("ml", [False, True])

@@ -1,5 +1,6 @@
 """Tests for the dense-network engine: forward, backward, Adam, init, checkpoints."""
 
+import json
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from swiptmod.nn import (ADAM_EPS, AdamState, CheckpointFormatError, DenseLayer,
                          softmax, xavier_uniform)
 from swiptmod.channel import substream
 from swiptmod.transceiver import decode
+from test_golden import GOLDEN, stack
 
 
 def _layer(w, b):
@@ -72,6 +74,39 @@ def test_dense_forward_dimension_mismatch():
         _dense_forward(layer, np.zeros((3, 1)))
 
 
+# B = 2, 3, 4 and 100 are batch widths where OpenBLAS's SkylakeX kernel splits
+# a 33-term dot product (an M=16 decoder's output layer with its bias folded
+# in), so they also show that the later layers keep their separate add
+FORWARD_BATCHES = (1, 2, 3, 4, 5, 8, 100, 400, 1600, 8192)
+
+
+@pytest.mark.parametrize("batch", FORWARD_BATCHES)
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_forward_matches_matmul_plus_bias(m, batch):
+    # each layer, given its input from the same pass, against W @ h + b[:, None]:
+    # bit for bit on the stack golden.json was made on, within 1e-15 of the
+    # sum of |terms| elsewhere
+    on_golden_stack = json.loads(GOLDEN.read_text())["stack"] == stack()
+    params = init_params([m, 2 * m, 2], [2, 2 * m, m], seed=100 * m + batch)
+    rng = substream(m, batch)
+    for layer in params.encoder + params.decoder:
+        layer.biases[:] = rng.standard_normal(layer.out_dim)
+    for layers, x in ((params.encoder, np.eye(m)),
+                      (params.decoder, 0.1 * rng.standard_normal((2, batch)))):
+        out, post = mlp_forward(layers, x, {})
+        for li, layer in enumerate(layers):
+            h = post[li]
+            want = layer.weights @ h
+            want += layer.biases[:, None]
+            if li < len(layers) - 1:
+                np.maximum(want, 0.0, out=want)
+            if on_golden_stack:
+                assert np.array_equal(post[li + 1], want), (li, batch)
+            else:
+                size = np.abs(layer.weights) @ np.abs(h) + np.abs(layer.biases)[:, None]
+                assert np.all(np.abs(post[li + 1] - want) <= 1e-15 * size), (li, batch)
+
+
 # ---------------------------------------------------------------------------
 # softmax
 # ---------------------------------------------------------------------------
@@ -117,12 +152,12 @@ def test_forward_softmax_head_in_place_and_workspace_reuse():
     x = substream(15, 0).standard_normal((2, 5))
     out, post = mlp_forward(layers, x)
     assert out is post[-1]   # the last layer is linear
-    # decode applies the softmax in place over its logits buffer
+    # decode computes softmax_terms in place over its logits buffer
     ws = {}
-    probs = decode(layers, x, ws)
-    assert any(probs is buf for buf in ws.values())
-    assert np.array_equal(probs, softmax(out))
-    assert np.all(probs >= 0.0) and np.allclose(probs.sum(axis=0), 1.0, atol=1e-15)
+    e, sums = decode(layers, x, ws)
+    assert any(e is buf for buf in ws.values())
+    assert np.array_equal(e / sums, softmax(out))
+    assert np.all(e >= 0.0) and np.array_equal(e.max(axis=0), np.ones(5))
     ws = {}
     first, post_ws = mlp_forward(layers, x, ws, "dec")
     assert np.array_equal(first, out)

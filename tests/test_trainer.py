@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,21 @@ def test_train_run_degenerate_encoder_is_failed(monkeypatch):
     rec = train_run(_tiny_cfg(epochs=1), 0.0, seed=1)
     assert rec.failed
     assert rec.constellation is None
+
+
+def test_overflow_in_the_final_evaluation_fails_the_restart(monkeypatch):
+    # points scaled by 1e100 are finite, but their fourth powers in Model A's
+    # P_del overflow
+    def huge_export(encoder, m, p_a):
+        const = export_constellation(encoder, m, p_a)
+        const.points *= 1e100
+        return const
+    monkeypatch.setattr("swiptmod.trainer.export_constellation", huge_export)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = train_run(_tiny_cfg(epochs=1), 1e-4, seed=1)
+    assert rec.failed and rec.constellation is None
+    assert math.isnan(rec.final_cost)
 
 
 def test_train_run_deterministic():

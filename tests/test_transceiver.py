@@ -131,23 +131,28 @@ def test_normalize_empty_batch_rejected():
 def test_decode_zero_weights_uniform():
     dec = [_layer(np.zeros((8, 2)), np.zeros(8)),
            _layer(np.zeros((4, 8)), np.zeros(4))]
-    probs = decode(dec, np.array([[0.3], [-0.7]]))
-    assert probs.shape == (4, 1)
-    assert np.allclose(probs, 0.25, atol=1e-15)
+    e, sums = decode(dec, np.array([[0.3], [-0.7]]))
+    assert e.shape == (4, 1) and sums.shape == (1,)
+    assert np.array_equal(e, np.ones((4, 1))) and sums[0] == 4.0
 
 
 def test_decode_reproducible_and_normalized():
     dec = init_params([4, 8, 2], [2, 8, 4], seed=6).decoder
     y = np.array([[0.1, -0.3, 0.7], [0.2, 0.05, -0.4]])   # (re, im) rows
     before = y.copy()
-    p1 = decode(dec, y)
-    p2 = decode(dec, y)
+    e1, s1 = decode(dec, y)
+    e2, s2 = decode(dec, y)
     assert np.array_equal(y, before)
-    assert p1.shape == (4, 3)
-    assert np.array_equal(p1, p2)
+    assert e1.shape == (4, 3) and s1.shape == (3,)
+    assert np.array_equal(e1, e2) and np.array_equal(s1, s2)
+    # e = exp(z - max z): each column's top entry is exactly 1, and s its sums
+    assert np.array_equal(e1.max(axis=0), np.ones(3))
+    assert np.array_equal(s1, e1.sum(axis=0))
+    p1 = e1 / s1
     assert np.allclose(p1.sum(axis=0), 1.0, atol=1e-12)
     for j in range(3):   # each column is that sample decoded alone
-        assert np.allclose(p1[:, j], decode(dec, y[:, j:j + 1])[:, 0], rtol=0, atol=1e-15)
+        e, s = decode(dec, y[:, j:j + 1])
+        assert np.allclose(p1[:, j], e[:, 0] / s[0], rtol=0, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +203,10 @@ def test_batch_cross_entropy_matches_scalar_mean():
     _, info, _ = network_cost(params, msgs, noise, 0.01, 0.0, MODEL_A)
     u, _ = mlp_forward(params.encoder, np.eye(4))
     x, _, _, _, _ = normalize_power(u, msgs, 0.01)
-    scalar = np.mean([-np.log(decode(params.decoder, x[:, s:s + 1] + noise[j, :, None])[s, 0])
-                      for j, s in enumerate(msgs)])
+    def own(j, s):   # sample j's probability of its own message s, decoded alone
+        e, sums = decode(params.decoder, x[:, s:s + 1] + noise[j, :, None])
+        return e[s, 0] / sums[0]
+    scalar = np.mean([-np.log(own(j, s)) for j, s in enumerate(msgs)])
     assert info["cross_entropy"] == pytest.approx(scalar, rel=1e-12)
 
 
