@@ -3,7 +3,7 @@
 from .channel import substream
 from .evaluator import EvalReport, estimate_ser
 from .harvester import HarvesterModel, ModelAParams, ModelBParams, pdel_exact
-from .nn import (AdamState, DenseLayer, NetworkParams, adam_step, init_params,
+from .nn import (AdamState, NetworkParams, adam_step, init_params,
                  load_checkpoint, save_checkpoint, softmax)
 from .trainer import (RunRecord, TrainConfig, lambda_sweep, multi_restart,
                       network_cost, total_cost, train_run)

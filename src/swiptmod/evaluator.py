@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ROLE_EVAL, sample_noise, substream
-from .nn import DenseLayer, scratch
+from .nn import scratch
 from .transceiver import EPS_LOG, Constellation, decode
 
 BLOCK_SIZE = 1 << 16   # samples per RNG block, each with its own substream
@@ -60,18 +60,18 @@ def _decide(e: np.ndarray, sums: np.ndarray, ranks: np.ndarray, ws: dict) -> np.
     return s_hat
 
 
-def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
+def estimate_ser(constellation: Constellation, decoder: list[np.ndarray] | None,
                  sigma2: float, num_samples: int, seed: int) -> EvalReport:
     """Monte-Carlo symbol error rate over the AWGN channel.
 
     Uniform messages and their noise come from blocks of BLOCK_SIZE samples,
     each with its own (seed, ROLE_EVAL, block) substream, so the result
     depends only on (seed, num_samples): not on the tile size, nor on earlier
-    calls. decoder=None selects minimum-distance detection; a decoder must
-    map 2 inputs to M outputs. Each block's messages are drawn whole; its
-    noise is drawn and detected in column tiles of _TILE samples. Every
-    buffer lives in the module workspace _WS, kept from call to call, so
-    this is not thread-safe.
+    calls. decoder=None selects minimum-distance detection; a decoder
+    (nn.NetworkParams.decoder) must have M outputs. Each block's messages
+    are drawn whole; its noise is drawn and detected in column tiles of
+    _TILE samples. Every buffer lives in the module workspace _WS, kept from
+    call to call, so this is not thread-safe.
     """
     if num_samples < MIN_SAMPLES:
         raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
@@ -81,9 +81,8 @@ def estimate_ser(constellation: Constellation, decoder: list[DenseLayer] | None,
     if not np.isfinite(points).all():
         raise ValueError("non-finite constellation points")
     m = constellation.size
-    if decoder is not None and (decoder[0].in_dim, decoder[-1].out_dim) != (2, m):
-        raise ValueError(f"decoder maps {decoder[0].in_dim} inputs to "
-                         f"{decoder[-1].out_dim} outputs, need 2 to {m}")
+    if decoder is not None and decoder[2].shape[0] != m:
+        raise ValueError(f"decoder maps to {decoder[2].shape[0]} outputs, need {m}")
     pr, pi = points.real, points.imag
     ranks = np.arange(m, 0, -1, dtype=np.min_scalar_type(m))[:, None]
     num_blocks = (num_samples + BLOCK_SIZE - 1) // BLOCK_SIZE

@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import ROLE_MISC, sample_noise, substream
 from .harvester import ModelAParams, ModelBParams
-from .nn import NetworkParams, init_params, mlp_forward, softmax
+from .nn import NetworkParams, first_layer, init_params, mlp_forward, softmax
 from .trainer import network_cost
 from .transceiver import normalize_power
 
@@ -56,11 +56,9 @@ class GradcheckReport:
         return worst
 
 
-def _block_names(params: NetworkParams) -> list[str]:
-    """Block names in params.arrays() order: enc0.W, enc0.b, enc1.W, ..."""
-    return [f"{side}{i}.{ab}"
-            for side, layers in (("enc", params.encoder), ("dec", params.decoder))
-            for i in range(len(layers)) for ab in "Wb"]
+# parameter block names, in params.views() order
+BLOCK_NAMES = ("enc0.W", "enc0.b", "enc1.W", "enc1.b",
+               "dec0.W", "dec0.b", "dec1.W", "dec1.b")
 
 
 def _rel_errors(analytic: np.ndarray, numeric: np.ndarray,
@@ -95,19 +93,19 @@ def _margins(params: NetworkParams, msgs: np.ndarray, noise: np.ndarray,
     """Smallest |ReLU pre-activation| and smallest picked probability of one step.
 
     One forward pass as in network_cost; mlp_forward keeps only the ReLU
-    outputs, so each net's one hidden pre-activation is recomputed by its
-    first layer alone, which is linear as the last of a stack. The encoder's
-    counts only for messages present in the batch. The linear outputs (the
-    encoder's points, the logits) have no kink and do not count.
+    outputs, so each net's hidden pre-activation is recomputed by
+    first_layer. The encoder's counts only for messages present in the
+    batch. The linear outputs (the encoder's points, the logits) have no
+    kink and do not count.
     """
-    eye = np.eye(params.encoder[0].in_dim)
+    eye = np.eye(params.m)
     u, _ = mlp_forward(params.encoder, eye)
     x, _, _, _, counts = normalize_power(u, msgs, p_a)
     y = x[:, msgs] + noise.T
     logits, _ = mlp_forward(params.decoder, y)
     probs = softmax(logits)
-    hidden_e, _ = mlp_forward(params.encoder[:1], eye)
-    hidden_d, _ = mlp_forward(params.decoder[:1], y)
+    hidden_e = first_layer(*params.encoder[:2], eye, {})
+    hidden_d = first_layer(*params.decoder[:2], y, {})
     relu = min(float(np.min(np.abs(hidden_e[:, counts > 0]))),
                float(np.min(np.abs(hidden_d))))
     return relu, float(probs[msgs, np.arange(msgs.size)].min())
@@ -120,7 +118,7 @@ def check_one(model, p_a, lam, m, seed) -> dict[str, float] | None:
     threshold for finite differences to be meaningful.
     """
     batch = 8
-    params = init_params([m, 2 * m, 2], [2, 2 * m, m], seed)
+    params = init_params(m, seed)
     rng = substream(seed, ROLE_MISC)
     msgs = rng.integers(0, m, size=batch)
     noise = sample_noise(batch, p_a / 50.0, rng)
@@ -147,7 +145,7 @@ def check_one(model, p_a, lam, m, seed) -> dict[str, float] | None:
         numeric[j] = (up - dn) / (2.0 * STEP)
     errors = _rel_errors(grads, numeric, _denominator_floor(cost))
     return {name: float(err.max())
-            for name, err in zip(_block_names(params), params.views(errors))}
+            for name, err in zip(BLOCK_NAMES, params.views(errors))}
 
 
 def run_gradcheck(num_configs: int = 20, seed: int = 0) -> GradcheckReport:

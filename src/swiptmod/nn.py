@@ -1,18 +1,19 @@
 """Minimal dense-network engine.
 
-Every stack has one fixed shape: ReLU hidden layers and a linear last layer
-(the encoder's 2-wide output, the decoder's logits, whose softmax its callers
-apply). Forward pass, hand-written reverse-mode gradients for the fixed
-encoder -> normalization -> channel -> decoder graph (the chain itself lives
-in trainer.py), Adam updates, Xavier/zero initialization and a binary
-checkpoint format. Everything is float64 and deterministic given its inputs.
+Both networks have one fixed shape, set by the number of messages M: a ReLU
+hidden layer 2M wide and a linear output layer (the encoder's 2-wide output,
+the decoder's logits, whose softmax its callers apply). Forward pass,
+hand-written reverse-mode gradients for the fixed encoder -> normalization ->
+channel -> decoder graph (the chain itself lives in trainer.py), Adam
+updates, Xavier/zero initialization and a binary checkpoint format.
+Everything is float64 and deterministic given its inputs.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,49 +31,36 @@ class CheckpointFormatError(Exception):
     """Raised when a checkpoint file fails magic/version/shape validation."""
 
 
-@dataclass
-class DenseLayer:
-    weights: np.ndarray  # (out, in)
-    biases: np.ndarray   # (out,)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights.shape[0]
+def layout(m: int) -> tuple[tuple[int, ...], ...]:
+    """The eight array shapes of an M-message autoencoder, in `flat` order:
+    the encoder's (W1, b1, W2, b2), M one-hot inputs to 2 outputs (re, im),
+    then the decoder's, 2 inputs to M logits. Weights are (out, in)."""
+    h = 2 * m
+    return (h, m), (h,), (2, h), (2,), (h, 2), (h,), (m, h), (m,)
 
 
-@dataclass
 class NetworkParams:
-    """Encoder and decoder stacks over one contiguous float64 vector `flat`.
+    """Encoder and decoder of an M-message autoencoder over one contiguous
+    float64 vector `flat`, all zeros when built.
 
-    Construction copies the layers' arrays into `flat` and makes each layer's
-    weights and biases views into it, in arrays() order; that order is also
-    the checkpoint payload. Update the arrays in place, never rebind them.
+    `encoder` and `decoder` are the views [W1, b1, W2, b2] into `flat`, laid
+    out as layout(m); that order is also the checkpoint payload. Update the
+    arrays in place, never rebind them.
     """
-    encoder: list[DenseLayer]
-    decoder: list[DenseLayer]
-    flat: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self.flat = np.concatenate([a.ravel() for a in self.arrays()], dtype=float)
+    def __init__(self, m: int):
+        self.m = m
+        self.flat = np.zeros(sum(math.prod(s) for s in layout(m)))
         views = self.views(self.flat)
-        for layer, w, b in zip(self.encoder + self.decoder, views[::2], views[1::2]):
-            layer.weights, layer.biases = w, b
-
-    def arrays(self) -> list[np.ndarray]:
-        """Flat list of parameter arrays, encoder first, W before b per layer."""
-        return [a for layer in self.encoder + self.decoder
-                for a in (layer.weights, layer.biases)]
+        self.encoder, self.decoder = views[:4], views[4:]
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
-        """Views of a vector laid out like `flat`, shaped like arrays()."""
+        """Views of a vector laid out like `flat`, shaped as layout(m)."""
         out, off = [], 0
-        for a in self.arrays():
-            out.append(vec[off:off + a.size].reshape(a.shape))
-            off += a.size
+        for shape in layout(self.m):
+            size = math.prod(shape)
+            out.append(vec[off:off + size].reshape(shape))
+            off += size
         return out
 
 
@@ -116,70 +104,66 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def mlp_forward(layers: list[DenseLayer], x: np.ndarray, ws: dict | None = None,
-                key: str = ""):
-    """Run a stack of layers on (features, batch) columns.
+def first_layer(w: np.ndarray, b: np.ndarray, x: np.ndarray, ws: dict,
+                key: str = "") -> np.ndarray:
+    """The pre-activation W @ x + b[:, None] of (features, batch) columns x, as
+    one matmul of [W | b], copied into a workspace block, by x over a row of
+    ones. The bias is the last term of each dot product, so for an identity
+    or 2-wide input this rounds as the matmul plus the add. The result is
+    the workspace buffer (key, "z1").
+    """
+    rows, batch = x.shape
+    h = scratch(ws, (key, "x"), (rows + 1, batch))
+    h[:rows] = x
+    h[rows] = 1.0
+    wb = scratch(ws, (key, "wb"), (w.shape[0], rows + 1))
+    wb[:, :rows] = w
+    wb[:, rows] = b
+    return np.matmul(wb, h, out=scratch(ws, (key, "z1"), (w.shape[0], batch)))
 
-    Every layer but the last is ReLU, applied in place over its
-    pre-activation; the last is linear. The first layer is one matmul of
-    [W | b], copied into a workspace block, by the input over a row of ones:
-    the bias is the last term of each dot product, so for an identity or
-    2-wide input this rounds as W @ x + b[:, None]. Later layers add their
-    bias after the matmul, as BLAS may split their wider dot products into
-    partial sums. Returns (output, post-activations); post[0] is the input
-    itself and post[-1] the output. Every result lands in workspace buffers
-    under `key`, which must differ between stacks sharing one workspace;
-    with ws=None they are all new.
+
+def mlp_forward(net, x: np.ndarray, ws: dict | None = None, key: str = ""):
+    """Run a net [W1, b1, W2, b2] on (features, batch) columns.
+
+    The hidden layer is first_layer's pre-activation with its ReLU applied
+    in place. The output layer is linear and adds its bias after the matmul,
+    as BLAS may split its wider dot products into partial sums. Returns
+    (output, (x, hidden)), which mlp_backward takes. Every result lands in
+    workspace buffers under `key`, which must differ between nets sharing
+    one workspace; with ws=None they are all new.
     """
     if ws is None:
         ws = {}
-    post = [np.asarray(x, dtype=float)]
-    rows, batch = post[0].shape
-    h = scratch(ws, (key, "x"), (rows + 1, batch))
-    h[:rows] = post[0]
-    h[rows] = 1.0
-    last = len(layers) - 1
-    for li, layer in enumerate(layers):
-        z = scratch(ws, (key, "z", li), (layer.out_dim, batch))
-        if li == 0:
-            wb = scratch(ws, (key, "wb"), (layer.out_dim, rows + 1))
-            wb[:, :rows] = layer.weights
-            wb[:, rows] = layer.biases
-            np.matmul(wb, h, out=z)
-        else:
-            np.matmul(layer.weights, h, out=z)
-            z += layer.biases[:, None]
-        if li < last:
-            np.maximum(z, 0.0, out=z)
-        post.append(z)
-        h = z
-    return post[-1], post
+    w1, b1, w2, b2 = net
+    x = np.asarray(x, dtype=float)
+    hidden = first_layer(w1, b1, x, ws, key)
+    np.maximum(hidden, 0.0, out=hidden)
+    out = np.matmul(w2, hidden, out=scratch(ws, (key, "z2"), (w2.shape[0], x.shape[1])))
+    out += b2[:, None]
+    return out, (x, hidden)
 
 
-def mlp_backward(layers: list[DenseLayer], post, d_last_z: np.ndarray,
-                 grads: list[np.ndarray], ws: dict | None = None, key: str = ""):
-    """Backpropagate through a stack given d(cost)/d(last pre-activation).
+def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: dict | None = None,
+                 key: str = ""):
+    """Backpropagate through a net given d(cost)/d(output).
 
     All arrays are (features, batch). For a softmax+cross-entropy head the
-    caller passes probs - onehot (already averaged over the batch). Reads
-    post[:len(layers)]; a ReLU passes the gradient where its output is
-    positive, which is where its pre-activation was. Writes the layer
-    gradients into `grads`, the views [dW0, db0, dW1, ...], and returns
-    d(cost)/d(input); an empty stack passes d_last_z through. `ws` and `key`
-    are as in mlp_forward.
+    caller passes probs - onehot (already averaged over the batch). `saved`
+    is mlp_forward's (x, hidden); the ReLU passes the gradient where its
+    output is positive, which is where its pre-activation was. Writes the
+    gradients into `grads`, the views [dW1, db1, dW2, db2], and returns
+    d(cost)/d(x). `ws` and `key` are as in mlp_forward.
     """
-    dz = d_last_z
-    dinp = d_last_z
-    for li in reversed(range(len(layers))):
-        np.matmul(dz, post[li].T, out=grads[2 * li])
-        dz.sum(axis=1, out=grads[2 * li + 1])
-        shape = (layers[li].in_dim, dz.shape[1])
-        dinp = np.matmul(layers[li].weights.T, dz, out=scratch(ws, (key, "d", li), shape))
-        if li > 0:
-            dinp *= np.greater(post[li], 0.0,
-                               out=scratch(ws, (key, "mask", li), shape, bool))
-            dz = dinp
-    return dinp
+    w1, _, w2, _ = net
+    x, hidden = saved
+    gw1, gb1, gw2, gb2 = grads
+    np.matmul(d_out, hidden.T, out=gw2)
+    d_out.sum(axis=1, out=gb2)
+    dz = np.matmul(w2.T, d_out, out=scratch(ws, (key, "d_hidden"), hidden.shape))
+    dz *= np.greater(hidden, 0.0, out=scratch(ws, (key, "mask"), hidden.shape, bool))
+    np.matmul(dz, x.T, out=gw1)
+    dz.sum(axis=1, out=gb1)
+    return np.matmul(w1.T, dz, out=scratch(ws, (key, "d_in"), x.shape))
 
 
 @dataclass
@@ -226,61 +210,57 @@ def xavier_uniform(out_dim: int, in_dim: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-bound, bound, size=(out_dim, in_dim))
 
 
-def _build_stack(dims: list[int], rng: np.random.Generator):
-    return [DenseLayer(weights=xavier_uniform(dims[i + 1], dims[i], rng),
-                       biases=np.zeros(dims[i + 1]))
-            for i in range(len(dims) - 1)]
+def init_params(m: int, seed: int) -> NetworkParams:
+    """Xavier-uniform weights, zero biases; a pure function of (M, seed).
 
-
-def init_params(enc_dims: list[int], dec_dims: list[int], seed: int) -> NetworkParams:
-    """Xavier-uniform weights, zero biases; pure function of (dims, seed).
-
-    The encoder's output is 2-wide (re, im); the decoder's are the logits.
+    The four weight matrices are drawn from one substream, in `flat` order.
     """
-    for dims, name in ((enc_dims, "encoder"), (dec_dims, "decoder")):
-        if len(dims) < 2 or any(d <= 0 for d in dims):
-            raise ValueError(f"invalid {name} dims {dims}")
+    params = NetworkParams(m)
     rng = substream(seed, ROLE_INIT)
-    encoder = _build_stack(list(enc_dims), rng)
-    decoder = _build_stack(list(dec_dims), rng)
-    return NetworkParams(encoder=encoder, decoder=decoder)
+    for w in params.encoder[::2] + params.decoder[::2]:
+        w[:] = xavier_uniform(*w.shape, rng)
+    return params
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: magic, u32 version, u16 number of encoder/decoder layers,
-# per-layer u32 (out, in), then NetworkParams.flat as little-endian float64
-# (each layer's row-major weights, then its biases, encoder first).
+# Checkpoint format: magic, u32 version, u16 number of encoder/decoder layers
+# (2 and 2), per-layer u32 (out, in) of its weights, then NetworkParams.flat as
+# little-endian float64 (each layer's row-major weights, then its biases,
+# encoder first).
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: NetworkParams) -> None:
-    layers = params.encoder + params.decoder
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IHH", CHECKPOINT_VERSION,
-                             len(params.encoder), len(params.decoder)))
-        fh.write(b"".join(struct.pack("<II", *l.weights.shape) for l in layers))
+        fh.write(struct.pack("<IHH", CHECKPOINT_VERSION, 2, 2))
+        fh.write(b"".join(struct.pack("<II", *s) for s in layout(params.m)[::2]))
         fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> NetworkParams:
+    """The parameters saved in `path`. A header whose layers are not
+    layout(M)'s, for the M of its first layer's input, raises
+    CheckpointFormatError, as does a payload of another size."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad magic in {path}")
     try:
         version, n_enc, n_dec = struct.unpack_from("<IHH", blob, 8)
-        shapes = [struct.unpack_from("<II", blob, 16 + 8 * i)
-                  for i in range(n_enc + n_dec)]
+        shapes = tuple(struct.unpack_from("<II", blob, 16 + 8 * i)
+                       for i in range(n_enc + n_dec))
     except struct.error as exc:
         raise CheckpointFormatError(f"truncated header in {path}") from exc
     if version != CHECKPOINT_VERSION:
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    if not (n_enc and n_dec):
-        raise CheckpointFormatError(f"empty encoder or decoder in {path}")
+    m = shapes[0][1] if shapes else 0
+    if (n_enc, n_dec) != (2, 2) or shapes != layout(m)[::2]:
+        raise CheckpointFormatError(
+            f"{path} holds {n_enc} encoder and {n_dec} decoder layers of weight "
+            f"shapes {list(shapes)}, not the layers of an M-message autoencoder")
     off = 16 + 8 * len(shapes)
     if off + 8 * sum(o * i + o for o, i in shapes) != len(blob):
         raise CheckpointFormatError(f"payload size of {path} does not match its header")
-    layers = [DenseLayer(np.empty((o, i)), np.empty(o)) for o, i in shapes]
-    params = NetworkParams(encoder=layers[:n_enc], decoder=layers[n_enc:])
+    params = NetworkParams(m)
     params.flat[:] = np.frombuffer(blob, dtype="<f8", count=params.flat.size, offset=off)
     return params

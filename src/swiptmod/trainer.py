@@ -114,12 +114,6 @@ class TrainConfig:
             raise ValueError("lambda_start * lambda_factor ** (lambda_max_points - 2) "
                              "must be a finite float")
 
-    def encoder_dims(self) -> list[int]:
-        return [self.m, 2 * self.m, 2]
-
-    def decoder_dims(self) -> list[int]:
-        return [2, 2 * self.m, self.m]
-
     def sigma2(self) -> float:
         """Total complex-noise variance: P_a / snr (linear)."""
         return self.p_a / self.snr
@@ -154,7 +148,7 @@ def _step_constants(params: NetworkParams, batch: int, ws: dict):
     c = ws.get("step")
     if c is None or c[0] is not params.flat or c[1] != batch:
         grads = np.empty_like(params.flat)
-        c = ws["step"] = (params.flat, batch, np.eye(params.encoder[0].in_dim),
+        c = ws["step"] = (params.flat, batch, np.eye(params.m),
                           np.arange(batch), grads, params.views(grads))
     return c[2:]
 
@@ -179,16 +173,16 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     eye, cols, grads, views = _step_constants(params, batch, ws)
     m = eye.shape[0]
 
-    # encoder on the M one-hot columns (first pre-activation W0 + b0[:, None]);
+    # encoder on the M one-hot columns (first pre-activation W1 + b1[:, None]);
     # the batch is a gather of its output columns
-    u, post_e = mlp_forward(enc, eye, ws, "enc")
+    u, saved_e = mlp_forward(enc, eye, ws, "enc")
 
     xk, scale, energy, degenerate, counts = normalize_power(u, msgs, p_a)
     # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
     y = xk.take(msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
     y += noise.T
 
-    logits, post_d = mlp_forward(dec, y, ws, "dec")
+    logits, saved_d = mlp_forward(dec, y, ws, "dec")
     probs = softmax(logits, out=logits)
 
     # each sample's probability of its own message, at msgs * B + cols of the
@@ -218,7 +212,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     pick -= 1.0
     dlogits.put(pick_at, pick)
     dlogits /= batch
-    dy = mlp_backward(dec, post_d, dlogits, views[2 * len(enc):], ws, "dec")
+    dy = mlp_backward(dec, saved_d, dlogits, views[4:], ws, "dec")
 
     # fold the (2, B) channel-input gradient onto the M points: one bincount
     # of row j's samples into bins j*M + msgs
@@ -236,9 +230,9 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     else:
         du = scale * (dx - (float((dx * u).sum()) / energy) * counts * u)
 
-    # the encoder output layer is linear, so d(cost)/d(last z) is du itself;
-    # its input is the identity, so d(cost)/d(W0) is dz0 exactly
-    mlp_backward(enc, post_e, du, views[:2 * len(enc)], ws, "enc")
+    # the encoder output layer is linear, so d(cost)/d(output) is du itself;
+    # its input is the identity, so d(cost)/d(W1) is the hidden gradient exactly
+    mlp_backward(enc, saved_e, du, views[:4], ws, "enc")
     return cost, info, grads
 
 
@@ -249,7 +243,7 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     from .evaluator import estimate_ser
 
     sigma2 = cfg.sigma2()
-    params = init_params(cfg.encoder_dims(), cfg.decoder_dims(), seed)
+    params = init_params(cfg.m, seed)
     state = AdamState.for_params(params, cfg.learning_rate)
     data_rng = substream(seed, ROLE_DATA)
     noise_rng = substream(seed, ROLE_NOISE)

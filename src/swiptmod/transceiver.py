@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import DenseLayer, mlp_forward, softmax_terms
+from .nn import mlp_forward, softmax_terms
 
 EPS_NORM = 1e-20   # degenerate-batch guard on the pre-normalization energy
 EPS_LOG = 1e-15    # clamp for log() in the cross entropy
@@ -67,7 +67,7 @@ def normalize_power(u: np.ndarray, msgs: np.ndarray, p_a: float):
     return scale * u, scale, energy, degenerate, counts
 
 
-def decode(decoder: list[DenseLayer], y: np.ndarray, ws: dict | None = None):
+def decode(decoder: list[np.ndarray], y: np.ndarray, ws: dict | None = None):
     """(2, B) real columns (re, im) of noisy symbols -> (e, s): the (M, B)
     columns exp(z - max z) of the logits z, computed in place over them, and
     their (B,) sums, so the probabilities are e / s. With a workspace e is
@@ -76,10 +76,8 @@ def decode(decoder: list[DenseLayer], y: np.ndarray, ws: dict | None = None):
     return softmax_terms(logits, out=logits)
 
 
-def export_constellation(encoder: list[DenseLayer], m: int, p_a: float) -> Constellation:
+def export_constellation(encoder: list[np.ndarray], m: int, p_a: float) -> Constellation:
     """The M messages' points, normalized as a batch holding each once."""
-    if encoder[-1].out_dim != 2:
-        raise ValueError("encoder output must be 2-wide (re, im)")
     u, _ = mlp_forward(encoder, np.eye(m))
     x, _, _, degenerate, _ = normalize_power(u, np.arange(m), p_a)
     if degenerate:

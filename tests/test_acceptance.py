@@ -186,7 +186,7 @@ def test_criterion_8_constraint_and_determinism(sweep_a, sweep_b, tmp_path):
     # reshapes the buffers it shares with it in the evaluator's workspace
     const = classical_baseline("QAM", 16, 0.001)
     first = estimate_ser(const, None, 2e-5, 300_000, seed=7).ser
-    decoder = init_params([8, 16, 2], [2, 16, 8], seed=8).decoder
+    decoder = init_params(8, seed=8).decoder
     estimate_ser(classical_baseline("PSK", 8, 0.001), decoder, 1e-3, 100_000, seed=1)
     again = estimate_ser(const, None, 2e-5, 300_000, seed=7).ser
     call_ok = first == again

@@ -12,6 +12,7 @@ from swiptmod import cli, config, trainer
 from swiptmod.nn import init_params, save_checkpoint
 from swiptmod.svgplot import render_constellation_svg
 from swiptmod.transceiver import CSV_HEADER, Constellation, write_constellation_csv
+from test_nn import M4_DECODER, WRONG_SHAPES, write_raw_checkpoint
 
 TINY_A = {
     "M": 4,
@@ -201,9 +202,9 @@ def test_diverged_restarts_are_failed_and_sweep_exits_4(tmp_path, monkeypatch,
     # a NaN decoder weight makes every logit non-finite on the first step
     init_params = trainer.init_params
 
-    def nan_init(enc_dims, dec_dims, seed):
-        params = init_params(enc_dims, dec_dims, seed)
-        params.decoder[0].weights[0, 0] = np.nan
+    def nan_init(m, seed):
+        params = init_params(m, seed)
+        params.decoder[0][0, 0] = np.nan
         return params
     monkeypatch.setattr("swiptmod.trainer.init_params", nan_init)
     cfg = _write_cfg(tmp_path, TINY_A)
@@ -385,7 +386,7 @@ def test_train_eval_plot_fuzz_end_in_a_documented_exit(tmp_path, capsys):
         ckpts = [point / "checkpoint.bin"] if code == 0 else []
         if code != 2:   # a config the CLI accepts
             m = cfg["M"]
-            params = init_params([m, 2 * m, 2], [2, 2 * m, m], case)
+            params = init_params(m, case)
             params.flat *= _log_uniform(rng, 1e-300, 1e300)
             ckpts.append(tmp_path / f"init{case}.bin")
             save_checkpoint(ckpts[-1], params)
@@ -444,6 +445,15 @@ def test_eval_dim_mismatch_exit_3(trained, tmp_path, capsys):
     assert "do not match" in capsys.readouterr().err
 
 
+def test_eval_wrong_shape_checkpoint_exit_3(tmp_path, capsys):
+    # an M=4 checkpoint with a 3-layer encoder, its payload sized to its header
+    ckpt = tmp_path / "deep.bin"
+    write_raw_checkpoint(ckpt, WRONG_SHAPES["3-layer-encoder"][0], M4_DECODER)
+    assert cli.main(["eval", str(ckpt), _write_cfg(tmp_path, TINY_A)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("format error:") and "\n" not in err
+
+
 @pytest.mark.parametrize("samples", ["999", "0"])
 def test_eval_too_few_samples_exit_2(trained, capsys, samples):
     cfg, ckpt = trained
@@ -465,10 +475,9 @@ def test_eval_negative_seed_exit_2(trained, capsys):
     ("encoder", np.nan, "non-finite"),           # NaN points reach estimate_ser
 ])
 def test_eval_unusable_checkpoint_exit_4(tmp_path, capsys, layer, value, raised):
-    params = init_params([4, 8, 2], [2, 8, 4], seed=0)
-    last = getattr(params, layer)[-1]
-    last.weights[:] = value
-    last.biases[:] = value
+    params = init_params(4, seed=0)
+    for out_layer in getattr(params, layer)[2:]:   # W2 and b2
+        out_layer[:] = value
     ckpt = tmp_path / "broken.bin"
     save_checkpoint(ckpt, params)
     cfg = _write_cfg(tmp_path, TINY_A)

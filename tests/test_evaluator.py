@@ -9,7 +9,7 @@ from oracles import classical_baseline
 from swiptmod.channel import ROLE_EVAL, sample_noise, substream
 from swiptmod.evaluator import _decide, estimate_ser
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
-from swiptmod.nn import DenseLayer, init_params, mlp_forward, softmax, softmax_terms
+from swiptmod.nn import NetworkParams, init_params, mlp_forward, softmax, softmax_terms
 from swiptmod.transceiver import EPS_LOG, Constellation
 
 
@@ -48,9 +48,9 @@ def test_estimate_ser_ml_ties_above_255_messages(monkeypatch):
 
 def test_estimate_ser_nn_ties_go_to_lowest_index():
     # an all-zero decoder gives uniform probabilities: every sample decodes to 0
-    decoder = init_params([4, 8, 2], [2, 8, 4], seed=0).decoder
-    for layer in decoder:
-        layer.weights[:] = 0.0
+    decoder = init_params(4, seed=0).decoder
+    for w in decoder[::2]:
+        w[:] = 0.0
     report = estimate_ser(_uniform([1, 1j, -1, -1j]), decoder, 1e-3, TIE_SAMPLES, seed=4)
     s = substream(4, ROLE_EVAL, 0).integers(0, 4, size=TIE_SAMPLES)
     assert report.ser == np.count_nonzero(s) / TIE_SAMPLES
@@ -60,9 +60,9 @@ def test_estimate_ser_nn_ties_go_to_lowest_index():
 def test_estimate_ser_nn_matches_per_sample_reference(monkeypatch):
     monkeypatch.setattr("swiptmod.evaluator.BLOCK_SIZE", 1024)
     const = classical_baseline("QAM", 4, 0.01)
-    decoder = init_params([4, 8, 2], [2, 8, 4], seed=3).decoder
-    decoder[0].weights *= 30.0   # a decoder that is right on most samples
-    before = [a.copy() for l in decoder for a in (l.weights, l.biases)]
+    decoder = init_params(4, seed=3).decoder
+    decoder[0] *= 30.0   # a decoder that is right on most samples
+    before = [a.copy() for a in decoder]
     points = const.points.copy()
     report = estimate_ser(const, decoder, 2e-3, 2500, seed=5)
     errors, ce = 0, 0.0
@@ -72,9 +72,9 @@ def test_estimate_ser_nn_matches_per_sample_reference(monkeypatch):
         noise = sample_noise(n, 2e-3, rng)
         for k in range(n):
             y = points[s[k]] + noise[k, 0] + 1j * noise[k, 1]
-            h = np.maximum(decoder[0].weights @ [y.real, y.imag]
-                           + decoder[0].biases, 0.0)
-            logits = decoder[1].weights @ h + decoder[1].biases
+            w1, b1, w2, b2 = decoder
+            h = np.maximum(w1 @ [y.real, y.imag] + b1, 0.0)
+            logits = w2 @ h + b2
             p = np.exp(logits - logits.max())
             p /= p.sum()
             errors += int(np.argmax(p)) != s[k]
@@ -83,8 +83,7 @@ def test_estimate_ser_nn_matches_per_sample_reference(monkeypatch):
     assert report.ser == errors / 2500
     assert report.cross_entropy == pytest.approx(ce / 2500, rel=1e-12)
     assert np.array_equal(const.points, points)
-    assert all(np.array_equal(a, b) for a, b in zip(
-        (a for l in decoder for a in (l.weights, l.biases)), before))
+    assert all(np.array_equal(a, b) for a, b in zip(decoder, before))
 
 
 def _full_block_ser(constellation, decoder, sigma2, num_samples, seed, block_size=1 << 16):
@@ -115,9 +114,9 @@ def test_estimate_ser_matches_full_block_reference(ml):
     # a full block, then a short block of two full tiles and a 37-sample tail
     n = (1 << 16) + 2 * 8192 + 37
     const = classical_baseline("QAM", 16, 0.01)
-    decoder = init_params([16, 32, 2], [2, 32, 16], seed=16).decoder
-    for layer in decoder:
-        layer.weights *= 20.0
+    decoder = init_params(16, seed=16).decoder
+    for w in decoder[::2]:
+        w *= 20.0
     decoder = None if ml else decoder
     report = estimate_ser(const, decoder, 3e-4, n, seed=7)
     ser, ce = _full_block_ser(const, decoder, 3e-4, n, seed=7)
@@ -211,7 +210,7 @@ def test_estimate_ser_nn_decides_planted_near_ties_as_the_reference(monkeypatch)
         return e, sums
 
     monkeypatch.setattr("swiptmod.evaluator.decode", planted_decode)
-    decoder = init_params([m, 2 * m, 2], [2, 2 * m, m], seed=0).decoder
+    decoder = init_params(m, seed=0).decoder
     report = estimate_ser(const, decoder, 0.0, n, seed=9)
     assert errors[0] > 0 and report.ser == errors[0] / n
     p = np.maximum(np.concatenate(own), EPS_LOG)
@@ -222,7 +221,7 @@ def test_estimate_ser_nn_decides_planted_near_ties_as_the_reference(monkeypatch)
 def test_estimate_ser_memory_stays_tile_sized(ml):
     # one block-sized (16, 65536) float64 temporary alone is 8 MB
     const = classical_baseline("QAM", 16, 0.01)
-    decoder = None if ml else init_params([16, 32, 2], [2, 32, 16], seed=1).decoder
+    decoder = None if ml else init_params(16, seed=1).decoder
     tracemalloc.start()
     try:
         estimate_ser(const, decoder, 1e-3, 1 << 17, seed=0)
@@ -235,12 +234,12 @@ def test_estimate_ser_memory_stays_tile_sized(ml):
 def test_estimate_ser_does_not_depend_on_earlier_calls(monkeypatch):
     n = (1 << 16) + 2 * 8192 + 37   # a full block, full tiles and a short tail
     const = classical_baseline("QAM", 16, 0.01)
-    decoder = init_params([16, 32, 2], [2, 32, 16], seed=16).decoder
-    for layer in decoder:
-        layer.weights *= 20.0
+    decoder = init_params(16, seed=16).decoder
+    for w in decoder[::2]:
+        w *= 20.0
     # leave other shapes in the workspace first: M=8 NN, ML, a 1,000-sample call
     estimate_ser(classical_baseline("PSK", 8, 0.01),
-                 init_params([8, 16, 2], [2, 16, 8], seed=8).decoder, 1e-3, 80_000, seed=1)
+                 init_params(8, seed=8).decoder, 1e-3, 80_000, seed=1)
     estimate_ser(const, None, 3e-4, 20_000, seed=2)
     estimate_ser(const, decoder, 3e-4, 1_000, seed=3)
     warm = [estimate_ser(const, d, 3e-4, n, seed=7) for d in (decoder, None)]
@@ -256,7 +255,7 @@ def test_estimate_ser_does_not_depend_on_earlier_calls(monkeypatch):
 def test_estimate_ser_warm_workspace_allocates_little(ml, monkeypatch):
     monkeypatch.setattr("swiptmod.evaluator._WS", {})
     const = classical_baseline("QAM", 16, 0.01)
-    decoder = None if ml else init_params([16, 32, 2], [2, 32, 16], seed=1).decoder
+    decoder = None if ml else init_params(16, seed=1).decoder
 
     def peak():
         tracemalloc.start()
@@ -274,7 +273,7 @@ def test_estimate_ser_warm_workspace_allocates_little(ml, monkeypatch):
 @pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])
 @pytest.mark.parametrize("ml", [False, True])
 def test_estimate_ser_rejects_bad_noise_variance(sigma2, ml):
-    decoder = None if ml else init_params([4, 8, 2], [2, 8, 4], seed=0).decoder
+    decoder = None if ml else init_params(4, seed=0).decoder
     with pytest.raises(ValueError, match="noise variance"):
         estimate_ser(classical_baseline("QAM", 4, 1.0), decoder, sigma2, 1000, seed=0)
 
@@ -296,10 +295,9 @@ def test_estimate_ser_noiseless_ml_is_zero():
 
 def test_estimate_ser_uniform_guesser():
     # a zero-weight decoder outputs uniform probabilities; argmax then always
-    # picks message 1, so SER concentrates at 15/16
+    # picks the first index, message 0, so SER concentrates at 15/16
     const = classical_baseline("QAM", 16, 0.001)
-    decoder = [DenseLayer(np.zeros((32, 2)), np.zeros(32)),
-               DenseLayer(np.zeros((16, 32)), np.zeros(16))]
+    decoder = NetworkParams(16).decoder
     report = estimate_ser(const, decoder, 2e-5, 100_000, seed=1)
     assert abs(report.ser - 15 / 16) <= 3 * report.ser_stderr
     assert report.cross_entropy == pytest.approx(np.log(16), rel=1e-12)
@@ -320,11 +318,11 @@ def test_estimate_ser_sample_floor():
         estimate_ser(const, None, 0.1, 500, seed=0)
 
 
-@pytest.mark.parametrize("dec_dims", [[2, 16, 4], [3, 16, 8]])
-def test_estimate_ser_rejects_mismatched_decoder(dec_dims, monkeypatch):
-    # an M=8 constellation needs a decoder from 2 inputs to 8 outputs
+@pytest.mark.parametrize("dec_m", [4, 16])
+def test_estimate_ser_rejects_mismatched_decoder(dec_m, monkeypatch):
+    # an M=8 constellation needs a decoder with 8 outputs
     const = classical_baseline("PSK", 8, 0.001)
-    decoder = init_params([8, 16, 2], dec_dims, seed=0).decoder
+    decoder = init_params(dec_m, seed=0).decoder
 
     def no_draw(*args):
         raise AssertionError("drew samples before checking its arguments")

@@ -92,7 +92,7 @@ def _network_cost_entries(out: dict) -> None:
         for m in (4, 8, 16):
             for batch in (1, 5, 8, 400, 1600):
                 seed = 1000 * m + batch
-                params = init_params([m, 2 * m, 2], [2, 2 * m, m], seed)
+                params = init_params(m, seed)
                 rng = substream(seed, ROLE_MISC)
                 msgs = rng.integers(0, m, size=batch)
                 noise = sample_noise(batch, P_A[model] / 50.0, rng)
@@ -128,15 +128,15 @@ def _train_entries(out: dict, tmp: Path) -> None:
 
 def _export_and_ser_entries(out: dict) -> None:
     for m in (8, 16):
-        params = init_params([m, 2 * m, 2], [2, 2 * m, m], 50 + m)
+        params = init_params(m, 50 + m)
         const = export_constellation(params.encoder, m, 0.001)
         out[f"export_constellation/M{m}"] = _sha(const.points, const.probabilities)
         for model in ("A", "B"):
             out[f"pdel_exact/{model}/M{m}"] = _sha(pdel_exact(const, MODELS[model]))
 
-    decoder = init_params([16, 32, 2], [2, 32, 16], 70).decoder
-    decoder[0].weights *= 400.0   # confident logits at this signal scale
-    params = init_params([16, 32, 2], [2, 32, 16], 71)
+    decoder = init_params(16, 70).decoder
+    decoder[0] *= 400.0   # confident logits at this signal scale
+    params = init_params(16, 71)
     for name, const, dec in (
             ("qam16", classical_baseline("QAM", 16, 0.001), decoder),
             ("exported-M16", export_constellation(params.encoder, 16, 0.001),

@@ -7,76 +7,75 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from swiptmod.nn import (ADAM_EPS, AdamState, CheckpointFormatError, DenseLayer,
-                         NetworkParams, adam_step, init_params, load_checkpoint,
-                         mlp_backward, mlp_forward, save_checkpoint, scratch,
-                         softmax, xavier_uniform)
+from swiptmod.nn import (ADAM_EPS, CHECKPOINT_MAGIC, AdamState, CheckpointFormatError,
+                         NetworkParams, adam_step, init_params, layout,
+                         load_checkpoint, mlp_backward, mlp_forward,
+                         save_checkpoint, scratch, softmax, xavier_uniform)
 from swiptmod.channel import substream
 from swiptmod.transceiver import decode
 from test_golden import GOLDEN, stack
 
 
-def _layer(w, b):
-    return DenseLayer(weights=np.asarray(w, dtype=float),
-                      biases=np.asarray(b, dtype=float))
+def _net(*arrays):
+    """A net [W1, b1, W2, b2] of float arrays."""
+    return [np.asarray(a, dtype=float) for a in arrays]
 
 
-def _grads(layers):
-    """Gradient views [dW0, db0, dW1, ...] into one new vector."""
-    arrays = [a for layer in layers for a in (layer.weights, layer.biases)]
-    vec = np.empty(sum(a.size for a in arrays))
-    offsets = np.cumsum([0] + [a.size for a in arrays])
-    return [vec[o:o + a.size].reshape(a.shape) for o, a in zip(offsets, arrays)]
+def _random_net(rng, n_in, hidden, n_out):
+    return _net(rng.standard_normal((hidden, n_in)), rng.standard_normal(hidden),
+                rng.standard_normal((n_out, hidden)), rng.standard_normal(n_out))
+
+
+def _grads(net):
+    """New gradient arrays [dW1, db1, dW2, db2]."""
+    return [np.empty_like(a) for a in net]
 
 
 # ---------------------------------------------------------------------------
-# forward pass of one dense layer: mlp_forward on a one-layer stack, with
+# forward pass: one ReLU hidden layer and a linear output layer, on
 # (features, batch) columns
 # ---------------------------------------------------------------------------
 
-def _dense_forward(layer, x):
-    out, _ = mlp_forward([layer], x)
-    return out
-
-
 def test_dense_forward_identity():
-    layer = _layer(np.eye(2), np.zeros(2))
-    out = _dense_forward(layer, np.array([[1.0], [2.0]]))
+    net = _net(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
+    out, _ = mlp_forward(net, np.array([[1.0], [2.0]]))
     assert np.array_equal(out, [[1.0], [2.0]])
 
 
 def test_dense_forward_relu_clamps_negative_bias():
-    # every layer but the last is ReLU: post[1] is the hidden layer's output,
-    # written over its pre-activation buffer
-    layers = [_layer(np.zeros((2, 2)), [0.5, -1.0]), _layer(np.eye(2), np.zeros(2))]
+    # the hidden layer is ReLU, written over its pre-activation buffer; the
+    # output layer is linear
+    net = _net(np.zeros((2, 2)), [0.5, -1.0], -np.eye(2), np.zeros(2))
     ws = {}
-    out, post = mlp_forward(layers, np.zeros((2, 3)), ws)
-    assert post[1] is ws[("", "z", 0)]
-    assert np.array_equal(post[1], [[0.5] * 3, [0.0] * 3])
-    assert np.array_equal(out, post[1])
+    x = np.zeros((2, 3))
+    out, (saved_x, hidden) = mlp_forward(net, x, ws)
+    assert any(hidden is buf for buf in ws.values()) and np.array_equal(saved_x, x)
+    assert np.array_equal(hidden, [[0.5] * 3, [0.0] * 3])
+    assert np.array_equal(out, -hidden)
 
 
 def test_dense_forward_matches_manual_product():
     rng = substream(9, 0)
-    w = rng.standard_normal((3, 2))
-    b = rng.standard_normal(3)
+    w1, b1, w2, b2 = net = _random_net(rng, 2, 3, 2)
     x = rng.standard_normal((2, 4))
-    out = _dense_forward(_layer(w, b), x)
-    manual = np.array([[w[i, 0] * x[0, j] + w[i, 1] * x[1, j] + b[i]
-                        for j in range(4)] for i in range(3)])
-    assert out.shape == (3, 4)
-    assert np.allclose(out, manual, atol=1e-15)
+    out, _ = mlp_forward(net, x)
+    h = [[max(w1[i, 0] * x[0, j] + w1[i, 1] * x[1, j] + b1[i], 0.0)
+          for j in range(4)] for i in range(3)]
+    manual = np.array([[sum(w2[i, k] * h[k][j] for k in range(3)) + b2[i]
+                        for j in range(4)] for i in range(2)])
+    assert out.shape == (2, 4)
+    assert np.allclose(out, manual, atol=1e-14)
 
 
 def test_dense_forward_dimension_mismatch():
-    layer = _layer(np.eye(2), np.zeros(2))
+    net = _net(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
     with pytest.raises(ValueError):
-        _dense_forward(layer, np.zeros((3, 1)))
+        mlp_forward(net, np.zeros((3, 1)))
 
 
 # B = 2, 3, 4 and 100 are batch widths where OpenBLAS's SkylakeX kernel splits
 # a 33-term dot product (an M=16 decoder's output layer with its bias folded
-# in), so they also show that the later layers keep their separate add
+# in), so they also show that the output layer keeps its separate add
 FORWARD_BATCHES = (1, 2, 3, 4, 5, 8, 100, 400, 1600, 8192)
 
 
@@ -87,24 +86,24 @@ def test_forward_matches_matmul_plus_bias(m, batch):
     # bit for bit on the stack golden.json was made on, within 1e-15 of the
     # sum of |terms| elsewhere
     on_golden_stack = json.loads(GOLDEN.read_text())["stack"] == stack()
-    params = init_params([m, 2 * m, 2], [2, 2 * m, m], seed=100 * m + batch)
+    params = init_params(m, seed=100 * m + batch)
     rng = substream(m, batch)
-    for layer in params.encoder + params.decoder:
-        layer.biases[:] = rng.standard_normal(layer.out_dim)
-    for layers, x in ((params.encoder, np.eye(m)),
-                      (params.decoder, 0.1 * rng.standard_normal((2, batch)))):
-        out, post = mlp_forward(layers, x, {})
-        for li, layer in enumerate(layers):
-            h = post[li]
-            want = layer.weights @ h
-            want += layer.biases[:, None]
-            if li < len(layers) - 1:
+    for b in (params.encoder + params.decoder)[1::2]:
+        b[:] = rng.standard_normal(b.size)
+    for net, x in ((params.encoder, np.eye(m)),
+                   (params.decoder, 0.1 * rng.standard_normal((2, batch)))):
+        out, (_, hidden) = mlp_forward(net, x, {})
+        for (w, b), h, got, relu in ((net[:2], x, hidden, True),
+                                     (net[2:], hidden, out, False)):
+            want = w @ h
+            want += b[:, None]
+            if relu:
                 np.maximum(want, 0.0, out=want)
             if on_golden_stack:
-                assert np.array_equal(post[li + 1], want), (li, batch)
+                assert np.array_equal(got, want), (relu, batch)
             else:
-                size = np.abs(layer.weights) @ np.abs(h) + np.abs(layer.biases)[:, None]
-                assert np.all(np.abs(post[li + 1] - want) <= 1e-15 * size), (li, batch)
+                size = np.abs(w) @ np.abs(h) + np.abs(b)[:, None]
+                assert np.all(np.abs(got - want) <= 1e-15 * size), (relu, batch)
 
 
 # ---------------------------------------------------------------------------
@@ -148,25 +147,24 @@ def test_softmax_in_place_matches_new_array():
 
 
 def test_forward_softmax_head_in_place_and_workspace_reuse():
-    layers = init_params([4, 8, 2], [2, 8, 3], seed=1).decoder
+    net = init_params(3, seed=1).decoder
     x = substream(15, 0).standard_normal((2, 5))
-    out, post = mlp_forward(layers, x)
-    assert out is post[-1]   # the last layer is linear
+    out, saved = mlp_forward(net, x)
     # decode computes softmax_terms in place over its logits buffer
     ws = {}
-    e, sums = decode(layers, x, ws)
+    e, sums = decode(net, x, ws)
     assert any(e is buf for buf in ws.values())
     assert np.array_equal(e / sums, softmax(out))
     assert np.all(e >= 0.0) and np.array_equal(e.max(axis=0), np.ones(5))
     ws = {}
-    first, post_ws = mlp_forward(layers, x, ws, "dec")
+    first, saved_ws = mlp_forward(net, x, ws, "dec")
     assert np.array_equal(first, out)
     assert any(first is buf for buf in ws.values())
-    again, _ = mlp_forward(layers, x, ws, "dec")
+    again, _ = mlp_forward(net, x, ws, "dec")
     assert again is first   # the same buffers are refilled
-    grads, ref = _grads(layers), _grads(layers)
-    mlp_backward(layers, post_ws, out - 0.25, grads, {}, "dec")
-    mlp_backward(layers, post, out - 0.25, ref)
+    grads, ref = _grads(net), _grads(net)
+    mlp_backward(net, saved_ws, out - 0.25, grads, {}, "dec")
+    mlp_backward(net, saved, out - 0.25, ref)
     assert all(np.array_equal(a, b) for a, b in zip(grads, ref))
 
 
@@ -207,31 +205,35 @@ def test_softmax_normalizes_columns_and_leaves_input_unchanged():
 # ---------------------------------------------------------------------------
 
 def test_backward_single_linear_layer_closed_form():
-    # squared-error cost C = ||Wx + b - t||^2 on one sample:
-    # dC/dW = 2(Wx+b-t) x^T, dC/db = 2(Wx+b-t)
+    # an identity hidden layer on a positive input makes the net the single
+    # linear layer W2 x + b2; squared-error cost C = ||W2 x + b2 - t||^2 on
+    # one sample: dC/dW2 = 2(W2 x+b2-t) x^T, dC/db2 = 2(W2 x+b2-t), and the
+    # hidden layer's gradients are those of the identity's input
     rng = substream(11, 0)
-    layer = _layer(rng.standard_normal((3, 2)), rng.standard_normal(3))
-    x = rng.standard_normal((2, 1))
+    w = rng.standard_normal((3, 2))
+    net = _net(np.eye(2), np.zeros(2), w, rng.standard_normal(3))
+    x = np.abs(rng.standard_normal((2, 1))) + 0.1
     t = rng.standard_normal((3, 1))
-    out, post = mlp_forward([layer], x)
-    d_last_z = 2.0 * (out - t)
-    grads = _grads([layer])
-    dinp = mlp_backward([layer], post, d_last_z, grads)
-    dw, db = grads
+    out, saved = mlp_forward(net, x)
+    d_out = 2.0 * (out - t)
+    grads = _grads(net)
+    dinp = mlp_backward(net, saved, d_out, grads)
+    dw1, db1, dw2, db2 = grads
     resid = (out - t)[:, 0]
-    assert np.allclose(dw, 2.0 * np.outer(resid, x[:, 0]), atol=1e-14)
-    assert np.allclose(db, 2.0 * resid, atol=1e-14)
-    assert np.allclose(dinp, layer.weights.T @ d_last_z, atol=1e-14)
+    assert np.allclose(dw2, 2.0 * np.outer(resid, x[:, 0]), atol=1e-14)
+    assert np.allclose(db2, 2.0 * resid, atol=1e-14)
+    assert np.allclose(dinp, w.T @ d_out, atol=1e-14)
+    assert np.allclose(db1, dinp[:, 0], atol=1e-14)
+    assert np.allclose(dw1, dinp @ x.T, atol=1e-14)
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     rng = substream(12, 0)
-    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
-              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
+    net = _random_net(rng, 3, 4, 2)
     x = rng.standard_normal((3, 5))
-    _, post = mlp_forward(layers, x)
-    grads = _grads(layers)
-    dinp = mlp_backward(layers, post, np.zeros((2, 5)), grads)
+    _, saved = mlp_forward(net, x)
+    grads = _grads(net)
+    dinp = mlp_backward(net, saved, np.zeros((2, 5)), grads)
     for g in grads:
         assert not g.any()
     assert not dinp.any()
@@ -239,52 +241,49 @@ def test_backward_zero_upstream_gives_zero_grads():
 
 def test_backward_relu_mask_and_inputs_unchanged():
     rng = substream(14, 0)
-    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
-              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
+    w1, b1, w2, _ = net = _random_net(rng, 3, 4, 2)
     x = rng.standard_normal((3, 5))
     d = rng.standard_normal((2, 5))
-    _, post = mlp_forward(layers, x)
-    before = [a.copy() for a in post + [d]]
-    grads = _grads(layers)
-    dinp = mlp_backward(layers, post, d, grads)
+    _, saved = mlp_forward(net, x)
+    inputs = list(saved) + [d]
+    before = [a.copy() for a in inputs]
+    grads = _grads(net)
+    dinp = mlp_backward(net, saved, d, grads)
     # the mask of the hidden pre-activation, recomputed here
-    z0 = layers[0].weights @ x + layers[0].biases[:, None]
-    dz0 = (layers[1].weights.T @ d) * (z0 > 0.0)
-    assert np.allclose(grads[0], dz0 @ x.T, atol=1e-14)
-    assert np.allclose(grads[1], dz0.sum(axis=1), atol=1e-14)
-    assert np.allclose(grads[2], d @ post[1].T, atol=1e-14)
+    z1 = w1 @ x + b1[:, None]
+    dz1 = (w2.T @ d) * (z1 > 0.0)
+    assert np.allclose(grads[0], dz1 @ x.T, atol=1e-14)
+    assert np.allclose(grads[1], dz1.sum(axis=1), atol=1e-14)
+    assert np.allclose(grads[2], d @ saved[1].T, atol=1e-14)
     assert np.allclose(grads[3], d.sum(axis=1), atol=1e-14)
-    assert np.allclose(dinp, layers[0].weights.T @ dz0, atol=1e-14)
-    assert all(np.array_equal(a, b) for a, b in zip(post + [d], before))
+    assert np.allclose(dinp, w1.T @ dz1, atol=1e-14)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 
 
 def test_backward_two_layer_matches_finite_differences():
     rng = substream(13, 0)
-    layers = [_layer(rng.standard_normal((4, 3)), rng.standard_normal(4)),
-              _layer(rng.standard_normal((2, 4)), rng.standard_normal(2))]
+    net = _random_net(rng, 3, 4, 2)
     x = rng.standard_normal((3, 6)) + 0.1  # keep away from ReLU kinks
 
     def cost():
-        out, _ = mlp_forward(layers, x)
+        out, _ = mlp_forward(net, x)
         return float(np.sum(out ** 2))
 
-    out, post = mlp_forward(layers, x)
-    grads = _grads(layers)
-    mlp_backward(layers, post, 2.0 * out, grads)
+    out, saved = mlp_forward(net, x)
+    grads = _grads(net)
+    mlp_backward(net, saved, 2.0 * out, grads)
     step = 1e-6
-    for li, layer in enumerate(layers):
-        for arr, grad in ((layer.weights, grads[2 * li]),
-                          (layer.biases, grads[2 * li + 1])):
-            flat = arr.reshape(-1)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + step
-                up = cost()
-                flat[j] = orig - step
-                dn = cost()
-                flat[j] = orig
-                fd = (up - dn) / (2 * step)
-                assert grad.reshape(-1)[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+    for arr, grad in zip(net, grads):
+        flat = arr.reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + step
+            up = cost()
+            flat[j] = orig - step
+            dn = cost()
+            flat[j] = orig
+            fd = (up - dn) / (2 * step)
+            assert grad.reshape(-1)[j] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +291,26 @@ def test_backward_two_layer_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 def _scalar_params():
-    return NetworkParams(
-        encoder=[_layer([[0.5]], [0.0])], decoder=[])
+    """M=2 parameters, all zero but the first weight, 0.5."""
+    params = NetworkParams(2)
+    params.encoder[0][0, 0] = 0.5
+    return params
+
+
+def _first_only(g, params):
+    """A gradient laid out like params.flat, g at the first weight, else 0."""
+    grads = np.zeros_like(params.flat)
+    grads[0] = g
+    return grads
 
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = _scalar_params()
     state = AdamState.for_params(params, learning_rate=0.01)
-    before = [a.copy() for a in params.arrays()]
+    before = params.flat.copy()
     for _ in range(3):
         adam_step(params.flat, np.zeros_like(params.flat), state)
-    for a, b in zip(params.arrays(), before):
-        assert np.array_equal(a, b)
+    assert np.array_equal(params.flat, before)
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
@@ -311,12 +318,12 @@ def test_adam_first_step_magnitude_is_learning_rate():
     lr = 0.01
     state = AdamState.for_params(params, learning_rate=lr)
     g = 0.37
-    grads = np.array([g, 0.0])   # laid out like params.flat: W then b
-    w0 = params.encoder[0].weights[0, 0]
-    adam_step(params.flat, grads, state)
+    w0 = params.encoder[0][0, 0]
+    adam_step(params.flat, _first_only(g, params), state)
     # m_hat = g, v_hat = g^2 after bias correction, so |update| = lr*|g|/(|g|+eps)
-    update = w0 - params.encoder[0].weights[0, 0]
+    update = w0 - params.encoder[0][0, 0]
     assert update == pytest.approx(lr * g / (abs(g) + ADAM_EPS), rel=1e-12)
+    assert not params.flat[1:].any()   # a zero gradient moves nothing
 
 
 def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
@@ -324,10 +331,10 @@ def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
     state = AdamState.for_params(params, learning_rate=lr)
     g = -1.25
-    grads = np.array([g, 0.0])
+    grads = _first_only(g, params)
     # unroll the recurrences independently
     m = v = 0.0
-    w = params.encoder[0].weights[0, 0]
+    w = params.encoder[0][0, 0]
     for t in range(1, 4):
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -335,7 +342,7 @@ def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
         v_hat = v / (1 - b2 ** t)
         w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
         adam_step(params.flat, grads, state)
-        assert params.encoder[0].weights[0, 0] == pytest.approx(w, rel=1e-14)
+        assert params.encoder[0][0, 0] == pytest.approx(w, rel=1e-14)
 
 
 def test_adam_shape_mismatch_rejected():
@@ -347,9 +354,9 @@ def test_adam_shape_mismatch_rejected():
 
 def test_adam_flat_matches_per_array_reference():
     # the flat update is the textbook per-array update, bit for bit
-    params = init_params([4, 8, 2], [2, 8, 4], seed=6)
+    params = init_params(4, seed=6)
     state = AdamState.for_params(params, learning_rate=0.01)
-    ref = [a.copy() for a in params.arrays()]
+    ref = [a.copy() for a in params.encoder + params.decoder]
     moments = [[np.zeros_like(a) for a in ref] for _ in range(2)]
     rng = substream(6, 1)
     for t in range(1, 4):
@@ -361,7 +368,8 @@ def test_adam_flat_matches_per_array_reference():
             v *= 0.999
             v += (1.0 - 0.999) * g * g
             p -= 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
-        assert all(np.array_equal(a, b) for a, b in zip(params.arrays(), ref))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(params.encoder + params.decoder, ref))
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +377,13 @@ def test_adam_flat_matches_per_array_reference():
 # ---------------------------------------------------------------------------
 
 def test_init_params_biases_zero_and_deterministic():
-    p1 = init_params([4, 8, 2], [2, 8, 4], seed=7)
-    p2 = init_params([4, 8, 2], [2, 8, 4], seed=7)
-    p3 = init_params([4, 8, 2], [2, 8, 4], seed=8)
-    for layer in p1.encoder + p1.decoder:
-        assert not layer.biases.any()
-    for a, b in zip(p1.arrays(), p2.arrays()):
-        assert np.array_equal(a, b)
-    assert any(not np.array_equal(a, b)
-               for a, b in zip(p1.arrays(), p3.arrays()))
-
-
-@pytest.mark.parametrize("enc,dec", [([4], [2, 4]), ([4, 0, 2], [2, 4]),
-                                     ([4, 8, 2], [2, -1, 4])])
-def test_init_params_rejects_bad_dims(enc, dec):
-    with pytest.raises(ValueError):
-        init_params(enc, dec, seed=0)
+    p1 = init_params(4, seed=7)
+    p2 = init_params(4, seed=7)
+    p3 = init_params(4, seed=8)
+    for b in (p1.encoder + p1.decoder)[1::2]:
+        assert not b.any()
+    assert np.array_equal(p1.flat, p2.flat)
+    assert not np.array_equal(p1.flat, p3.flat)
 
 
 def test_xavier_variance():
@@ -403,24 +402,26 @@ def test_xavier_variance():
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip(tmp_path):
-    params = init_params([8, 16, 2], [2, 16, 8], seed=5)
+    params = init_params(8, seed=5)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
     loaded = load_checkpoint(path)
-    for a, b in zip(params.arrays(), loaded.arrays()):
+    assert loaded.m == 8
+    for a, b in zip(params.encoder + params.decoder, loaded.encoder + loaded.decoder):
         assert np.array_equal(a, b)
 
 
 def test_params_are_views_of_one_flat_vector(tmp_path):
-    params = init_params([4, 8, 2], [2, 8, 3, 4], seed=5)
-    arrays = params.arrays()
+    params = init_params(4, seed=5)
+    arrays = params.encoder + params.decoder
+    assert [a.shape for a in arrays] == list(layout(4))
     assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
     assert params.flat.size == sum(a.size for a in arrays)
     assert all(a.base is params.flat for a in arrays)
     assert np.array_equal(np.concatenate([a.ravel() for a in arrays]), params.flat)
     assert all(np.array_equal(v, a) for v, a in zip(params.views(params.flat), arrays))
-    params.flat[:] = np.arange(params.flat.size)   # writes show through the layers
-    assert params.decoder[-1].biases[-1] == params.flat.size - 1
+    params.flat[:] = np.arange(params.flat.size)   # writes show through the views
+    assert params.decoder[-1][-1] == params.flat.size - 1
     # the checkpoint payload is the vector itself, and a round trip is exact
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
@@ -428,7 +429,7 @@ def test_params_are_views_of_one_flat_vector(tmp_path):
     assert blob.endswith(params.flat.astype("<f8").tobytes())
     loaded = load_checkpoint(path)
     assert not np.shares_memory(loaded.flat, params.flat)
-    assert all(a.base is loaded.flat for a in loaded.arrays())
+    assert all(a.base is loaded.flat for a in loaded.encoder + loaded.decoder)
     save_checkpoint(tmp_path / "again.bin", loaded)
     assert (tmp_path / "again.bin").read_bytes() == blob
 
@@ -441,7 +442,7 @@ def test_checkpoint_bad_magic(tmp_path):
 
 
 def test_checkpoint_truncated(tmp_path):
-    params = init_params([4, 8, 2], [2, 8, 4], seed=1)
+    params = init_params(4, seed=1)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
     blob = path.read_bytes()
@@ -452,7 +453,7 @@ def test_checkpoint_truncated(tmp_path):
 
 def test_checkpoint_trailing_bytes_rejected(tmp_path):
     # the header fixes the payload size, so extra bytes are not a checkpoint
-    params = init_params([4, 8, 2], [2, 8, 4], seed=1)
+    params = init_params(4, seed=1)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
     path.write_bytes(path.read_bytes() + bytes(64))
@@ -460,20 +461,45 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("n_enc, n_dec", [(0, 0), (0, 2), (2, 0)])
-def test_checkpoint_empty_stack_rejected(tmp_path, n_enc, n_dec):
-    params = init_params([4, 8, 2], [2, 8, 4], seed=1)
+def write_raw_checkpoint(path, encoder, decoder):
+    """A version-1 checkpoint whose header lists the given (out, in) weight
+    shapes, with a zero payload of the size that header implies."""
+    shapes = encoder + decoder
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<IHH", 1, len(encoder), len(decoder)))
+        fh.write(b"".join(struct.pack("<II", *s) for s in shapes))
+        fh.write(bytes(8 * sum(o * i + o for o, i in shapes)))
+
+
+# the parent format read any stack whose payload fit its header; a
+# checkpoint must now hold layout(M)'s four layers for its M
+M4_ENCODER, M4_DECODER = [(8, 4), (2, 8)], [(8, 2), (4, 8)]
+WRONG_SHAPES = {
+    "0-0": ([], []),
+    "0-2": ([], M4_DECODER),
+    "2-0": (M4_ENCODER, []),
+    "3-layer-encoder": ([(8, 4), (8, 8), (2, 8)], M4_DECODER),
+    "hidden-3M": ([(12, 4), (2, 12)], [(12, 2), (4, 12)]),
+    "decoder-for-M8": (M4_ENCODER, [(16, 2), (8, 16)]),
+}
+
+
+@pytest.mark.parametrize("encoder, decoder", list(WRONG_SHAPES.values()),
+                         ids=list(WRONG_SHAPES))
+def test_checkpoint_empty_stack_rejected(tmp_path, encoder, decoder):
     path = tmp_path / "ckpt.bin"
-    save_checkpoint(path, params)
-    blob = bytearray(path.read_bytes())
-    blob[12:16] = struct.pack("<HH", n_enc, n_dec)
-    path.write_bytes(bytes(blob))
-    with pytest.raises(CheckpointFormatError):
+    write_raw_checkpoint(path, encoder, decoder)
+    with pytest.raises(CheckpointFormatError, match="not the layers of an M-message"):
         load_checkpoint(path)
+    # the same writer with M=4's own shapes gives a loadable file
+    write_raw_checkpoint(path, M4_ENCODER, M4_DECODER)
+    assert load_checkpoint(path).m == 4
+    save_checkpoint(tmp_path / "saved.bin", NetworkParams(4))
+    assert (tmp_path / "saved.bin").read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_bad_version(tmp_path):
-    params = init_params([4, 8, 2], [2, 8, 4], seed=1)
+    params = init_params(4, seed=1)
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, params)
     blob = bytearray(path.read_bytes())

@@ -52,7 +52,7 @@ def test_total_cost_clamps_vanishing_power():
 # ---------------------------------------------------------------------------
 
 def test_network_cost_minibatch_power_constraint():
-    params = init_params([4, 8, 2], [2, 8, 4], seed=1)
+    params = init_params(4, seed=1)
     rng = substream(1, ROLE_MISC)
     msgs = rng.integers(0, 4, size=64)
     noise = sample_noise(64, 2e-5, rng)
@@ -62,7 +62,7 @@ def test_network_cost_minibatch_power_constraint():
 
 
 def test_network_cost_lambda_zero_equals_cross_entropy():
-    params = init_params([4, 8, 2], [2, 8, 4], seed=2)
+    params = init_params(4, seed=2)
     rng = substream(2, ROLE_MISC)
     msgs = rng.integers(0, 4, size=32)
     noise = sample_noise(32, 2e-5, rng)
@@ -71,11 +71,11 @@ def test_network_cost_lambda_zero_equals_cross_entropy():
 
 
 def test_network_cost_leaves_inputs_unchanged():
-    params = init_params([4, 8, 2], [2, 8, 4], seed=4)
+    params = init_params(4, seed=4)
     rng = substream(4, ROLE_MISC)
     msgs = rng.integers(0, 4, size=16)
     noise = sample_noise(16, 2e-5, rng)
-    inputs = params.arrays() + [msgs, noise]
+    inputs = params.encoder + params.decoder + [msgs, noise]
     before = [a.copy() for a in inputs]
     cost, _, grads = network_cost(params, msgs, noise, 0.001, 1e-3, MODEL_A)
     again, _, _ = network_cost(params, msgs, noise, 0.001, 1e-3, MODEL_A)
@@ -92,7 +92,7 @@ def test_network_cost_p_del_is_pdel_exact_of_the_export(model, m):
     # so the step's P_del and the reported one are the same code on the same bits
     p_a = 0.1 if isinstance(model, ModelAParams) else 0.004
     for seed in range(5):
-        params = init_params([m, 2 * m, 2], [2, 2 * m, m], seed=100 + seed)
+        params = init_params(m, seed=100 + seed)
         msgs = substream(seed, ROLE_MISC).permutation(m)
         noise = np.zeros((m, 2))
         _, info, _ = network_cost(params, msgs, noise, p_a, 1e-3, model, ws={})
@@ -101,7 +101,7 @@ def test_network_cost_p_del_is_pdel_exact_of_the_export(model, m):
 
 
 def _desk_m16_step(seed):
-    params = init_params([16, 32, 2], [2, 32, 16], seed=seed)
+    params = init_params(16, seed=seed)
     rng = substream(seed, ROLE_MISC)
     msgs = rng.integers(0, 16, size=1600)
     return params, msgs, sample_noise(1600, 0.004 / 50.0, rng)
@@ -146,10 +146,8 @@ def test_network_cost_workspace_follows_params_and_batch():
     # one workspace through networks and batch sizes of different shapes
     # gives what a fresh workspace gives at every call
     ws = {}
-    for dims, batch, seed in (((4, 8, 2), 64, 1), ((4, 8, 2), 16, 1),
-                              ((4, 8, 2), 16, 2), ((8, 6, 2), 16, 3)):
-        m = dims[0]
-        params = init_params(list(dims), [2, 2 * m, m], seed)
+    for m, batch, seed in ((4, 64, 1), (4, 16, 1), (4, 16, 2), (8, 16, 3)):
+        params = init_params(m, seed)
         rng = substream(seed, ROLE_MISC)
         msgs = rng.integers(0, m, size=batch)
         noise = sample_noise(batch, 2e-5, rng)
@@ -169,14 +167,14 @@ _FD_BATCHES = {"": (8, 4), "-absent": (8, 3), "-single": (1, 4)}
     for k, model in enumerate((MODEL_A, MODEL_B))])
 def test_network_cost_gradients_match_finite_differences(model, batch, drawn):
     p_a = 0.1 if isinstance(model, ModelAParams) else 0.004
-    params = init_params([4, 8, 2], [2, 8, 4], seed=3)
+    params = init_params(4, seed=3)
     rng = substream(3, ROLE_MISC)
     msgs = rng.integers(0, drawn, size=batch)
     noise = sample_noise(batch, p_a / 50.0, rng)
     lam = 1e-3
     _, _, grads = network_cost(params, msgs, noise, p_a, lam, model)
     step = 1e-6
-    for arr, grad in zip(params.arrays(), params.views(grads)):
+    for arr, grad in zip(params.encoder + params.decoder, params.views(grads)):
         flat = arr.reshape(-1)
         gflat = grad.reshape(-1)
         # spot-check a handful of coordinates per block to keep this fast;
@@ -210,9 +208,9 @@ def test_train_run_learns_four_point_constellation():
 def test_train_run_degenerate_encoder_is_failed(monkeypatch):
     # an encoder whose output layer is all zeros maps every message to the
     # origin; with the Adam update disabled it stays there to the end
-    def zero_output_init(enc_dims, dec_dims, seed):
-        params = init_params(enc_dims, dec_dims, seed)
-        params.encoder[-1].weights[:] = 0.0
+    def zero_output_init(m, seed):
+        params = init_params(m, seed)
+        params.encoder[2][:] = 0.0
         return params
     monkeypatch.setattr("swiptmod.trainer.init_params", zero_output_init)
     monkeypatch.setattr("swiptmod.trainer.adam_step", lambda *args: None)
@@ -387,8 +385,6 @@ def test_config_resolved_desk_defaults():
     assert cfg.minibatch_size == 1600
     assert cfg.train_set_size == 160_000
     assert cfg.eval_samples == 1_600_000
-    assert cfg.encoder_dims() == [16, 32, 2]
-    assert cfg.decoder_dims() == [2, 32, 16]
 
 
 @pytest.mark.parametrize("kw", [

@@ -8,7 +8,7 @@ from oracles import classical_baseline
 from swiptmod.channel import ROLE_MISC, sample_noise, substream
 from swiptmod.evaluator import estimate_ser
 from swiptmod.harvester import ModelAParams
-from swiptmod.nn import DenseLayer, NetworkParams, init_params, mlp_forward
+from swiptmod.nn import NetworkParams, init_params, mlp_forward
 from swiptmod.trainer import network_cost
 from swiptmod.transceiver import (CSV_HEADER, Constellation,
                                   ConstellationFormatError,
@@ -20,32 +20,23 @@ from swiptmod.transceiver import (CSV_HEADER, Constellation,
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
 
 
-def _layer(w, b):
-    return DenseLayer(weights=np.asarray(w, dtype=float),
-                      biases=np.asarray(b, dtype=float))
-
-
-def _constant_decoder(biases):
-    """A decoder whose output is softmax(biases) whatever its input."""
-    m = len(biases)
-    return [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m)),
-            _layer(np.zeros((m, 2 * m)), biases)]
-
-
 # ---------------------------------------------------------------------------
 # encode: the export runs every message through the encoder once
 # ---------------------------------------------------------------------------
 
 def test_one_hot_first_and_last():
-    # a linear encoder reads column s of W0 for message s (0-based)
-    enc = [_layer([[10.0, 11.0, 12.0, 13.0], [0.0, 0.0, 0.0, -1.0]], [0.0, 0.0])]
+    # with an identity in W1's first M rows, the encoder reads column s of
+    # W2 for message s (0-based)
+    enc = NetworkParams(4).encoder
+    enc[0][:4] = np.eye(4)
+    enc[2][:, :4] = [[10.0, 11.0, 12.0, 13.0], [0.0, 0.0, 0.0, -1.0]]
     pts = export_constellation(enc, 4, 1.0).points
     scale = pts[0].real / 10.0
     assert np.allclose(pts, scale * np.array([10, 11, 12, 13 - 1j]), rtol=1e-15)
 
 
 def test_encode_deterministic_per_message():
-    enc = init_params([4, 8, 2], [2, 8, 4], seed=3).encoder
+    enc = init_params(4, seed=3).encoder
     pts = export_constellation(enc, 4, 0.001).points
     assert np.array_equal(pts, export_constellation(enc, 4, 0.001).points)
     assert len(set(np.round(pts, 12))) == 4
@@ -58,21 +49,15 @@ def test_encode_deterministic_per_message():
 
 def test_encode_zero_weights_gives_origin():
     # a training step on an all-zero encoder sends every message to the origin
-    params = init_params([4, 8, 2], [2, 8, 4], seed=0)
-    for layer in params.encoder:
-        layer.weights[:] = 0.0
+    params = init_params(4, seed=0)
+    for w in params.encoder[::2]:
+        w[:] = 0.0
     noise = sample_noise(6, 2e-5, substream(0, ROLE_MISC))
     cost, info, grads = network_cost(params, np.arange(6) % 4, noise, 0.001,
                                      1e-4, MODEL_A)
     assert info["degenerate"]
     assert info["batch_power"] == 0.0 and info["p_del"] == 0.0
     assert np.isfinite(cost) and np.all(np.isfinite(grads))
-
-
-def test_encode_rejects_non_2d_output():
-    enc = [_layer(np.zeros((3, 4)), np.zeros(3))]
-    with pytest.raises(ValueError):
-        export_constellation(enc, 4, 0.001)
 
 
 # ---------------------------------------------------------------------------
@@ -129,15 +114,13 @@ def test_normalize_empty_batch_rejected():
 # ---------------------------------------------------------------------------
 
 def test_decode_zero_weights_uniform():
-    dec = [_layer(np.zeros((8, 2)), np.zeros(8)),
-           _layer(np.zeros((4, 8)), np.zeros(4))]
-    e, sums = decode(dec, np.array([[0.3], [-0.7]]))
+    e, sums = decode(NetworkParams(4).decoder, np.array([[0.3], [-0.7]]))
     assert e.shape == (4, 1) and sums.shape == (1,)
     assert np.array_equal(e, np.ones((4, 1))) and sums[0] == 4.0
 
 
 def test_decode_reproducible_and_normalized():
-    dec = init_params([4, 8, 2], [2, 8, 4], seed=6).decoder
+    dec = init_params(4, seed=6).decoder
     y = np.array([[0.1, -0.3, 0.7], [0.2, 0.05, -0.4]])   # (re, im) rows
     before = y.copy()
     e1, s1 = decode(dec, y)
@@ -159,8 +142,13 @@ def test_decode_reproducible_and_normalized():
 # cross entropy: a training step's info["cross_entropy"] and estimate_ser's
 # ---------------------------------------------------------------------------
 
-def _step_ce(decoder, msgs, seed=0):
-    params = NetworkParams(init_params([4, 8, 2], [2, 8, 4], seed).encoder, decoder)
+def _step_ce(biases, msgs, seed=0):
+    """A training step's cross entropy with a decoder whose output is
+    softmax(biases) whatever its input."""
+    params = init_params(4, seed)
+    w1, _, w2, b2 = params.decoder
+    w1[:] = w2[:] = 0.0
+    b2[:] = biases
     noise = sample_noise(len(msgs), 2e-5, substream(seed, ROLE_MISC))
     _, info, _ = network_cost(params, np.asarray(msgs), noise, 0.001, 0.0, MODEL_A)
     return info["cross_entropy"]
@@ -168,14 +156,12 @@ def _step_ce(decoder, msgs, seed=0):
 
 def test_cross_entropy_perfect_prediction():
     # exp(-1000) underflows, so message 1 gets probability exactly 1
-    assert _step_ce(_constant_decoder([0.0, 1000.0, 0.0, 0.0]), [1, 1, 1]) == 0.0
+    assert _step_ce([0.0, 1000.0, 0.0, 0.0], [1, 1, 1]) == 0.0
 
 
 def test_cross_entropy_uniform():
-    m = 32
-    dec = [_layer(np.zeros((2 * m, 2)), np.zeros(2 * m)),
-           _layer(np.zeros((m, 2 * m)), np.zeros(m))]
-    report = estimate_ser(classical_baseline("QAM", m, 0.001), dec, 2e-5, 3000, seed=0)
+    dec = NetworkParams(32).decoder
+    report = estimate_ser(classical_baseline("QAM", 32, 0.001), dec, 2e-5, 3000, seed=0)
     assert report.cross_entropy == pytest.approx(np.log(32), rel=1e-12)
 
 
@@ -185,18 +171,18 @@ def test_cross_entropy_against_high_precision():
     with mp.workdps(50):
         logz = mp.log(sum(mp.exp(mp.mpf(b)) for b in biases))
         expected = float(sum(logz - mp.mpf(biases[s]) for s in msgs) / len(msgs))
-    assert _step_ce(_constant_decoder(biases), msgs) == pytest.approx(expected, rel=1e-15)
+    assert _step_ce(biases, msgs) == pytest.approx(expected, rel=1e-15)
 
 
 def test_cross_entropy_shape_mismatch():
     # more messages than noise rows
-    params = init_params([4, 8, 2], [2, 8, 4], seed=0)
+    params = init_params(4, seed=0)
     with pytest.raises(ValueError):
         network_cost(params, np.array([0, 1, 2]), np.zeros((2, 2)), 0.001, 0.0, MODEL_A)
 
 
 def test_batch_cross_entropy_matches_scalar_mean():
-    params = init_params([4, 8, 2], [2, 8, 4], seed=5)
+    params = init_params(4, seed=5)
     rng = substream(5, ROLE_MISC)
     msgs = rng.integers(0, 4, size=6)
     noise = sample_noise(6, 2e-4, rng)
@@ -215,7 +201,7 @@ def test_batch_cross_entropy_matches_scalar_mean():
 # ---------------------------------------------------------------------------
 
 def test_export_constellation_power_and_size():
-    params = init_params([8, 16, 2], [2, 16, 8], seed=2)
+    params = init_params(8, seed=2)
     const = export_constellation(params.encoder, 8, 0.001)
     assert const.size == 8
     assert const.mean_power() == pytest.approx(0.001, rel=1e-12)
@@ -223,14 +209,13 @@ def test_export_constellation_power_and_size():
 
 
 def test_export_constellation_degenerate_encoder():
-    enc = [_layer(np.zeros((2, 4)), np.zeros(2))]
     with pytest.raises(DegenerateEncoderError):
-        export_constellation(enc, 4, 0.001)
+        export_constellation(NetworkParams(4).encoder, 4, 0.001)
     assert issubclass(DegenerateEncoderError, ValueError)
 
 
 def test_csv_round_trip_byte_identical(tmp_path):
-    params = init_params([8, 16, 2], [2, 16, 8], seed=4)
+    params = init_params(8, seed=4)
     const = export_constellation(params.encoder, 8, 0.002)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_constellation_csv(const, p1)
