@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -18,8 +19,8 @@ from .harvester import pdel_exact
 from .gradcheck import run_gradcheck
 from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .svgplot import write_constellation_svg
-from .trainer import (RunRecord, TrainingFailure, lambda_sweep, multi_restart,
-                      restart_seeds)
+from .trainer import (RunRecord, TrainConfig, TrainingFailure, lambda_schedule,
+                      lambda_sweep, multi_restart, restart_seeds)
 from .transceiver import (ConstellationFormatError, DegenerateEncoderError,
                           export_constellation, read_constellation_csv,
                           write_constellation_csv)
@@ -28,18 +29,32 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_TRAINING = 4
+POINT_DIR = "lambda_{:.6e}"   # each lambda point's directory; names rise with lambda
 
 
-def _out_root(resolved: dict, flag: str | None) -> Path:
+def _out_root(resolved: dict, out: str) -> Path:
     """<out>/<profile>/, created: an unwritable root fails before training."""
-    root = Path(flag or resolved["out_dir"]) / resolved["profile"]
+    root = Path(out) / resolved["profile"]
     root.mkdir(parents=True, exist_ok=True)
     return root
 
 
+def _check_point_dirs(cfg: TrainConfig) -> None:
+    """A ConfigError if two rungs of the ladder share a POINT_DIR; only
+    neighbours can. One 7-digit name spans a ratio of at most 1 + 1.0000005e-6,
+    so from a normal rung on, a factor above 1 + 1.1e-6 parts every later pair."""
+    for lo, hi in itertools.pairwise(lambda_schedule(cfg)):
+        name = POINT_DIR.format(hi)
+        if POINT_DIR.format(lo) == name:
+            raise ConfigError(f"lambda ladder: {lo!r} and {hi!r} share the point "
+                              f"directory {name}; use a larger lambda.factor")
+        if lo >= sys.float_info.min and cfg.lambda_factor > 1.0 + 1.1e-6:
+            return
+
+
 def _write_record(rec: RunRecord, resolved: dict, root: Path) -> Path:
     """The four files of one lambda point, in root/lambda_<value>/."""
-    out_dir = root / f"lambda_{rec.lam:.6e}"
+    out_dir = root / POINT_DIR.format(rec.lam)
     out_dir.mkdir(exist_ok=True)
     meta = {
         "lambda": rec.lam,
@@ -67,15 +82,15 @@ def _write_record(rec: RunRecord, resolved: dict, root: Path) -> Path:
     return out_dir
 
 
-def _load_resolved(args, overrides=None) -> dict:
-    return cfgmod.resolve(cfgmod.load_config_file(args.config), overrides)
+def _load_resolved(args) -> dict:
+    return cfgmod.resolve(cfgmod.load_config_file(args.config))
 
 
 def cmd_train(args) -> int:
     lam = args.lam
     if not (math.isfinite(lam) and lam >= 0):
         raise ConfigError(f"--lambda must be finite and >= 0, got {lam}")
-    resolved = _load_resolved(args, {"seed": args.seed})
+    resolved = _load_resolved(args)
     cfg = cfgmod.train_config_from(resolved)
     root = _out_root(resolved, args.out)
     rec = multi_restart(cfg, lam, restart_seeds(cfg, 0))
@@ -89,6 +104,7 @@ def cmd_sweep(args) -> int:
     """Writes each point, then its summary.csv row, as soon as it is chosen."""
     resolved = _load_resolved(args)
     cfg = cfgmod.train_config_from(resolved)
+    _check_point_dirs(cfg)
     root = _out_root(resolved, args.out)
     summary = root / "summary.csv"
     lines = ["lambda,seed,final_cost,cross_entropy,ser,p_del,terminal"]
@@ -178,13 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="best-of-restarts training at one lambda")
     p.add_argument("config")
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output root (overrides config)")
+    p.add_argument("--out", default="runs", help="output root")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("sweep", help="incremental lambda sweep with SER stop rule")
     p.add_argument("config")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default="runs", help="output root")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint (SER + delivered power)")

@@ -1,12 +1,13 @@
 """Flat-key JSON configuration: key and type checks, defaults, profile fill.
 
-Precedence: CLI flag > config file > default. Harvester constants are
-mandatory for the selected model (they are calibration inputs, not universal
-truths). The ``paper`` profile switches to the full-size training constants;
-``desk`` keeps runs laptop-sized. Domain rules live in the types that hold
-the values (TrainConfig, ModelAParams, ModelBParams); this module adds only
-what a file alone can get wrong: unknown keys, the other harvester model's
-keys, JSON types, and the NaN and Infinity literals that Python's json reads.
+Each key comes from the config file, else its default. Harvester constants
+are mandatory for the selected model (they are calibration inputs, not
+universal truths). The ``paper`` profile switches to the full-size training
+constants; ``desk`` keeps runs laptop-sized. Domain rules live in the types
+that hold the values (TrainConfig, ModelAParams, ModelBParams); this module
+adds only what a file alone can get wrong: unknown keys, the other harvester
+model's keys, JSON types, and the NaN and Infinity literals that Python's
+json reads.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ SCHEMA = {
     "ser_max": (float, _DEFAULT["ser_max"]),
     "seed": (int, _DEFAULT["seed"]),
     "eval_samples": (int, None),
-    "out_dir": (str, "runs"),
 }
 _CHOICES = {"profile": tuple(PROFILES), "harvester.model": tuple(_MODELS)}
 # TrainConfig fields whose config key has another name
@@ -68,12 +68,8 @@ def load_config_file(path) -> dict:
     return raw
 
 
-def resolve(raw: dict, overrides: dict | None = None) -> dict:
+def resolve(cfg: dict) -> dict:
     """Validate a flat config dict and fill defaults; returns the merged view."""
-    cfg = dict(raw)
-    for k, v in (overrides or {}).items():
-        if v is not None:
-            cfg[k] = v
     for key in cfg:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key: {key}")

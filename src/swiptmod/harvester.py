@@ -128,8 +128,6 @@ def pdel_with_grads(x, model: HarvesterModel, weights, ws: dict | None = None):
         raise ValueError(f"pdel_with_grads needs non-empty (2, M) real rows, "
                          f"got {x.dtype} {x.shape}")
     w = np.asarray(weights, dtype=float)
-    if ws is None:
-        ws = {}
     if isinstance(model, ModelAParams):
         return _model_a(x, model, w, ws)
     return _model_b(x, model, w, ws)

@@ -64,12 +64,11 @@ class NetworkParams:
         return out
 
 
-def scratch(ws: dict | None, key, shape, dtype=float) -> np.ndarray | None:
+def scratch(ws: dict | None, key, shape, dtype=float) -> np.ndarray:
     """Workspace buffer `key` shaped `shape`: a view of the key's one flat buffer,
-    grown to the largest size asked for. None without a workspace, so
-    `out=scratch(...)` lets NumPy allocate on the same line."""
+    grown to the largest size asked for. Without a workspace, a new array."""
     if ws is None:
-        return None
+        return np.empty(shape, dtype)
     buf = ws.get(key)
     if buf is None or buf.shape != shape or buf.dtype != dtype:
         size = math.prod(shape)
@@ -104,7 +103,7 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def first_layer(w: np.ndarray, b: np.ndarray, x: np.ndarray, ws: dict,
+def first_layer(w: np.ndarray, b: np.ndarray, x: np.ndarray, ws: dict | None,
                 key: str = "") -> np.ndarray:
     """The pre-activation W @ x + b[:, None] of (features, batch) columns x, as
     one matmul of [W | b], copied into a workspace block, by x over a row of
@@ -132,8 +131,6 @@ def mlp_forward(net, x: np.ndarray, ws: dict | None = None, key: str = ""):
     workspace buffers under `key`, which must differ between nets sharing
     one workspace; with ws=None they are all new.
     """
-    if ws is None:
-        ws = {}
     w1, b1, w2, b2 = net
     x = np.asarray(x, dtype=float)
     hidden = first_layer(w1, b1, x, ws, key)
@@ -222,45 +219,38 @@ def init_params(m: int, seed: int) -> NetworkParams:
     return params
 
 
-# ---------------------------------------------------------------------------
-# Checkpoint format: magic, u32 version, u16 number of encoder/decoder layers
-# (2 and 2), per-layer u32 (out, in) of its weights, then NetworkParams.flat as
-# little-endian float64 (each layer's row-major weights, then its biases,
-# encoder first).
-# ---------------------------------------------------------------------------
+def _header(m: int) -> bytes:
+    """The 48 bytes before an M-message checkpoint's payload: magic, u32
+    version, u16 numbers of encoder and decoder layers (2 and 2), and each
+    layer's u32 (out, in) weight shape. The payload is NetworkParams.flat as
+    little-endian float64 (each layer's row-major weights, then its biases,
+    encoder first)."""
+    return (CHECKPOINT_MAGIC + struct.pack("<IHH", CHECKPOINT_VERSION, 2, 2)
+            + b"".join(struct.pack("<II", *s) for s in layout(m)[::2]))
+
 
 def save_checkpoint(path, params: NetworkParams) -> None:
     with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IHH", CHECKPOINT_VERSION, 2, 2))
-        fh.write(b"".join(struct.pack("<II", *s) for s in layout(params.m)[::2]))
+        fh.write(_header(params.m))
         fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> NetworkParams:
-    """The parameters saved in `path`. A header whose layers are not
-    layout(M)'s, for the M of its first layer's input, raises
+    """The parameters saved in `path`. A file that does not start with
+    _header(M), for the M of its first layer's input, raises
     CheckpointFormatError, as does a payload of another size."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != CHECKPOINT_MAGIC:
         raise CheckpointFormatError(f"bad magic in {path}")
-    try:
-        version, n_enc, n_dec = struct.unpack_from("<IHH", blob, 8)
-        shapes = tuple(struct.unpack_from("<II", blob, 16 + 8 * i)
-                       for i in range(n_enc + n_dec))
-    except struct.error as exc:
-        raise CheckpointFormatError(f"truncated header in {path}") from exc
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported checkpoint version {version}")
-    m = shapes[0][1] if shapes else 0
-    if (n_enc, n_dec) != (2, 2) or shapes != layout(m)[::2]:
+    m = int.from_bytes(blob[20:24], "little")   # the first layer's input width
+    # its out width, 2M, must fit a u32 too
+    if m >= 2 ** 31 or not blob.startswith(_header(m)):
         raise CheckpointFormatError(
-            f"{path} holds {n_enc} encoder and {n_dec} decoder layers of weight "
-            f"shapes {list(shapes)}, not the layers of an M-message autoencoder")
-    off = 16 + 8 * len(shapes)
-    if off + 8 * sum(o * i + o for o, i in shapes) != len(blob):
+            f"{path} has no version-{CHECKPOINT_VERSION} header, or one whose layer "
+            f"shapes are not the layers of an M-message autoencoder")
+    if len(blob) != 48 + 8 * sum(math.prod(s) for s in layout(m)):
         raise CheckpointFormatError(f"payload size of {path} does not match its header")
     params = NetworkParams(m)
-    params.flat[:] = np.frombuffer(blob, dtype="<f8", count=params.flat.size, offset=off)
+    params.flat[:] = np.frombuffer(blob, dtype="<f8", offset=48)
     return params

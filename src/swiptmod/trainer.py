@@ -141,15 +141,17 @@ def total_cost(batch_ce: float, p_del: float, lam: float) -> float:
     return batch_ce + lam / max(p_del, EPS_PDEL)
 
 
-def _step_constants(params: NetworkParams, batch: int, ws: dict):
+def _step_constants(params: NetworkParams, batch: int, ws: dict | None):
     """The M x M identity, arange(B), and a gradient vector laid out like
-    params.flat with its params.views; kept in `ws` while the parameters
-    and the batch size stay."""
-    c = ws.get("step")
+    params.flat with its params.views; kept in a workspace `ws` while the
+    parameters and the batch size stay."""
+    c = None if ws is None else ws.get("step")
     if c is None or c[0] is not params.flat or c[1] != batch:
         grads = np.empty_like(params.flat)
-        c = ws["step"] = (params.flat, batch, np.eye(params.m),
-                          np.arange(batch), grads, params.views(grads))
+        c = (params.flat, batch, np.eye(params.m), np.arange(batch), grads,
+             params.views(grads))
+        if ws is not None:
+            ws["step"] = c
     return c[2:]
 
 
@@ -165,8 +167,6 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     constants and the gradient vector: with one, grads is the workspace's
     vector, valid until the next call; without one, grads is a new vector.
     """
-    if ws is None:
-        ws = {}   # a fresh workspace: every buffer and the gradient are new
     enc, dec = params.encoder, params.decoder
     msgs = np.asarray(messages, dtype=int)
     batch = msgs.shape[0]
@@ -299,14 +299,12 @@ def multi_restart(cfg: TrainConfig, lam: float, seeds: list[int]) -> RunRecord:
     return min(ok, key=lambda r: (r.final_cost, r.seed))
 
 
-def lambda_schedule(cfg: TrainConfig) -> list[float]:
-    """0 followed by start * factor^k, capped at lambda_max_points values."""
-    lams = [0.0]
-    k = 0
-    while len(lams) < cfg.lambda_max_points:
-        lams.append(cfg.lambda_start * cfg.lambda_factor ** k)
-        k += 1
-    return lams
+def lambda_schedule(cfg: TrainConfig) -> Iterator[float]:
+    """0 followed by start * factor^k, capped at lambda_max_points values;
+    lazy, so a long ladder cut short by the stop rule is never built."""
+    yield 0.0
+    for k in range(cfg.lambda_max_points - 1):
+        yield cfg.lambda_start * cfg.lambda_factor ** k
 
 
 def restart_seeds(cfg: TrainConfig, lam_index: int) -> list[int]:

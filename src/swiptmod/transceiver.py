@@ -104,18 +104,20 @@ def write_constellation_csv(constellation: Constellation, path) -> None:
 
 def read_constellation_csv(path) -> Constellation:
     try:
-        with open(path) as fh:
-            rows = [ln.strip() for ln in fh if ln.strip()]
+        with open(path) as fh:   # (line number, text) of each non-blank line
+            rows = [(n, ln.strip()) for n, ln in enumerate(fh, start=1) if ln.strip()]
     except UnicodeDecodeError as exc:
         raise ConstellationFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise ConstellationFormatError(f"{path}: empty constellation CSV", line=0)
-    if rows[0] != CSV_HEADER:
-        raise ConstellationFormatError(f"{path}:1: bad header {rows[0]!r}", line=1)
+    lineno, header = rows[0]
+    if header != CSV_HEADER:
+        raise ConstellationFormatError(f"{path}:{lineno}: bad header {header!r}",
+                                       line=lineno)
     if len(rows) == 1:
-        raise ConstellationFormatError(f"{path}: no constellation rows", line=1)
+        raise ConstellationFormatError(f"{path}: no constellation rows", line=lineno)
     points, probs = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
+    for want, (lineno, row) in enumerate(rows[1:]):
         parts = row.split(",")
         if len(parts) != 4:
             raise ConstellationFormatError(
@@ -130,7 +132,7 @@ def read_constellation_csv(path) -> Constellation:
             raise ConstellationFormatError(
                 f"{path}:{lineno}: non-finite value or negative probability in {row!r}",
                 line=lineno)
-        if idx != lineno - 2:
+        if idx != want:
             raise ConstellationFormatError(
                 f"{path}:{lineno}: index {idx} out of order", line=lineno)
         probs.append(pr)

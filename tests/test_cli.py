@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process)."""
 
+import itertools
 import json
 import math
 import re
@@ -86,6 +87,36 @@ def test_sweep_non_utf8_config_exit_2(tmp_path, capsys):
     assert err.startswith("config error:") and "bad.bin" in err and "\n" not in err
 
 
+@pytest.mark.parametrize("ladder", [
+    {"lambda.start": 1e-5, "lambda.factor": 1.0000001, "lambda.max_points": 3},
+    {"lambda.start": 5e-324, "lambda.factor": 1.4, "lambda.max_points": 3},
+], ids=["factor-below-7-digits", "subnormal-start"])
+def test_sweep_points_sharing_a_directory_exit_2(tmp_path, capsys, ladder):
+    # each point's directory is lambda_<7 significant digits>: two rungs with
+    # one name would overwrite each other's files
+    cfg = _write_cfg(tmp_path, dict(TINY_A, **ladder))
+    out = tmp_path / "o"
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("config error:") and "share the point directory" in err
+    assert "\n" not in err and not out.exists()
+
+
+def test_point_directory_check_stops_where_the_factor_parts_every_pair(monkeypatch):
+    # a 10^8-rung ladder whose factor rules out a shared name is not walked
+    drawn = []
+
+    def schedule(cfg):   # the first 10 rungs, so a walk fails fast
+        for lam in itertools.islice(trainer.lambda_schedule(cfg), 10):
+            drawn.append(lam)
+            yield lam
+
+    monkeypatch.setattr(cli, "lambda_schedule", schedule)
+    ladder = {"lambda.factor": 1.000002, "lambda.max_points": 10 ** 8}
+    cli._check_point_dirs(config.train_config_from(config.resolve(dict(TINY_A, **ladder))))
+    assert len(drawn) == 3   # rung 0, the start, and the one pair after it
+
+
 @pytest.mark.parametrize("ladder", [{"lambda.factor": 1e300, "lambda.max_points": 4},
                                     {"lambda.start": 1e308, "lambda.max_points": 3}],
                          ids=["power-overflows", "product-is-inf"])
@@ -102,9 +133,11 @@ def test_sweep_overflowing_lambda_ladder_exit_2(tmp_path, capsys, ladder):
 @pytest.mark.parametrize("argv", [
     ["train", "CFG", "--paper-scale"], ["sweep", "CFG", "--paper-scale"],
     ["eval", "CKPT", "CFG", "--paper-scale"], ["plot", "CSV", "OUT", "--p-a", "0.001"],
-], ids=["train", "sweep", "eval", "plot"])
+    ["train", "CFG", "--seed", "1"],
+], ids=["train", "sweep", "eval", "plot", "train-seed"])
 def test_removed_flags_exit_2(argv):
-    # "profile": "paper" selects the paper scale; plot reads P_a off the CSV
+    # "profile": "paper" selects the paper scale; plot reads P_a off the CSV;
+    # the config's seed is the only training seed
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -150,13 +183,14 @@ def test_train_negative_config_seed_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_negative_seed_flag_exit_2(tmp_path, capsys):
-    cfg = _write_cfg(tmp_path, TINY_A)
-    out = tmp_path / "o"
-    assert cli.main(["train", cfg, "--seed", "-2", "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("config error:") and "seed" in err and "\n" not in err
-    assert not out.exists()
+def test_out_dir_config_key_exit_2(tmp_path, capsys):
+    # the output root is --out, else runs/: out_dir is an unknown key
+    cfg = _write_cfg(tmp_path, dict(TINY_A, out_dir=str(tmp_path / "o")))
+    for command in ("train", "sweep"):
+        assert cli.main([command, cfg, "--out", str(tmp_path / "p")]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "config error: unknown config key: out_dir"
+    assert not (tmp_path / "o").exists() and not (tmp_path / "p").exists()
 
 
 # ---------------------------------------------------------------------------

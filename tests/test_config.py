@@ -57,15 +57,6 @@ def test_resolve_paper_profile():
     assert out["eval_samples"] == 40_000_000  # 5e6 * M
 
 
-def test_resolve_overrides_take_precedence():
-    out = resolve(VALID_A, {"seed": 42, "profile": "paper"})
-    assert out["seed"] == 42
-    assert out["profile"] == "paper"
-    # None overrides are ignored
-    out = resolve(VALID_A, {"seed": None})
-    assert out["seed"] == 1
-
-
 def test_missing_harvester_keys_named_in_error():
     cfg = dict(VALID_A)
     del cfg["harvester.beta"]

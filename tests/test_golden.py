@@ -7,6 +7,9 @@ moved, and a diff of golden.json shows it too. Bits depend on the NumPy build
 and the BLAS library, so the file records that stack: on another stack the
 test xfails and names the mismatch; on the same stack every entry must match.
 
+A value tier runs on any stack: the cost, P_del and gradient 2-norm of the 30
+minibatch costs, stored as floats, must match to a relative REL_TOL.
+
 Regenerate after an intended change with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -87,7 +90,15 @@ def stack() -> dict:
             "machine": platform.machine()}
 
 
-def _network_cost_entries(out: dict) -> None:
+# The largest relative gap of the value tier between the SkylakeX, Haswell,
+# Sandybridge and Prescott OpenBLAS cores (NumPy 2.4.6, x86_64) was 6.8e-16,
+# in P_del; the costs matched exactly. The bound leaves room for other NumPy
+# builds, while a changed formula moves a value far more.
+REL_TOL = 1e-12
+
+
+def _network_costs():
+    """(name, cost, info, grads) of the 30 minibatch costs."""
     for model in ("A", "B"):
         for m in (4, 8, 16):
             for batch in (1, 5, 8, 400, 1600):
@@ -96,10 +107,20 @@ def _network_cost_entries(out: dict) -> None:
                 rng = substream(seed, ROLE_MISC)
                 msgs = rng.integers(0, m, size=batch)
                 noise = sample_noise(batch, P_A[model] / 50.0, rng)
-                cost, info, grads = network_cost(params, msgs, noise, P_A[model],
-                                                 LAM[model], MODELS[model], ws={})
-                out[f"network_cost/{model}/M{m}/B{batch}"] = _sha(
-                    cost, *(v for _, v in sorted(info.items())), grads)
+                yield (f"network_cost/{model}/M{m}/B{batch}",
+                       *network_cost(params, msgs, noise, P_A[model], LAM[model],
+                                     MODELS[model], ws={}))
+
+
+def _network_cost_entries(out: dict) -> None:
+    for name, cost, info, grads in _network_costs():
+        out[name] = _sha(cost, *(v for _, v in sorted(info.items())), grads)
+
+
+def values() -> dict:
+    """The value tier: [cost, P_del, gradient 2-norm] by entry name."""
+    return {name: [cost, info["p_del"], float(np.linalg.norm(grads))]
+            for name, cost, info, grads in _network_costs()}
 
 
 TRAIN_CASES = {
@@ -168,7 +189,18 @@ def test_golden_outputs():
                                        f"not in golden.json: {unknown}")
 
 
+def test_golden_values():
+    # runs on any stack, so a wrong formula fails where the hashes xfail
+    golden = json.loads(GOLDEN.read_text())["values"]
+    got = values()
+    assert got.keys() == golden.keys()
+    far = {k: (got[k], v) for k, v in golden.items()
+           if not np.allclose(got[k], v, rtol=REL_TOL, atol=0.0)}
+    assert not far, f"beyond a relative {REL_TOL:g} (got, golden): {far}"
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"stack": stack(), "entries": entries()},
+    GOLDEN.write_text(json.dumps({"stack": stack(), "entries": entries(),
+                                  "values": values()},
                                  indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

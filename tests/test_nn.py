@@ -169,7 +169,9 @@ def test_forward_softmax_head_in_place_and_workspace_reuse():
 
 
 def test_scratch_shapes_of_one_key_share_a_growing_buffer():
-    assert scratch(None, "k", (2, 3)) is None
+    fresh = scratch(None, "k", (2, 3), np.int64)   # no workspace: a new array
+    assert fresh.shape == (2, 3) and fresh.dtype == np.int64
+    assert not np.shares_memory(fresh, scratch(None, "k", (2, 3), np.int64))
     ws = {}
     full = scratch(ws, "k", (4, 8))
     tail = scratch(ws, "k", (4, 5))   # a short tail tile reuses the full one
@@ -496,6 +498,24 @@ def test_checkpoint_empty_stack_rejected(tmp_path, encoder, decoder):
     assert load_checkpoint(path).m == 4
     save_checkpoint(tmp_path / "saved.bin", NetworkParams(4))
     assert (tmp_path / "saved.bin").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("m", [2, 3, 16])
+def test_checkpoint_every_corrupt_header_byte_rejected(tmp_path, m):
+    # each of the 48 header bytes set to 0x00, to 0xFF, and to itself with
+    # bit i % 8 flipped, where that changes it; an M field that gains a high
+    # byte must be rejected too, though 2M no longer fits the header's u32
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, init_params(m, seed=1))
+    blob = path.read_bytes()
+    cases = 0
+    for i in range(48):
+        for value in sorted({0x00, 0xFF, blob[i] ^ 1 << i % 8} - {blob[i]}):
+            path.write_bytes(blob[:i] + bytes([value]) + blob[i + 1:])
+            with pytest.raises(CheckpointFormatError):
+                load_checkpoint(path)
+            cases += 1
+    assert cases >= 113
 
 
 def test_checkpoint_bad_version(tmp_path):

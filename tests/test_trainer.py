@@ -338,7 +338,7 @@ def test_multi_restart_needs_seeds():
 
 def test_lambda_schedule_geometric_with_zero_prefix():
     cfg = _tiny_cfg(lambda_start=1e-5, lambda_factor=2.0, lambda_max_points=5)
-    assert lambda_schedule(cfg) == [0.0, 1e-5, 2e-5, 4e-5, 8e-5]
+    assert list(lambda_schedule(cfg)) == [0.0, 1e-5, 2e-5, 4e-5, 8e-5]
 
 
 def test_restart_seeds_distinct_per_lambda_index():
@@ -354,7 +354,7 @@ def test_lambda_sweep_stop_rule(monkeypatch):
     sers = {0: 0.01, 1: 0.5, 2: 0.97, 3: 0.1}
 
     def fake_restart(cfg, lam, seeds):
-        k = lambda_schedule(cfg).index(lam)
+        k = list(lambda_schedule(cfg)).index(lam)
         return RunRecord(lam=lam, seed=seeds[0], final_cost=1.0, ser=sers[k],
                          p_del=0.01, cross_entropy=1.0, constellation=None)
     monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
@@ -372,7 +372,7 @@ def test_lambda_sweep_runs_full_schedule(monkeypatch):
     monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
     cfg = _tiny_cfg(lambda_max_points=4)
     records = list(lambda_sweep(cfg))
-    assert [r.lam for r in records] == lambda_schedule(cfg)
+    assert [r.lam for r in records] == list(lambda_schedule(cfg))
     assert not records[-1].terminal
 
 
@@ -431,7 +431,7 @@ def test_config_counts_must_be_ints(name):
 def test_config_ladder_with_a_finite_top_accepted():
     cfg = TrainConfig(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A,
                       lambda_start=1.0, lambda_factor=1e300, lambda_max_points=3)
-    assert lambda_schedule(cfg) == [0.0, 1.0, 1e300]
+    assert list(lambda_schedule(cfg)) == [0.0, 1.0, 1e300]
 
 
 def test_config_explicit_values_kept_and_frozen():

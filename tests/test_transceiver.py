@@ -239,6 +239,11 @@ def test_csv_round_trip_byte_identical(tmp_path):
     (CSV_HEADER + "\n0,nan,1,2\n", 2),                # non-finite probability
     (CSV_HEADER + "\n0,inf,1,2\n", 2),
     (CSV_HEADER + "\n0,0.5,1,2\n1,-0.5,3,4\n", 3),   # negative probability
+    # blank lines count: the line is the file's own line number
+    ("\n" + CSV_HEADER + "\n0,0.5,1,2\n\n\n1,0.5,3\n", 6),
+    ("\n\nwrong,header\n0,0.5,1,2\n", 3),
+    ("\n" + CSV_HEADER + "\n\n", 2),
+    (CSV_HEADER + "\n\n0,0.5,1,2\n\n2,0.5,3,4\n", 5),   # index checked by row
 ])
 def test_csv_format_errors_carry_line_numbers(tmp_path, body, line):
     path = tmp_path / "bad.csv"
