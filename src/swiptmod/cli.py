@@ -41,14 +41,18 @@ def _out_root(resolved: dict, out: str) -> Path:
 
 def _check_point_dirs(cfg: TrainConfig) -> None:
     """A ConfigError if two rungs of the ladder share a POINT_DIR; only
-    neighbours can. One 7-digit name spans a ratio of at most 1 + 1.0000005e-6,
-    so from a normal rung on, a factor above 1 + 1.1e-6 parts every later pair."""
+    neighbours can. One 7-digit name spans a ratio of at most 1 + 1.0000005e-6.
+    A computed rung is off from start * factor**k by at most the subnormal
+    spacing 2**-1074, a relative 2**-1074 / rung that shrinks as the rungs
+    grow, plus a relative few 1e-16, which the margin up to 1.1e-6 absorbs.
+    So once a rung lo > 0 has factor * (1 - 2 * 2**-1074 / lo) > 1 + 1.1e-6,
+    every later pair parts."""
     for lo, hi in itertools.pairwise(lambda_schedule(cfg)):
         name = POINT_DIR.format(hi)
         if POINT_DIR.format(lo) == name:
             raise ConfigError(f"lambda ladder: {lo!r} and {hi!r} share the point "
                               f"directory {name}; use a larger lambda.factor")
-        if lo >= sys.float_info.min and cfg.lambda_factor > 1.0 + 1.1e-6:
+        if lo > 0 and cfg.lambda_factor * (1.0 - 2.0 ** -1073 / lo) > 1.0 + 1.1e-6:
             return
 
 

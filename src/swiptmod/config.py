@@ -17,7 +17,7 @@ import math
 from dataclasses import fields
 
 from .harvester import ModelAParams, ModelBParams
-from .trainer import PROFILES, TrainConfig, profile_sizes
+from .trainer import TrainConfig
 
 
 class ConfigError(Exception):
@@ -27,8 +27,19 @@ class ConfigError(Exception):
 _DEFAULT = {f.name: f.default for f in fields(TrainConfig)}
 _MODELS = {"A": ModelAParams, "B": ModelBParams}
 
+# Scale defaults of the two profiles, by config key; the three sizes are per
+# message. resolve fills the ones a file leaves unset from the row its
+# `profile` key names.
+PROFILES = {
+    "desk": {"epochs": 1000, "restarts": 10, "minibatch_size": 100,
+             "train_set_size": 10_000, "eval_samples": 100_000},
+    "paper": {"epochs": 5000, "restarts": 100, "minibatch_size": 1000,
+              "train_set_size": 100_000, "eval_samples": 5_000_000},
+}
+_PER_M = ("minibatch_size", "train_set_size", "eval_samples")
+
 # key -> (type, default or None); the epochs, restarts and sizes left unset
-# come from trainer.profile_sizes of the selected profile
+# come from the selected profile's row of PROFILES
 SCHEMA = {
     "profile": (str, "desk"),
     "M": (int, 16),
@@ -99,9 +110,9 @@ def resolve(cfg: dict) -> dict:
             raise ConfigError(f"missing required config key for harvester "
                               f"model {model}: {key}")
 
-    for key, size in profile_sizes(out["profile"], out["M"]).items():
+    for key, size in PROFILES[out["profile"]].items():
         if out[key] is None:
-            out[key] = size
+            out[key] = size * out["M"] if key in _PER_M else size
     return out
 
 

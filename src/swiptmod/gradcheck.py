@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import ROLE_MISC, sample_noise, substream
 from .harvester import ModelAParams, ModelBParams
-from .nn import NetworkParams, first_layer, init_params, mlp_forward, softmax
+from .nn import NetworkParams, init_params, mlp_forward, softmax
 from .trainer import network_cost
 from .transceiver import normalize_power
 
@@ -93,19 +93,20 @@ def _margins(params: NetworkParams, msgs: np.ndarray, noise: np.ndarray,
     """Smallest |ReLU pre-activation| and smallest picked probability of one step.
 
     One forward pass as in network_cost; mlp_forward keeps only the ReLU
-    outputs, so each net's hidden pre-activation is recomputed by
-    first_layer. The encoder's counts only for messages present in the
-    batch. The linear outputs (the encoder's points, the logits) have no
-    kink and do not count.
+    outputs, so each net's hidden pre-activation is recomputed from its
+    weights: W1 + b1[:, None] for the encoder's identity input, W1 @ y +
+    b1[:, None] for the decoder's. The encoder's counts only for messages
+    present in the batch. The linear outputs (the encoder's points, the
+    logits) have no kink and do not count.
     """
-    eye = np.eye(params.m)
-    u, _ = mlp_forward(params.encoder, eye)
+    enc, dec = params.encoder, params.decoder
+    u, _ = mlp_forward(enc, np.eye(params.m))
     x, _, _, _, counts = normalize_power(u, msgs, p_a)
     y = x[:, msgs] + noise.T
-    logits, _ = mlp_forward(params.decoder, y)
+    logits, _ = mlp_forward(dec, y)
     probs = softmax(logits)
-    hidden_e = first_layer(*params.encoder[:2], eye, {})
-    hidden_d = first_layer(*params.decoder[:2], y, {})
+    hidden_e = enc[0] + enc[1][:, None]
+    hidden_d = dec[0] @ y + dec[1][:, None]
     relu = min(float(np.min(np.abs(hidden_e[:, counts > 0]))),
                float(np.min(np.abs(hidden_d))))
     return relu, float(probs[msgs, np.arange(msgs.size)].min())

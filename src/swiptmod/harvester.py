@@ -31,7 +31,7 @@ class ModelAParams:
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta >= 0
-                and math.isfinite(self.alpha + self.beta + self.gamma)):
+                and all(map(math.isfinite, (self.alpha, self.beta, self.gamma)))):
             raise ValueError(f"Model A needs finite constants, alpha > 0 and "
                              f"beta >= 0, got {self}")
 
@@ -44,7 +44,7 @@ class ModelBParams:
 
     def __post_init__(self):
         if not (min(self.ls, self.a, self.b) > 0
-                and math.isfinite(self.ls + self.a + self.b)):
+                and all(map(math.isfinite, (self.ls, self.a, self.b)))):
             raise ValueError(f"Model B needs finite, positive constants, got {self}")
 
     @cached_property

@@ -103,39 +103,31 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def first_layer(w: np.ndarray, b: np.ndarray, x: np.ndarray, ws: dict | None,
-                key: str = "") -> np.ndarray:
-    """The pre-activation W @ x + b[:, None] of (features, batch) columns x, as
-    one matmul of [W | b], copied into a workspace block, by x over a row of
-    ones. The bias is the last term of each dot product, so for an identity
-    or 2-wide input this rounds as the matmul plus the add. The result is
-    the workspace buffer (key, "z1").
-    """
-    rows, batch = x.shape
-    h = scratch(ws, (key, "x"), (rows + 1, batch))
-    h[:rows] = x
-    h[rows] = 1.0
-    wb = scratch(ws, (key, "wb"), (w.shape[0], rows + 1))
-    wb[:, :rows] = w
-    wb[:, rows] = b
-    return np.matmul(wb, h, out=scratch(ws, (key, "z1"), (w.shape[0], batch)))
-
-
 def mlp_forward(net, x: np.ndarray, ws: dict | None = None, key: str = ""):
     """Run a net [W1, b1, W2, b2] on (features, batch) columns.
 
-    The hidden layer is first_layer's pre-activation with its ReLU applied
-    in place. The output layer is linear and adds its bias after the matmul,
-    as BLAS may split its wider dot products into partial sums. Returns
+    The hidden pre-activation W1 @ x + b1[:, None] is one matmul of [W1 | b1],
+    copied into a workspace block, by x over a row of ones; the bias is the
+    last term of each dot product, so for an identity or 2-wide input this
+    rounds as the matmul plus the add. Its ReLU is applied in place. The
+    output layer is linear and adds its bias after the matmul, as BLAS may
+    split its wider dot products into partial sums. Returns
     (output, (x, hidden)), which mlp_backward takes. Every result lands in
     workspace buffers under `key`, which must differ between nets sharing
     one workspace; with ws=None they are all new.
     """
     w1, b1, w2, b2 = net
     x = np.asarray(x, dtype=float)
-    hidden = first_layer(w1, b1, x, ws, key)
+    rows, batch = x.shape
+    xb = scratch(ws, (key, "x"), (rows + 1, batch))
+    xb[:rows] = x
+    xb[rows] = 1.0
+    wb = scratch(ws, (key, "wb"), (w1.shape[0], rows + 1))
+    wb[:, :rows] = w1
+    wb[:, rows] = b1
+    hidden = np.matmul(wb, xb, out=scratch(ws, (key, "z1"), (w1.shape[0], batch)))
     np.maximum(hidden, 0.0, out=hidden)
-    out = np.matmul(w2, hidden, out=scratch(ws, (key, "z2"), (w2.shape[0], x.shape[1])))
+    out = np.matmul(w2, hidden, out=scratch(ws, (key, "z2"), (w2.shape[0], batch)))
     out += b2[:, None]
     return out, (x, hidden)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import evaluator
 from .channel import ROLE_DATA, ROLE_NOISE, derive_seed, sample_noise, substream
-from .evaluator import MIN_SAMPLES
 from .harvester import HarvesterModel, pdel_exact, pdel_with_grads
 from .nn import (AdamState, NetworkParams, adam_step, init_params,
                  mlp_backward, mlp_forward, scratch, softmax)
@@ -30,53 +30,32 @@ class TrainingFailure(Exception):
     """All restarts diverged (non-finite cost)."""
 
 
-# Scale defaults of the two profiles, by TrainConfig field; the three sizes
-# are per message. TrainConfig fills its unset ones from the desk row,
-# config.resolve from the row its `profile` key names.
-PROFILES = {
-    "desk": {"epochs": 1000, "restarts": 10, "minibatch_size": 100,
-             "train_set_size": 10_000, "eval_samples": 100_000},
-    "paper": {"epochs": 5000, "restarts": 100, "minibatch_size": 1000,
-              "train_set_size": 100_000, "eval_samples": 5_000_000},
-}
-_PER_M = ("minibatch_size", "train_set_size", "eval_samples")
-
-
-def profile_sizes(profile: str, m: int) -> dict:
-    """A profile's epochs, restarts and sizes for M messages, by field."""
-    return {k: v * m if k in _PER_M else v for k, v in PROFILES[profile].items()}
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """Training constants, complete and checked once, when built.
 
-    Epochs, restarts and sizes left as None are filled from the desk profile;
-    a value outside its domain, or a lambda ladder that overflows, raises
-    ValueError naming the field.
+    The epochs, restarts and sizes have no default: config.resolve fills the
+    ones a config file leaves unset from its profile. A value outside its
+    domain, or a lambda ladder that overflows, raises ValueError naming the
+    field.
     """
     m: int
     p_a: float
     snr: float
     harvester: HarvesterModel
-    epochs: int | None = None             # default: the desk profile's
-    minibatch_size: int | None = None     # default: the desk profile's, times M
-    train_set_size: int | None = None     # default: the desk profile's, times M
+    epochs: int
+    restarts: int
+    minibatch_size: int
+    train_set_size: int
+    eval_samples: int
     learning_rate: float = 0.01
-    restarts: int | None = None           # default: the desk profile's
     lambda_start: float = 1e-5
     lambda_factor: float = 2.0
     lambda_max_points: int = 12
     ser_max: float = 0.95
     seed: int = 0
-    eval_samples: int | None = None       # default: the desk profile's, times M
 
     def __post_init__(self):
-        m = self.m
-        for name, size in profile_sizes("desk", m).items():
-            if getattr(self, name) is None:
-                object.__setattr__(self, name, size)
-
         def above(v, floor=0.0):
             return math.isfinite(v) and v > floor
 
@@ -84,7 +63,7 @@ class TrainConfig:
             return isinstance(v, int) and not isinstance(v, bool) and v >= floor
 
         for name, ok, need in [
-            ("m", count(m, 2), "an int >= 2"),
+            ("m", count(self.m, 2), "an int >= 2"),
             ("harvester", isinstance(self.harvester, HarvesterModel),
              "a ModelAParams or ModelBParams"),
             ("p_a", above(self.p_a), "finite and positive"),
@@ -101,8 +80,8 @@ class TrainConfig:
             ("lambda_max_points", count(self.lambda_max_points), "a positive int"),
             ("ser_max", 0.0 < self.ser_max < 1.0, "in (0, 1)"),
             ("seed", count(self.seed, 0), "an int >= 0"),
-            ("eval_samples", count(self.eval_samples, MIN_SAMPLES),
-             f"an int >= {MIN_SAMPLES}"),
+            ("eval_samples", count(self.eval_samples, evaluator.MIN_SAMPLES),
+             f"an int >= {evaluator.MIN_SAMPLES}"),
         ]:
             if not ok:
                 raise ValueError(f"{name} must be {need}, got {getattr(self, name)!r}")
@@ -238,10 +217,6 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
 def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     """One full optimization run at a fixed lambda and restart seed."""
-    # imported per call so a tracer patching evaluator.estimate_ser (perfbench)
-    # also sees these evaluations; this is not an import cycle
-    from .evaluator import estimate_ser
-
     sigma2 = cfg.sigma2()
     params = init_params(cfg.m, seed)
     state = AdamState.for_params(params, cfg.learning_rate)
@@ -276,8 +251,8 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                     adam_step(params.flat, grads, state)
             ws.clear()   # the step buffers are not needed by the evaluation
             const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-            report = estimate_ser(const, params.decoder, sigma2, cfg.eval_samples,
-                                  seed=seed)
+            report = evaluator.estimate_ser(const, params.decoder, sigma2,
+                                            cfg.eval_samples, seed=seed)
             p_del = pdel_exact(const, cfg.harvester)
     except (FloatingPointError, DegenerateEncoderError):
         return failed   # also when every point sits at the origin or is non-finite

@@ -9,10 +9,11 @@ from swiptmod.harvester import ModelAParams
 from swiptmod.trainer import TrainConfig
 
 
-def _cfg(p_a, snr, **kw):
+def _cfg(p_a, snr):
     return TrainConfig(m=4, p_a=p_a, snr=snr,
                        harvester=ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0),
-                       **kw)
+                       epochs=1, restarts=1, minibatch_size=100, train_set_size=100,
+                       eval_samples=1000)
 
 
 def test_snr_to_variance_values():

@@ -103,7 +103,8 @@ def test_sweep_points_sharing_a_directory_exit_2(tmp_path, capsys, ladder):
 
 
 def test_point_directory_check_stops_where_the_factor_parts_every_pair(monkeypatch):
-    # a 10^8-rung ladder whose factor rules out a shared name is not walked
+    # a 10^8-rung ladder whose factor rules out a shared name is not walked,
+    # also from a subnormal start, whose rungs round to multiples of 2**-1074
     drawn = []
 
     def schedule(cfg):   # the first 10 rungs, so a walk fails fast
@@ -112,9 +113,13 @@ def test_point_directory_check_stops_where_the_factor_parts_every_pair(monkeypat
             yield lam
 
     monkeypatch.setattr(cli, "lambda_schedule", schedule)
-    ladder = {"lambda.factor": 1.000002, "lambda.max_points": 10 ** 8}
-    cli._check_point_dirs(config.train_config_from(config.resolve(dict(TINY_A, **ladder))))
-    assert len(drawn) == 3   # rung 0, the start, and the one pair after it
+    for start in (TINY_A["lambda.start"], 1e-310, 1e-316):
+        drawn.clear()
+        ladder = {"lambda.start": start, "lambda.factor": 1.000002,
+                  "lambda.max_points": 10 ** 8}
+        cli._check_point_dirs(
+            config.train_config_from(config.resolve(dict(TINY_A, **ladder))))
+        assert len(drawn) == 3, start   # rung 0, the start, and the pair after it
 
 
 @pytest.mark.parametrize("ladder", [{"lambda.factor": 1e300, "lambda.max_points": 4},

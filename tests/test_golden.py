@@ -125,11 +125,11 @@ def values() -> dict:
 
 TRAIN_CASES = {
     "A-M8": (TrainConfig(m=8, p_a=0.001, snr=50.0, harvester=MODELS["A"],
-                         epochs=4, minibatch_size=80, train_set_size=800,
-                         eval_samples=2000), 1e-7, 11),
+                         epochs=4, restarts=10, minibatch_size=80,
+                         train_set_size=800, eval_samples=2000), 1e-7, 11),
     "B-M16": (TrainConfig(m=16, p_a=0.004, snr=50.0, harvester=MODELS["B"],
-                          epochs=3, minibatch_size=160, train_set_size=1600,
-                          eval_samples=2000), 1e-4, 12),
+                          epochs=3, restarts=10, minibatch_size=160,
+                          train_set_size=1600, eval_samples=2000), 1e-4, 12),
 }
 
 

@@ -191,6 +191,12 @@ def test_model_b_params_reject_bad_constants(ls, a, b):
         ModelBParams(ls=ls, a=a, b=b)
 
 
+def test_params_accept_finite_constants_whose_sum_overflows():
+    # each constant must be finite on its own; their sum need not be
+    assert ModelAParams(1e308, 1e308, 0.0).alpha == 1e308
+    assert ModelBParams(1e308, 1e308, 1.0).a == 1e308
+
+
 def test_model_b_zero_input_zero_output_exact():
     assert pdel_model_b(np.zeros(5), MODEL_B) == 0.0
 

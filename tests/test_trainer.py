@@ -380,11 +380,17 @@ def test_lambda_sweep_runs_full_schedule(monkeypatch):
 # config validation
 # ---------------------------------------------------------------------------
 
-def test_config_resolved_desk_defaults():
-    cfg = TrainConfig(m=16, p_a=0.001, snr=50.0, harvester=MODEL_A)
-    assert cfg.minibatch_size == 1600
-    assert cfg.train_set_size == 160_000
-    assert cfg.eval_samples == 1_600_000
+_SCALE = {"epochs": 3, "restarts": 2, "minibatch_size": 100, "train_set_size": 2000,
+          "eval_samples": 2000}
+
+
+@pytest.mark.parametrize("name", _SCALE)
+def test_config_scale_fields_are_required(name):
+    # config.resolve fills them from a profile; a TrainConfig has no default
+    base = dict(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A, **_SCALE)
+    del base[name]
+    with pytest.raises(TypeError, match=name):
+        TrainConfig(**base)
 
 
 @pytest.mark.parametrize("kw", [
@@ -408,14 +414,13 @@ def test_config_resolved_desk_defaults():
 ])
 def test_config_validate_rejects(kw):
     # checked once, when the config is built
-    base = dict(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A)
+    base = dict(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A, **_SCALE)
     base.update(kw)
     with pytest.raises(ValueError, match=next(iter(kw))):
         TrainConfig(**base)
 
 
-_COUNTS = {"epochs": 3, "restarts": 2, "minibatch_size": 100, "train_set_size": 2000,
-           "lambda_max_points": 4, "eval_samples": 2000, "seed": 5}
+_COUNTS = {**_SCALE, "lambda_max_points": 4, "seed": 5}
 
 
 @pytest.mark.parametrize("name", _COUNTS)
@@ -429,7 +434,7 @@ def test_config_counts_must_be_ints(name):
 
 
 def test_config_ladder_with_a_finite_top_accepted():
-    cfg = TrainConfig(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A,
+    cfg = TrainConfig(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A, **_SCALE,
                       lambda_start=1.0, lambda_factor=1e300, lambda_max_points=3)
     assert list(lambda_schedule(cfg)) == [0.0, 1.0, 1e300]
 
