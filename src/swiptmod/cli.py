@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -19,8 +18,8 @@ from .harvester import pdel_exact
 from .gradcheck import run_gradcheck
 from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .svgplot import write_constellation_svg
-from .trainer import (RunRecord, TrainConfig, TrainingFailure, lambda_schedule,
-                      lambda_sweep, multi_restart, restart_seeds)
+from .trainer import (RunRecord, TrainingFailure, lambda_sweep, multi_restart,
+                      restart_seeds)
 from .transceiver import (ConstellationFormatError, DegenerateEncoderError,
                           export_constellation, read_constellation_csv,
                           write_constellation_csv)
@@ -37,23 +36,6 @@ def _out_root(resolved: dict, out: str) -> Path:
     root = Path(out) / resolved["profile"]
     root.mkdir(parents=True, exist_ok=True)
     return root
-
-
-def _check_point_dirs(cfg: TrainConfig) -> None:
-    """A ConfigError if two rungs of the ladder share a POINT_DIR; only
-    neighbours can. One 7-digit name spans a ratio of at most 1 + 1.0000005e-6.
-    A computed rung is off from start * factor**k by at most the subnormal
-    spacing 2**-1074, a relative 2**-1074 / rung that shrinks as the rungs
-    grow, plus a relative few 1e-16, which the margin up to 1.1e-6 absorbs.
-    So once a rung lo > 0 has factor * (1 - 2 * 2**-1074 / lo) > 1 + 1.1e-6,
-    every later pair parts."""
-    for lo, hi in itertools.pairwise(lambda_schedule(cfg)):
-        name = POINT_DIR.format(hi)
-        if POINT_DIR.format(lo) == name:
-            raise ConfigError(f"lambda ladder: {lo!r} and {hi!r} share the point "
-                              f"directory {name}; use a larger lambda.factor")
-        if lo > 0 and cfg.lambda_factor * (1.0 - 2.0 ** -1073 / lo) > 1.0 + 1.1e-6:
-            return
 
 
 def _write_record(rec: RunRecord, resolved: dict, root: Path) -> Path:
@@ -108,7 +90,6 @@ def cmd_sweep(args) -> int:
     """Writes each point, then its summary.csv row, as soon as it is chosen."""
     resolved = _load_resolved(args)
     cfg = cfgmod.train_config_from(resolved)
-    _check_point_dirs(cfg)
     root = _out_root(resolved, args.out)
     summary = root / "summary.csv"
     lines = ["lambda,seed,final_cost,cross_entropy,ser,p_del,terminal"]

@@ -89,7 +89,10 @@ def resolve(cfg: dict) -> dict:
         val = cfg.get(key, default)
         if key in cfg:
             if typ is float and isinstance(val, int) and not isinstance(val, bool):
-                val = float(val)
+                try:
+                    val = float(val)
+                except OverflowError:   # an int too large for a float
+                    val = math.inf if val > 0 else -math.inf
             if not isinstance(val, typ) or isinstance(val, bool):
                 raise ConfigError(f"config key {key}: expected {typ.__name__}, "
                                   f"got {type(val).__name__}")

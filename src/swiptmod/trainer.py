@@ -9,6 +9,7 @@ backpropagation.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -37,7 +38,8 @@ class TrainConfig:
     The epochs, restarts and sizes have no default: config.resolve fills the
     ones a config file leaves unset from its profile. A value outside its
     domain, or a lambda ladder that overflows, raises ValueError naming the
-    field.
+    field. The ladder's domain (a normal start, a factor >= 1.000001) keeps
+    every rung's lambda_<.6e> directory name its own.
     """
     m: int
     p_a: float
@@ -59,6 +61,9 @@ class TrainConfig:
         def above(v, floor=0.0):
             return math.isfinite(v) and v > floor
 
+        def at_least(v, floor):
+            return math.isfinite(v) and v >= floor
+
         def count(v, floor=1):   # an int (not a bool) >= floor
             return isinstance(v, int) and not isinstance(v, bool) and v >= floor
 
@@ -75,8 +80,14 @@ class TrainConfig:
              and self.minibatch_size <= self.train_set_size,
              "a positive int, at most train_set_size"),
             ("learning_rate", above(self.learning_rate), "finite and positive"),
-            ("lambda_start", above(self.lambda_start), "finite and positive"),
-            ("lambda_factor", above(self.lambda_factor, 1.0), "finite and > 1"),
+            # the widest 7-digit name, 1.000001e+k, spans [1.0000005, 1.0000015)
+            # * 10**k, a ratio of 1 + 9.99999e-7; a normal rung start * factor**k
+            # rounds within a relative few 1e-16, so a factor >= 1.000001
+            # (1 + 9.9999999992e-7 as a float) parts every pair of neighbours
+            ("lambda_start", at_least(self.lambda_start, sys.float_info.min),
+             f"finite and >= {sys.float_info.min!r}, the smallest normal float"),
+            ("lambda_factor", at_least(self.lambda_factor, 1.000001),
+             "finite and >= 1.000001"),
             ("lambda_max_points", count(self.lambda_max_points), "a positive int"),
             ("ser_max", 0.0 < self.ser_max < 1.0, "in (0, 1)"),
             ("seed", count(self.seed, 0), "an int >= 0"),

@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import re
+import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -87,39 +89,51 @@ def test_sweep_non_utf8_config_exit_2(tmp_path, capsys):
     assert err.startswith("config error:") and "bad.bin" in err and "\n" not in err
 
 
-@pytest.mark.parametrize("ladder", [
-    {"lambda.start": 1e-5, "lambda.factor": 1.0000001, "lambda.max_points": 3},
-    {"lambda.start": 5e-324, "lambda.factor": 1.4, "lambda.max_points": 3},
+@pytest.mark.parametrize("ladder, field", [
+    ({"lambda.start": 1e-5, "lambda.factor": 1.0000001, "lambda.max_points": 3},
+     "lambda_factor"),
+    ({"lambda.start": 5e-324, "lambda.factor": 1.4, "lambda.max_points": 3},
+     "lambda_start"),
 ], ids=["factor-below-7-digits", "subnormal-start"])
-def test_sweep_points_sharing_a_directory_exit_2(tmp_path, capsys, ladder):
-    # each point's directory is lambda_<7 significant digits>: two rungs with
-    # one name would overwrite each other's files
+def test_sweep_points_sharing_a_directory_exit_2(tmp_path, capsys, ladder, field):
+    # each point's directory is lambda_<7 significant digits>: a ladder whose
+    # rungs could share one name is outside TrainConfig's domain, for train too
     cfg = _write_cfg(tmp_path, dict(TINY_A, **ladder))
     out = tmp_path / "o"
-    assert cli.main(["sweep", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("config error:") and "share the point directory" in err
-    assert "\n" not in err and not out.exists()
+    for command in ("sweep", "train"):
+        assert cli.main([command, cfg, "--out", str(out)]) == 2, command
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("config error:") and field in err and "\n" not in err
+        assert not out.exists()
 
 
-def test_point_directory_check_stops_where_the_factor_parts_every_pair(monkeypatch):
-    # a 10^8-rung ladder whose factor rules out a shared name is not walked,
-    # also from a subnormal start, whose rungs round to multiples of 2**-1074
-    drawn = []
+def _name_edge_starts():
+    """The smallest normal float, and three floats from the lower edge of each
+    7-digit name with mantissa 1.000000-1.000049 or 9.999950-9.999999 (the
+    widest names and those across a decade), every tenth exponent and the top."""
+    yield sys.float_info.min
+    edges = [(99999995, -8)] + [(10 * n - 5, -7) for n in (*range(1000001, 1000050),
+                                                           *range(9999950, 10000000))]
+    for k in (*range(-307, 308, 10), 308):
+        for digits, shift in edges:
+            lam = float(f"{digits}e{k + shift}")
+            for _ in range(3):
+                if math.isfinite(lam):
+                    yield lam
+                lam = math.nextafter(lam, math.inf)
 
-    def schedule(cfg):   # the first 10 rungs, so a walk fails fast
-        for lam in itertools.islice(trainer.lambda_schedule(cfg), 10):
-            drawn.append(lam)
-            yield lam
 
-    monkeypatch.setattr(cli, "lambda_schedule", schedule)
-    for start in (TINY_A["lambda.start"], 1e-310, 1e-316):
-        drawn.clear()
-        ladder = {"lambda.start": start, "lambda.factor": 1.000002,
-                  "lambda.max_points": 10 ** 8}
-        cli._check_point_dirs(
-            config.train_config_from(config.resolve(dict(TINY_A, **ladder))))
-        assert len(drawn) == 3, start   # rung 0, the start, and the pair after it
+@pytest.mark.parametrize("factor, parts", [(1.000001, True), (1.0000009999, False)])
+def test_smallest_lambda_factor_parts_neighbouring_point_directories(factor, parts):
+    # TrainConfig's least factor keeps each rung's POINT_DIR its own, and a
+    # factor just below it does not, so POINT_DIR's digits and that bound agree
+    shared = 0
+    for start in _name_edge_starts():
+        ladder = SimpleNamespace(lambda_start=start, lambda_factor=factor,
+                                 lambda_max_points=3)
+        for lo, hi in itertools.pairwise(trainer.lambda_schedule(ladder)):
+            shared += cli.POINT_DIR.format(lo) == cli.POINT_DIR.format(hi)
+    assert (shared == 0) == parts, shared
 
 
 @pytest.mark.parametrize("ladder", [{"lambda.factor": 1e300, "lambda.max_points": 4},

@@ -145,6 +145,7 @@ _BAD_MUTATIONS = [
     {"learning_rate": 1e400}, {"lambda.start": math.inf},
     {"lambda.factor": math.inf},
     {"harvester.gamma": math.nan}, {"harvester.gamma": -math.inf},
+    {"p_a": 10 ** 400}, {"harvester.gamma": -10 ** 400},
     {"eval_samples": 0}, {"eval_samples": -100}, {"eval_samples": 999},
     {"profile": "cluster"}, {"profile": 1},
     {"out_dir": 3},

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -411,6 +412,10 @@ def test_config_scale_fields_are_required(name):
     dict(lambda_start=1e-100, lambda_factor=1e200, lambda_max_points=4),
     dict(ser_max=0.0), dict(ser_max=math.nan), dict(lambda_start=math.inf),
     dict(learning_rate=-0.01),
+    # a subnormal start, or a factor whose neighbouring rungs can share a
+    # 7-digit lambda_<value> directory name
+    dict(lambda_start=math.nextafter(sys.float_info.min, 0)), dict(lambda_start=5e-324),
+    dict(lambda_factor=1.0000009999), dict(lambda_factor=1.0000001),
 ])
 def test_config_validate_rejects(kw):
     # checked once, when the config is built
@@ -437,6 +442,12 @@ def test_config_ladder_with_a_finite_top_accepted():
     cfg = TrainConfig(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A, **_SCALE,
                       lambda_start=1.0, lambda_factor=1e300, lambda_max_points=3)
     assert list(lambda_schedule(cfg)) == [0.0, 1.0, 1e300]
+
+
+def test_config_ladder_domain_edges_accepted():
+    cfg = TrainConfig(m=4, p_a=0.001, snr=50.0, harvester=MODEL_A, **_SCALE,
+                      lambda_start=sys.float_info.min, lambda_factor=1.000001)
+    assert (cfg.lambda_start, cfg.lambda_factor) == (sys.float_info.min, 1.000001)
 
 
 def test_config_explicit_values_kept_and_frozen():
