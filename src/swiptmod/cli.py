@@ -13,16 +13,14 @@ import numpy as np
 
 from . import config as cfgmod
 from .config import ConfigError
-from .evaluator import MIN_SAMPLES, estimate_ser
-from .harvester import pdel_exact
+from .evaluator import MIN_SAMPLES
 from .gradcheck import run_gradcheck
 from .nn import CheckpointFormatError, load_checkpoint, save_checkpoint
 from .svgplot import write_constellation_svg
-from .trainer import (RunRecord, TrainingFailure, lambda_sweep, multi_restart,
-                      restart_seeds)
+from .trainer import (RunRecord, TrainConfig, TrainingFailure, evaluate,
+                      lambda_sweep, multi_restart, restart_seeds)
 from .transceiver import (ConstellationFormatError, DegenerateEncoderError,
-                          export_constellation, read_constellation_csv,
-                          write_constellation_csv)
+                          read_constellation_csv, write_constellation_csv)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -68,16 +66,17 @@ def _write_record(rec: RunRecord, resolved: dict, root: Path) -> Path:
     return out_dir
 
 
-def _load_resolved(args) -> dict:
-    return cfgmod.resolve(cfgmod.load_config_file(args.config))
+def _load_config(args) -> tuple[dict, TrainConfig]:
+    """args.config's resolved dict and the TrainConfig built from it."""
+    resolved = cfgmod.resolve(cfgmod.load_config_file(args.config))
+    return resolved, cfgmod.train_config_from(resolved)
 
 
 def cmd_train(args) -> int:
     lam = args.lam
     if not (math.isfinite(lam) and lam >= 0):
         raise ConfigError(f"--lambda must be finite and >= 0, got {lam}")
-    resolved = _load_resolved(args)
-    cfg = cfgmod.train_config_from(resolved)
+    resolved, cfg = _load_config(args)
     root = _out_root(resolved, args.out)
     rec = multi_restart(cfg, lam, restart_seeds(cfg, 0))
     out_dir = _write_record(rec, resolved, root)
@@ -88,8 +87,7 @@ def cmd_train(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Writes each point, then its summary.csv row, as soon as it is chosen."""
-    resolved = _load_resolved(args)
-    cfg = cfgmod.train_config_from(resolved)
+    resolved, cfg = _load_config(args)
     root = _out_root(resolved, args.out)
     summary = root / "summary.csv"
     lines = ["lambda,seed,final_cost,cross_entropy,ser,p_del,terminal"]
@@ -116,8 +114,7 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    resolved = _load_resolved(args)
-    cfg = cfgmod.train_config_from(resolved)
+    _, cfg = _load_config(args)
     samples = cfg.eval_samples if args.samples is None else args.samples
     if samples < MIN_SAMPLES:
         raise ConfigError(f"eval needs at least {MIN_SAMPLES} samples, got {samples}")
@@ -126,11 +123,7 @@ def cmd_eval(args) -> int:
         raise CheckpointFormatError(
             f"checkpoint M={params.m} and config M={cfg.m} do not match")
     try:   # a degenerate encoder, non-finite logits, or an overflow anywhere
-        with np.errstate(over="raise", invalid="raise"):
-            const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-            report = estimate_ser(const, params.decoder, cfg.sigma2(), samples,
-                                  seed=args.seed)
-            p_del = pdel_exact(const, cfg.harvester)
+        _, report, p_del = evaluate(params, cfg, samples, args.seed)
     except (FloatingPointError, DegenerateEncoderError) as exc:
         print(f"unusable checkpoint {args.checkpoint}: {exc}", file=sys.stderr)
         return EXIT_TRAINING

@@ -140,10 +140,11 @@ def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: dict | None = None,
     caller passes probs - onehot (already averaged over the batch). `saved`
     is mlp_forward's (x, hidden); the ReLU passes the gradient where its
     output is positive, which is where its pre-activation was. Writes the
-    gradients into `grads`, the views [dW1, db1, dW2, db2], and returns
-    d(cost)/d(x). `ws` and `key` are as in mlp_forward.
+    gradients into `grads`, the views [dW1, db1, dW2, db2], and returns the
+    hidden pre-activation's gradient dz, from which a caller that needs
+    d(cost)/d(x) forms W1.T @ dz. `ws` and `key` are as in mlp_forward.
     """
-    w1, _, w2, _ = net
+    _, _, w2, _ = net
     x, hidden = saved
     gw1, gb1, gw2, gb2 = grads
     np.matmul(d_out, hidden.T, out=gw2)
@@ -152,7 +153,7 @@ def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: dict | None = None,
     dz *= np.greater(hidden, 0.0, out=scratch(ws, (key, "mask"), hidden.shape, bool))
     np.matmul(dz, x.T, out=gw1)
     dz.sum(axis=1, out=gb1)
-    return np.matmul(w1.T, dz, out=scratch(ws, (key, "d_in"), x.shape))
+    return dz
 
 
 @dataclass

@@ -111,13 +111,14 @@ class TrainConfig:
 
 @dataclass
 class RunRecord:
+    """One restart's outcome; a failed one keeps the defaults."""
     lam: float
     seed: int
-    final_cost: float
-    ser: float
-    p_del: float
-    cross_entropy: float
-    constellation: Constellation | None
+    final_cost: float = math.nan
+    ser: float = 1.0
+    p_del: float = math.nan
+    cross_entropy: float = math.nan
+    constellation: Constellation | None = None
     failed: bool = False
     terminal: bool = False
     max_power_err: float = 0.0
@@ -131,20 +132,6 @@ def total_cost(batch_ce: float, p_del: float, lam: float) -> float:
     return batch_ce + lam / max(p_del, EPS_PDEL)
 
 
-def _step_constants(params: NetworkParams, batch: int, ws: dict | None):
-    """The M x M identity, arange(B), and a gradient vector laid out like
-    params.flat with its params.views; kept in a workspace `ws` while the
-    parameters and the batch size stay."""
-    c = None if ws is None else ws.get("step")
-    if c is None or c[0] is not params.flat or c[1] != batch:
-        grads = np.empty_like(params.flat)
-        c = (params.flat, batch, np.eye(params.m), np.arange(batch), grads,
-             params.views(grads))
-        if ws is not None:
-            ws["step"] = c
-    return c[2:]
-
-
 def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
                  p_a: float, lam: float, harvester: HarvesterModel,
                  want_grads: bool = True, ws: dict | None = None):
@@ -153,15 +140,18 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     messages are 0-based indices, noise is (B, 2) real/imag components.
     Returns (cost, info, grads) where grads is a vector laid out like
     params.flat (split it with params.views) or None. A workspace dict `ws`,
-    reused from step to step, holds every batch-sized buffer, the step's
-    constants and the gradient vector: with one, grads is the workspace's
-    vector, valid until the next call; without one, grads is a new vector.
+    reused from step to step, holds every batch-sized buffer. Its "step"
+    entry, which train_run sets once per restart, holds the step's constants:
+    the M x M identity, arange(B) and a gradient NetworkParams(M), whose flat
+    vector grads then is, valid until the next call. Without that entry they
+    are built for the call and grads is a new vector.
     """
     enc, dec = params.encoder, params.decoder
+    m = params.m
     msgs = np.asarray(messages, dtype=int)
     batch = msgs.shape[0]
-    eye, cols, grads, views = _step_constants(params, batch, ws)
-    m = eye.shape[0]
+    step = None if ws is None else ws.get("step")
+    eye, cols, grads = step or (np.eye(m), np.arange(batch), NetworkParams(m))
 
     # encoder on the M one-hot columns (first pre-activation W1 + b1[:, None]);
     # the batch is a gather of its output columns
@@ -202,7 +192,10 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     pick -= 1.0
     dlogits.put(pick_at, pick)
     dlogits /= batch
-    dy = mlp_backward(dec, saved_d, dlogits, views[4:], ws, "dec")
+    dz = mlp_backward(dec, saved_d, dlogits, grads.decoder, ws, "dec")
+    # the decoder's input gradient; the encoder's input is the fixed identity,
+    # so its own is never formed
+    dy = np.matmul(dec[0].T, dz, out=scratch(ws, "dy", (2, batch)))
 
     # fold the (2, B) channel-input gradient onto the M points: one bincount
     # of row j's samples into bins j*M + msgs
@@ -222,8 +215,21 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # the encoder output layer is linear, so d(cost)/d(output) is du itself;
     # its input is the identity, so d(cost)/d(W1) is the hidden gradient exactly
-    mlp_backward(enc, saved_e, du, views[:4], ws, "enc")
-    return cost, info, grads
+    mlp_backward(enc, saved_e, du, grads.encoder, ws, "enc")
+    return cost, info, grads.flat
+
+
+def evaluate(params: NetworkParams, cfg: TrainConfig, num_samples: int, seed: int):
+    """(constellation, EvalReport, P_del) of a trained autoencoder: its
+    exported points, their SER over num_samples draws from `seed`, and
+    pdel_exact. An overflow or invalid operation anywhere, or non-finite
+    logits, raises FloatingPointError; an encoder that maps every message to
+    the origin, or to non-finite points, raises DegenerateEncoderError."""
+    with np.errstate(over="raise", invalid="raise"):
+        const = export_constellation(params.encoder, cfg.m, cfg.p_a)
+        report = evaluator.estimate_ser(const, params.decoder, cfg.sigma2(),
+                                        num_samples, seed=seed)
+        return const, report, pdel_exact(const, cfg.harvester)
 
 
 def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
@@ -237,14 +243,11 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     steps = cfg.epochs * max(1, cfg.train_set_size // batch)
     per_draw = max(1, _DRAW_CHUNK // batch)
     max_power_err = 0.0
-    failed = RunRecord(lam=lam, seed=seed, final_cost=math.nan, ser=1.0,
-                       p_del=math.nan, cross_entropy=math.nan,
-                       constellation=None, failed=True)
-    ws = {}   # this restart's batch-sized buffers, reused by every step
+    ws = {"step": (np.eye(cfg.m), np.arange(batch), NetworkParams(cfg.m))}
 
     # divergence shows as a non-finite cost, as softmax rejecting its logits,
     # or as an overflow or invalid operation in a step or in the final
-    # evaluation, which raises here
+    # evaluation; each raises, and the one except below fails the restart
     try:
         with np.errstate(over="raise", invalid="raise"):
             for first in range(0, steps, per_draw):
@@ -255,18 +258,16 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                     cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
                                                      lam, cfg.harvester, ws=ws)
                     if not math.isfinite(cost):
-                        return failed
+                        raise FloatingPointError(f"non-finite cost {cost}")
                     if not info["degenerate"]:
                         max_power_err = max(max_power_err,
                                             abs(info["batch_power"] - cfg.p_a))
                     adam_step(params.flat, grads, state)
-            ws.clear()   # the step buffers are not needed by the evaluation
-            const = export_constellation(params.encoder, cfg.m, cfg.p_a)
-            report = evaluator.estimate_ser(const, params.decoder, sigma2,
-                                            cfg.eval_samples, seed=seed)
-            p_del = pdel_exact(const, cfg.harvester)
+        ws.clear()   # the step buffers are not needed by the evaluation
+        const, report, p_del = evaluate(params, cfg, cfg.eval_samples, seed)
     except (FloatingPointError, DegenerateEncoderError):
-        return failed   # also when every point sits at the origin or is non-finite
+        # also when every point sits at the origin or is non-finite
+        return RunRecord(lam=lam, seed=seed, failed=True)
     final_cost = total_cost(report.cross_entropy, p_del, lam)
     return RunRecord(lam=lam, seed=seed, final_cost=final_cost, ser=report.ser,
                      p_del=p_del, cross_entropy=report.cross_entropy,

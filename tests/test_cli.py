@@ -355,7 +355,7 @@ def _fuzz_config(rng):
            "restarts": int(rng.integers(1, 3)), "eval_samples": 1000,
            "learning_rate": _log_uniform(rng, 1e-12, 1e6),
            "lambda.start": _log_uniform(rng, 1e-300, 1e300),
-           "lambda.factor": 1.0 + _log_uniform(rng, 1e-12, 1e12),
+           "lambda.factor": 1.0 + _log_uniform(rng, 1e-6, 1e12),
            "lambda.max_points": int(rng.integers(1, 4)),
            "seed": int(rng.integers(0, 2 ** 31))}
     if rng.random() < 0.5:
@@ -479,6 +479,19 @@ def test_eval_reports_and_is_deterministic(trained, capsys):
     assert 0.0 <= payload["ser"] <= 1.0
     assert cli.main(["eval", str(ckpt), cfg, "--seed", "5"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_eval_reproduces_the_trained_point(trained, capsys):
+    # eval runs train_run's evaluation: the point's seed and eval_samples give
+    # its meta.json figures exactly
+    cfg, ckpt = trained
+    meta = json.loads((ckpt.parent / "meta.json").read_text())
+    capsys.readouterr()
+    assert cli.main(["eval", str(ckpt), cfg, "--seed", str(meta["seed"]),
+                     "--samples", str(TINY_A["eval_samples"])]) == 0
+    report = json.loads(capsys.readouterr().out)
+    keys = ("ser", "p_del", "cross_entropy")
+    assert [report[k] for k in keys] == [meta[k] for k in keys]
 
 
 def test_eval_corrupted_checkpoint_exit_3(trained):

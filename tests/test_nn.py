@@ -219,7 +219,7 @@ def test_backward_single_linear_layer_closed_form():
     out, saved = mlp_forward(net, x)
     d_out = 2.0 * (out - t)
     grads = _grads(net)
-    dinp = mlp_backward(net, saved, d_out, grads)
+    dinp = net[0].T @ mlp_backward(net, saved, d_out, grads)   # W1.T @ dz
     dw1, db1, dw2, db2 = grads
     resid = (out - t)[:, 0]
     assert np.allclose(dw2, 2.0 * np.outer(resid, x[:, 0]), atol=1e-14)
@@ -235,7 +235,7 @@ def test_backward_zero_upstream_gives_zero_grads():
     x = rng.standard_normal((3, 5))
     _, saved = mlp_forward(net, x)
     grads = _grads(net)
-    dinp = mlp_backward(net, saved, np.zeros((2, 5)), grads)
+    dinp = net[0].T @ mlp_backward(net, saved, np.zeros((2, 5)), grads)
     for g in grads:
         assert not g.any()
     assert not dinp.any()
@@ -250,7 +250,8 @@ def test_backward_relu_mask_and_inputs_unchanged():
     inputs = list(saved) + [d]
     before = [a.copy() for a in inputs]
     grads = _grads(net)
-    dinp = mlp_backward(net, saved, d, grads)
+    dz = mlp_backward(net, saved, d, grads)
+    dinp = w1.T @ dz
     # the mask of the hidden pre-activation, recomputed here
     z1 = w1 @ x + b1[:, None]
     dz1 = (w2.T @ d) * (z1 > 0.0)
@@ -258,6 +259,7 @@ def test_backward_relu_mask_and_inputs_unchanged():
     assert np.allclose(grads[1], dz1.sum(axis=1), atol=1e-14)
     assert np.allclose(grads[2], d @ saved[1].T, atol=1e-14)
     assert np.allclose(grads[3], d.sum(axis=1), atol=1e-14)
+    assert np.allclose(dz, dz1, atol=1e-14)
     assert np.allclose(dinp, w1.T @ dz1, atol=1e-14)
     assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
 

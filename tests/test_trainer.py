@@ -11,7 +11,7 @@ import pytest
 
 from swiptmod.channel import ROLE_DATA, ROLE_MISC, ROLE_NOISE, sample_noise, substream
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
-from swiptmod.nn import init_params
+from swiptmod.nn import NetworkParams, init_params
 from swiptmod.trainer import (EPS_PDEL, RunRecord, TrainConfig, TrainingFailure,
                               lambda_schedule, lambda_sweep, multi_restart,
                               network_cost, restart_seeds, total_cost, train_run)
@@ -108,9 +108,14 @@ def _desk_m16_step(seed):
     return params, msgs, sample_noise(1600, 0.004 / 50.0, rng)
 
 
+def _step_workspace(m, batch):
+    """A workspace with its step constants, as train_run builds it."""
+    return {"step": (np.eye(m), np.arange(batch), NetworkParams(m))}
+
+
 def test_network_cost_workspace_step_allocates_no_batch_matrix():
     params, msgs, noise = _desk_m16_step(7)
-    ws = {}
+    ws = _step_workspace(16, 1600)
     network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B, ws=ws)
     tracemalloc.start()
     try:
@@ -125,7 +130,7 @@ def test_network_cost_workspace_results_are_independent():
     params, msgs, noise = _desk_m16_step(8)
     ref_cost, ref_info, ref_grads = network_cost(params, msgs, noise, 0.004,
                                                  80.0, MODEL_B)
-    ws = {}
+    ws = _step_workspace(16, 1600)
     cost, info, grads = network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B, ws=ws)
     assert (cost, info) == (ref_cost, ref_info)
     assert np.array_equal(grads, ref_grads)
@@ -134,7 +139,8 @@ def test_network_cost_workspace_results_are_independent():
     other = network_cost(params, msgs2, noise2, 0.004, 80.0, MODEL_B, ws=ws)
     assert other[0] != cost
     assert (cost, info) == kept[:2]
-    # with a workspace the gradient is its vector, overwritten by the next call
+    # with step constants the gradient is their vector, overwritten by the next call
+    assert grads is ws["step"][2].flat
     assert other[2] is grads and not np.array_equal(grads, kept[2])
     assert grads.shape == params.flat.shape
     assert not np.shares_memory(grads, params.flat)
