@@ -8,7 +8,7 @@ import numpy as np
 
 from .channel import ROLE_MISC, sample_noise, substream
 from .harvester import ModelAParams, ModelBParams
-from .nn import NetworkParams, init_params, mlp_forward, softmax
+from .nn import NetworkParams, encoder_table, init_params, mlp_forward, softmax
 from .trainer import network_cost
 from .transceiver import normalize_power
 
@@ -92,15 +92,15 @@ def _margins(params: NetworkParams, msgs: np.ndarray, noise: np.ndarray,
              p_a: float) -> tuple[float, float]:
     """Smallest |ReLU pre-activation| and smallest picked probability of one step.
 
-    One forward pass as in network_cost; mlp_forward keeps only the ReLU
-    outputs, so each net's hidden pre-activation is recomputed from its
-    weights: W1 + b1[:, None] for the encoder's identity input, W1 @ y +
-    b1[:, None] for the decoder's. The encoder's counts only for messages
-    present in the batch. The linear outputs (the encoder's points, the
-    logits) have no kink and do not count.
+    One forward pass as in network_cost; encoder_table and mlp_forward keep
+    only the ReLU outputs, so each net's hidden pre-activation is recomputed
+    from its weights: W1 + b1[:, None] for the encoder's one-hot messages,
+    W1 @ y + b1[:, None] for the decoder's input. The encoder's counts only
+    for messages present in the batch. The linear outputs (the encoder's
+    points, the logits) have no kink and do not count.
     """
     enc, dec = params.encoder, params.decoder
-    u, _ = mlp_forward(enc, np.eye(params.m))
+    u, _ = encoder_table(enc)
     x, _, _, _, counts = normalize_power(u, msgs, p_a)
     y = x[:, msgs] + noise.T
     logits, _ = mlp_forward(dec, y)

@@ -88,18 +88,20 @@ def _model_a(x, prm: ModelAParams, w, ws):
     # dP_del/da_k on axis a (b the other axis) is w_k times the cubic
     #   al * (4/3 a^3 + 2 mu_a a^2 + (4 |x_k|^2 + 4 p_b + 8 p_a - 4 mu_a^2) a
     #         + 2/3 t_a - 4 p_a mu_a) + 2 be a,
-    # evaluated by Horner's rule from each row's coefficients c
-    c = np.array([[2.0 * al * mu, al * (4.0 * pb + 8.0 * pa - 4.0 * mu * mu) + 2.0 * be,
-                   al * (2.0 * t / 3.0 - 4.0 * pa * mu)]
-                  for mu, pa, pb, t in ((mu_r, p_r, p_i, t_r), (mu_i, p_i, p_r, t_i))])
+    # evaluated by Horner's rule from the coefficients c[j], one per row k
+    c = scratch(ws, "pdel_coef", (3, 2, 1))
+    for k, (mu, pa, pb, t) in enumerate(((mu_r, p_r, p_i, t_r), (mu_i, p_i, p_r, t_i))):
+        c[0, k, 0] = 2.0 * al * mu
+        c[1, k, 0] = al * (4.0 * pb + 8.0 * pa - 4.0 * mu * mu) + 2.0 * be
+        c[2, k, 0] = al * (2.0 * t / 3.0 - 4.0 * pa * mu)
     g = np.multiply(x, 4.0 * al / 3.0, out=scratch(ws, "pdel_grad", x.shape))
-    g += c[:, 0:1]
+    g += c[0]
     g *= x
     m2 *= 4.0 * al
     g += m2
-    g += c[:, 1:2]
+    g += c[1]
     g *= x
-    g += c[:, 2:3]
+    g += c[2]
     g *= w
     return p_del, g
 

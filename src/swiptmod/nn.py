@@ -86,13 +86,16 @@ def softmax_terms(logits: np.ndarray, out: np.ndarray | None = None):
     `out`, which may be `logits` itself; with out=None it is a new array.
     """
     z = np.asarray(logits, dtype=float)
-    top = z.max(axis=0)
+    # ufunc reductions, not the .max/.min/.sum methods: the same reduction
+    # without the methods' Python wrappers, a fixed cost of every small step
+    top = np.maximum.reduce(z, axis=0)
     # all entries are finite iff the largest and the smallest are
-    if not (np.isfinite(top.max()) and np.isfinite(z.min())):
+    if not (np.isfinite(np.maximum.reduce(top, axis=None))
+            and np.isfinite(np.minimum.reduce(z, axis=None))):
         raise FloatingPointError("non-finite logits passed to softmax")
     e = np.subtract(z, top, out=out)
     np.exp(e, out=e)
-    return e, e.sum(axis=0)
+    return e, np.add.reduce(e, axis=0)
 
 
 def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -108,7 +111,7 @@ def mlp_forward(net, x: np.ndarray, ws: dict | None = None, key: str = ""):
 
     The hidden pre-activation W1 @ x + b1[:, None] is one matmul of [W1 | b1],
     copied into a workspace block, by x over a row of ones; the bias is the
-    last term of each dot product, so for an identity or 2-wide input this
+    last term of each dot product, so for the decoder's 2-wide input this
     rounds as the matmul plus the add. Its ReLU is applied in place. The
     output layer is linear and adds its bias after the matmul, as BLAS may
     split its wider dot products into partial sums. Returns
@@ -132,13 +135,31 @@ def mlp_forward(net, x: np.ndarray, ws: dict | None = None, key: str = ""):
     return out, (x, hidden)
 
 
+def encoder_table(enc, ws: dict | None = None):
+    """The encoder on its M one-hot messages, one column each: the hidden
+    layer relu(W1 + b1[:, None]), then the points W2 @ hidden + b2[:, None].
+    These are the bits of mlp_forward(enc, I) on the M x M identity, whose
+    products are exact zeros but one, with no identity and no [W1 | b1]
+    copy. Returns (points, (None, hidden)); mlp_backward reads the None input
+    as the identity. Buffers are the workspace's under the key "enc".
+    """
+    w1, b1, w2, b2 = enc
+    hidden = np.add(w1, b1[:, None], out=scratch(ws, ("enc", "z1"), w1.shape))
+    np.maximum(hidden, 0.0, out=hidden)
+    out = np.matmul(w2, hidden, out=scratch(ws, ("enc", "z2"), (2, w1.shape[1])))
+    out += b2[:, None]
+    return out, (None, hidden)
+
+
 def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: dict | None = None,
                  key: str = ""):
     """Backpropagate through a net given d(cost)/d(output).
 
     All arrays are (features, batch). For a softmax+cross-entropy head the
     caller passes probs - onehot (already averaged over the batch). `saved`
-    is mlp_forward's (x, hidden); the ReLU passes the gradient where its
+    is mlp_forward's (x, hidden), or encoder_table's (None, hidden) for the
+    identity input, whose dW1 = dz @ I is dz itself (+ 0.0 turns the mask's
+    -0.0 into the product's +0.0); the ReLU passes the gradient where its
     output is positive, which is where its pre-activation was. Writes the
     gradients into `grads`, the views [dW1, db1, dW2, db2], and returns the
     hidden pre-activation's gradient dz, from which a caller that needs
@@ -148,11 +169,14 @@ def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: dict | None = None,
     x, hidden = saved
     gw1, gb1, gw2, gb2 = grads
     np.matmul(d_out, hidden.T, out=gw2)
-    d_out.sum(axis=1, out=gb2)
+    np.add.reduce(d_out, axis=1, out=gb2)
     dz = np.matmul(w2.T, d_out, out=scratch(ws, (key, "d_hidden"), hidden.shape))
     dz *= np.greater(hidden, 0.0, out=scratch(ws, (key, "mask"), hidden.shape, bool))
-    np.matmul(dz, x.T, out=gw1)
-    dz.sum(axis=1, out=gb1)
+    if x is None:
+        np.add(dz, 0.0, out=gw1)
+    else:
+        np.matmul(dz, x.T, out=gw1)
+    np.add.reduce(dz, axis=1, out=gb1)
     return dz
 
 

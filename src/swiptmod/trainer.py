@@ -12,14 +12,15 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import evaluator
 from .channel import ROLE_DATA, ROLE_NOISE, derive_seed, sample_noise, substream
 from .harvester import HarvesterModel, pdel_exact, pdel_with_grads
-from .nn import (AdamState, NetworkParams, adam_step, init_params,
-                 mlp_backward, mlp_forward, scratch, softmax)
+from .nn import (AdamState, NetworkParams, adam_step, encoder_table,
+                 init_params, mlp_backward, mlp_forward, softmax)
 from .transceiver import (EPS_LOG, Constellation, DegenerateEncoderError,
                           export_constellation, normalize_power)
 
@@ -132,6 +133,26 @@ def total_cost(batch_ce: float, p_del: float, lam: float) -> float:
     return batch_ce + lam / max(p_del, EPS_PDEL)
 
 
+class StepBuffers(NamedTuple):
+    """network_cost's constants and own buffers for M messages and batch B."""
+    cols: np.ndarray       # arange(B)
+    grads: NetworkParams   # the backward pass's targets
+    y: np.ndarray          # (2, B) channel output
+    pick_at: np.ndarray    # (B,) int: msgs * B + cols
+    pick: np.ndarray       # (B,) each sample's probability of its message
+    logp: np.ndarray       # (B,) its clamped log
+    weights: np.ndarray    # (M,) counts / B
+    dy: np.ndarray         # (2, B) the decoder's input gradient
+    fold_at: np.ndarray    # (2, B) int: bincount bins (msgs, msgs + M)
+
+
+def step_buffers(m: int, batch: int) -> StepBuffers:
+    """New StepBuffers: train_run builds them once per restart."""
+    return StepBuffers(np.arange(batch), NetworkParams(m), np.empty((2, batch)),
+                       np.empty(batch, int), np.empty(batch), np.empty(batch),
+                       np.empty(m), np.empty((2, batch)), np.empty((2, batch), int))
+
+
 def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
                  p_a: float, lam: float, harvester: HarvesterModel,
                  want_grads: bool = True, ws: dict | None = None):
@@ -140,26 +161,27 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     messages are 0-based indices, noise is (B, 2) real/imag components.
     Returns (cost, info, grads) where grads is a vector laid out like
     params.flat (split it with params.views) or None. A workspace dict `ws`,
-    reused from step to step, holds every batch-sized buffer. Its "step"
-    entry, which train_run sets once per restart, holds the step's constants:
-    the M x M identity, arange(B) and a gradient NetworkParams(M), whose flat
-    vector grads then is, valid until the next call. Without that entry they
-    are built for the call and grads is a new vector.
+    reused from step to step, holds every buffer of the nets and the
+    harvester. Its "step" entry, which train_run sets once per restart to
+    step_buffers(M, B), holds this function's own; grads then is its
+    gradient vector, valid until the next call. Without that entry they are
+    built for the call and grads is a new vector.
     """
     enc, dec = params.encoder, params.decoder
     m = params.m
     msgs = np.asarray(messages, dtype=int)
     batch = msgs.shape[0]
     step = None if ws is None else ws.get("step")
-    eye, cols, grads = step or (np.eye(m), np.arange(batch), NetworkParams(m))
+    if step is None:
+        step = step_buffers(m, batch)
+    cols, grads, y, pick_at, pick, logp, weights, dy, fold_at = step
 
-    # encoder on the M one-hot columns (first pre-activation W1 + b1[:, None]);
-    # the batch is a gather of its output columns
-    u, saved_e = mlp_forward(enc, eye, ws, "enc")
+    # encoder on the M one-hot messages; the batch is a gather of its points
+    u, saved_e = encoder_table(enc, ws)
 
     xk, scale, energy, degenerate, counts = normalize_power(u, msgs, p_a)
     # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
-    y = xk.take(msgs, axis=1, out=scratch(ws, "y", (2, batch)), mode="clip")
+    xk.take(msgs, axis=1, out=y, mode="clip")
     y += noise.T
 
     logits, saved_d = mlp_forward(dec, y, ws, "dec")
@@ -167,21 +189,21 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # each sample's probability of its own message, at msgs * B + cols of the
     # flattened (M, B) probabilities
-    pick_at = np.multiply(msgs, batch, out=scratch(ws, "pick_at", (batch,), int))
+    np.multiply(msgs, batch, out=pick_at)
     pick_at += cols
-    pick = probs.take(pick_at, out=scratch(ws, "pick", (batch,)), mode="clip")
-    logp = np.maximum(pick, EPS_LOG, out=scratch(ws, "logp", (batch,)))
-    ce = -float(np.log(logp, out=logp).sum()) / batch
+    probs.take(pick_at, out=pick, mode="clip")
+    np.maximum(pick, EPS_LOG, out=logp)
+    ce = -float(np.add.reduce(np.log(logp, out=logp), axis=None)) / batch
 
     # per-point gradients weighted by counts/B are sums over that message's rows
-    weights = np.divide(counts, batch, out=scratch(ws, "weights", (m,)))
+    np.divide(counts, batch, out=weights)
     p_del, dpdel = pdel_with_grads(xk, harvester, weights, ws)
     cost = total_cost(ce, p_del, lam)
     info = {
         "cross_entropy": ce,
         "p_del": p_del,
         "degenerate": degenerate,
-        "batch_power": float((xk * xk).sum(axis=0) @ counts) / batch,
+        "batch_power": float(np.add.reduce(xk * xk, axis=0) @ counts) / batch,
     }
     if not want_grads:
         return cost, info, None
@@ -193,13 +215,12 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     dlogits.put(pick_at, pick)
     dlogits /= batch
     dz = mlp_backward(dec, saved_d, dlogits, grads.decoder, ws, "dec")
-    # the decoder's input gradient; the encoder's input is the fixed identity,
-    # so its own is never formed
-    dy = np.matmul(dec[0].T, dz, out=scratch(ws, "dy", (2, batch)))
+    # the decoder's input gradient; the encoder's input is the fixed one-hot
+    # messages, so its own is never formed
+    np.matmul(dec[0].T, dz, out=dy)
 
     # fold the (2, B) channel-input gradient onto the M points: one bincount
     # of row j's samples into bins j*M + msgs
-    fold_at = scratch(ws, "fold_at", (2, batch), int)
     fold_at[0] = msgs
     np.add(msgs, m, out=fold_at[1])
     dx = np.bincount(fold_at.reshape(-1), weights=dy.reshape(-1),
@@ -211,10 +232,10 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     if degenerate:
         du = scale * dx
     else:
-        du = scale * (dx - (float((dx * u).sum()) / energy) * counts * u)
+        du = scale * (dx - (float(np.add.reduce(dx * u, axis=None)) / energy) * counts * u)
 
     # the encoder output layer is linear, so d(cost)/d(output) is du itself;
-    # its input is the identity, so d(cost)/d(W1) is the hidden gradient exactly
+    # its input is one-hot, so d(cost)/d(W1) is the hidden gradient exactly
     mlp_backward(enc, saved_e, du, grads.encoder, ws, "enc")
     return cost, info, grads.flat
 
@@ -240,10 +261,10 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     data_rng = substream(seed, ROLE_DATA)
     noise_rng = substream(seed, ROLE_NOISE)
     batch = cfg.minibatch_size
-    steps = cfg.epochs * max(1, cfg.train_set_size // batch)
+    steps = cfg.epochs * (cfg.train_set_size // batch)
     per_draw = max(1, _DRAW_CHUNK // batch)
     max_power_err = 0.0
-    ws = {"step": (np.eye(cfg.m), np.arange(batch), NetworkParams(cfg.m))}
+    ws = {"step": step_buffers(cfg.m, batch)}
 
     # divergence shows as a non-finite cost, as softmax rejecting its logits,
     # or as an overflow or invalid operation in a step or in the final

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nn import mlp_forward, softmax_terms
+from .nn import encoder_table, mlp_forward, softmax_terms
 
 EPS_NORM = 1e-20   # degenerate-batch guard on the pre-normalization energy
 EPS_LOG = 1e-15    # clamp for log() in the cross entropy
@@ -53,15 +53,15 @@ def normalize_power(u: np.ndarray, msgs: np.ndarray, p_a: float):
     """Scale (2, M) encoder outputs so the batch msgs has mean power p_a.
 
     msgs are the batch's 0-based messages. Returns (scaled points, scale,
-    energy, degenerate flag, counts), where counts_k is how often message k
-    occurs and energy is sum_k counts_k |u_k|^2; an all-but-zero energy
-    keeps a clamped scale and is flagged degenerate.
+    energy, degenerate flag, counts), where counts_k, a float64, is how often
+    message k occurs and energy is sum_k counts_k |u_k|^2; an all-but-zero
+    energy keeps a clamped scale and is flagged degenerate.
     """
     x = np.asarray(msgs)
     if x.size == 0:
         raise ValueError("empty symbol batch")
-    counts = np.bincount(x, minlength=u.shape[1])
-    energy = float(np.sum(u * u, axis=0) @ counts)
+    counts = np.bincount(x, minlength=u.shape[1]).astype(float)
+    energy = float(np.add.reduce(u * u, axis=0) @ counts)
     degenerate = energy < EPS_NORM
     scale = math.sqrt(p_a * x.size / max(energy, EPS_NORM))
     return scale * u, scale, energy, degenerate, counts
@@ -78,7 +78,7 @@ def decode(decoder: list[np.ndarray], y: np.ndarray, ws: dict | None = None):
 
 def export_constellation(encoder: list[np.ndarray], m: int, p_a: float) -> Constellation:
     """The M messages' points, normalized as a batch holding each once."""
-    u, _ = mlp_forward(encoder, np.eye(m))
+    u, _ = encoder_table(encoder)
     x, _, _, degenerate, _ = normalize_power(u, np.arange(m), p_a)
     if degenerate:
         raise DegenerateEncoderError("degenerate encoder: every message maps to the origin")

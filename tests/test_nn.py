@@ -1,19 +1,25 @@
 """Tests for the dense-network engine: forward, backward, Adam, init, checkpoints."""
 
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from mpmath import mp
 
+import swiptmod
 from swiptmod.nn import (ADAM_EPS, CHECKPOINT_MAGIC, AdamState, CheckpointFormatError,
-                         NetworkParams, adam_step, init_params, layout,
+                         NetworkParams, adam_step, encoder_table, init_params, layout,
                          load_checkpoint, mlp_backward, mlp_forward,
                          save_checkpoint, scratch, softmax, xavier_uniform)
 from swiptmod.channel import substream
 from swiptmod.transceiver import decode
-from test_golden import GOLDEN, stack
+from test_golden import GOLDEN, _openblas_core, stack
 
 
 def _net(*arrays):
@@ -104,6 +110,76 @@ def test_forward_matches_matmul_plus_bias(m, batch):
             else:
                 size = np.abs(w) @ np.abs(h) + np.abs(b)[:, None]
                 assert np.all(np.abs(got - want) <= 1e-15 * size), (relu, batch)
+
+
+# encoder_table against mlp_forward on the M x M identity, bit for bit on any
+# stack: each identity product is an exact zero but one, so each entry is one
+# rounded add whatever the kernel's summation order
+
+
+def _planted_encoder(m, seed):
+    """A seeded encoder whose weights hold exact zeros of both signs and
+    W1 == -b1 cancellations, so its hidden layer has exact zeros."""
+    rng = substream(m, 23, seed)
+    enc = _random_net(rng, m, 2 * m, 2)
+    w1, b1, w2, _ = enc
+    w1[rng.random(w1.shape) < 0.2] = 0.0
+    w1[rng.random(w1.shape) < 0.1] = -0.0
+    b1[rng.random(b1.size) < 0.1] = -0.0
+    rows = np.flatnonzero(rng.random(b1.size) < 0.5)
+    w1[rows, rng.integers(0, m, rows.size)] = -b1[rows]
+    w2[rng.random(w2.shape) < 0.1] = -0.0
+    return enc
+
+
+def _encoder_table_mismatches() -> list:
+    """(M, seed, array) wherever encoder_table's points or hidden layer, or
+    mlp_backward's gradients on its saved tuple, differ in a byte from
+    mlp_forward and mlp_backward on the identity, over M = 2..20 and 20
+    seeds. The upstream gradient holds planted -0.0s, and the masked hidden
+    gradient dz holds more."""
+    bad, cancelled, neg_zero = [], 0, 0
+    for m in range(2, 21):
+        for seed in range(20):
+            enc = _planted_encoder(m, seed)
+            want, (eye, want_hidden) = mlp_forward(enc, np.eye(m))
+            got, saved = encoder_table(enc, {})
+            rng = substream(m, 24, seed)
+            d_out = rng.standard_normal((2, m))
+            d_out[rng.random(d_out.shape) < 0.2] = -0.0
+            grads, ref = _grads(enc), _grads(enc)
+            dz = mlp_backward(enc, saved, d_out, grads)
+            mlp_backward(enc, (eye, want_hidden), d_out, ref)
+            pairs = [("points", got, want), ("hidden", saved[1], want_hidden),
+                     *zip(("dW1", "db1", "dW2", "db2"), grads, ref)]
+            bad += [(m, seed, name) for name, a, b in pairs if a.tobytes() != b.tobytes()]
+            cancelled += int(np.count_nonzero(enc[0] + enc[1][:, None] == 0.0))
+            neg_zero += int(np.count_nonzero((dz == 0.0) & np.signbit(dz)))
+    assert cancelled and neg_zero   # the planted cases are there
+    return bad
+
+
+def test_encoder_table_is_the_identity_forward_pass_bit_for_bit():
+    assert _encoder_table_mismatches() == []
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the Haswell kernel is an x86-64 core")
+def test_encoder_table_bits_on_the_haswell_kernel():
+    # the same check in a fresh interpreter whose OpenBLAS loads the Haswell
+    # kernel (a no-op on another BLAS)
+    tests, src = Path(__file__).parent, Path(swiptmod.__file__).parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join([str(tests), str(src)]))
+    code = ("import test_nn, test_golden; "
+            "print(test_golden._openblas_core(), test_nn._encoder_table_mismatches())")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    core, mismatches = run.stdout.split(maxsplit=1)
+    assert mismatches.strip() == "[]", (core, mismatches)
+    if _openblas_core() != "unknown":
+        assert core == "Haswell"
 
 
 # ---------------------------------------------------------------------------

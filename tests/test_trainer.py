@@ -11,10 +11,11 @@ import pytest
 
 from swiptmod.channel import ROLE_DATA, ROLE_MISC, ROLE_NOISE, sample_noise, substream
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
-from swiptmod.nn import NetworkParams, init_params
+from swiptmod.nn import init_params
 from swiptmod.trainer import (EPS_PDEL, RunRecord, TrainConfig, TrainingFailure,
                               lambda_schedule, lambda_sweep, multi_restart,
-                              network_cost, restart_seeds, total_cost, train_run)
+                              network_cost, restart_seeds, step_buffers,
+                              total_cost, train_run)
 from swiptmod.transceiver import export_constellation
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
@@ -101,20 +102,20 @@ def test_network_cost_p_del_is_pdel_exact_of_the_export(model, m):
         assert info["p_del"] == pdel_exact(const, model)
 
 
-def _desk_m16_step(seed):
-    params = init_params(16, seed=seed)
+def _desk_step(seed, m=16, batch=1600, p_a=0.004):
+    params = init_params(m, seed=seed)
     rng = substream(seed, ROLE_MISC)
-    msgs = rng.integers(0, 16, size=1600)
-    return params, msgs, sample_noise(1600, 0.004 / 50.0, rng)
+    msgs = rng.integers(0, m, size=batch)
+    return params, msgs, sample_noise(batch, p_a / 50.0, rng)
 
 
 def _step_workspace(m, batch):
-    """A workspace with its step constants, as train_run builds it."""
-    return {"step": (np.eye(m), np.arange(batch), NetworkParams(m))}
+    """A workspace with its step buffers, as train_run builds it."""
+    return {"step": step_buffers(m, batch)}
 
 
 def test_network_cost_workspace_step_allocates_no_batch_matrix():
-    params, msgs, noise = _desk_m16_step(7)
+    params, msgs, noise = _desk_step(7)
     ws = _step_workspace(16, 1600)
     network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B, ws=ws)
     tracemalloc.start()
@@ -127,26 +128,32 @@ def test_network_cost_workspace_step_allocates_no_batch_matrix():
 
 
 def test_network_cost_workspace_results_are_independent():
-    params, msgs, noise = _desk_m16_step(8)
-    ref_cost, ref_info, ref_grads = network_cost(params, msgs, noise, 0.004,
-                                                 80.0, MODEL_B)
-    ws = _step_workspace(16, 1600)
-    cost, info, grads = network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B, ws=ws)
-    assert (cost, info) == (ref_cost, ref_info)
-    assert np.array_equal(grads, ref_grads)
-    kept = (cost, dict(info), grads.copy())
-    _, msgs2, noise2 = _desk_m16_step(9)   # a different batch on the same workspace
-    other = network_cost(params, msgs2, noise2, 0.004, 80.0, MODEL_B, ws=ws)
-    assert other[0] != cost
-    assert (cost, info) == kept[:2]
-    # with step constants the gradient is their vector, overwritten by the next call
-    assert grads is ws["step"][2].flat
-    assert other[2] is grads and not np.array_equal(grads, kept[2])
-    assert grads.shape == params.flat.shape
-    assert not np.shares_memory(grads, params.flat)
-    # without one, every call returns a new vector
-    again = network_cost(params, msgs, noise, 0.004, 80.0, MODEL_B)[2]
-    assert np.array_equal(again, kept[2]) and not np.shares_memory(again, ref_grads)
+    # at train-b-m16's step shape and at sweep-a-m8's (M=8, B=400, Model A)
+    for m, batch, p_a, lam, model in ((16, 1600, 0.004, 80.0, MODEL_B),
+                                      (8, 400, 0.001, 1e-5, MODEL_A)):
+        params, msgs, noise = _desk_step(8, m, batch, p_a)
+        ref_cost, ref_info, ref_grads = network_cost(params, msgs, noise, p_a,
+                                                     lam, model)
+        ws = _step_workspace(m, batch)
+        cost, info, grads = network_cost(params, msgs, noise, p_a, lam, model, ws=ws)
+        assert (cost, info) == (ref_cost, ref_info)
+        assert np.array_equal(grads, ref_grads)
+        kept = (cost, dict(info), grads.copy())
+        _, msgs2, noise2 = _desk_step(9, m, batch, p_a)   # another batch, same workspace
+        other = network_cost(params, msgs2, noise2, p_a, lam, model, ws=ws)
+        assert other[0] != cost
+        assert (cost, info) == kept[:2]
+        # with step buffers the gradient is their vector, overwritten by the next call
+        assert grads is ws["step"].grads.flat
+        assert other[2] is grads and not np.array_equal(grads, kept[2])
+        assert grads.shape == params.flat.shape
+        assert not np.shares_memory(grads, params.flat)
+        # the first batch again on the used workspace gives its bits again
+        again_ws = network_cost(params, msgs, noise, p_a, lam, model, ws=ws)
+        assert again_ws[:2] == kept[:2] and np.array_equal(again_ws[2], kept[2])
+        # without one, every call returns a new vector
+        again = network_cost(params, msgs, noise, p_a, lam, model)[2]
+        assert np.array_equal(again, kept[2]) and not np.shares_memory(again, ref_grads)
 
 
 def test_network_cost_workspace_follows_params_and_batch():
