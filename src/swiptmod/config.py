@@ -51,12 +51,10 @@ SCHEMA = {
     "epochs": (int, None),
     "minibatch_size": (int, None),
     "train_set_size": (int, None),
-    "learning_rate": (float, _DEFAULT["learning_rate"]),
     "restarts": (int, None),
     "lambda.start": (float, _DEFAULT["lambda_start"]),
     "lambda.factor": (float, _DEFAULT["lambda_factor"]),
     "lambda.max_points": (int, _DEFAULT["lambda_max_points"]),
-    "ser_max": (float, _DEFAULT["ser_max"]),
     "seed": (int, _DEFAULT["seed"]),
     "eval_samples": (int, None),
 }

@@ -19,6 +19,7 @@ import numpy as np
 
 from .channel import ROLE_INIT, substream
 
+ADAM_LR = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -187,12 +188,11 @@ class AdamState:
     second_moment: np.ndarray
     buffers: np.ndarray   # (2, n)
     step_count: int
-    learning_rate: float
 
     @classmethod
-    def for_params(cls, params: NetworkParams, learning_rate: float):
+    def for_params(cls, params: NetworkParams):
         n = params.flat.size
-        return cls(np.zeros(n), np.zeros(n), np.empty((2, n)), 0, learning_rate)
+        return cls(np.zeros(n), np.zeros(n), np.empty((2, n)), 0)
 
 
 def adam_step(param_vec: np.ndarray, grad_vec: np.ndarray, state: AdamState) -> None:
@@ -211,7 +211,7 @@ def adam_step(param_vec: np.ndarray, grad_vec: np.ndarray, state: AdamState) -> 
     s *= g
     v += s
     np.divide(m, 1.0 - b1 ** t, out=s)     # m_hat
-    s *= state.learning_rate
+    s *= ADAM_LR
     np.divide(v, 1.0 - b2 ** t, out=r)     # v_hat
     np.sqrt(r, out=r)
     r += ADAM_EPS

@@ -25,6 +25,7 @@ from .transceiver import (EPS_LOG, Constellation, DegenerateEncoderError,
                           export_constellation, normalize_power)
 
 EPS_PDEL = 1e-12   # clamp on P_del inside the cost
+SER_MAX = 0.95   # a sweep stops after the first point whose SER exceeds this
 _DRAW_CHUNK = 1 << 14   # samples drawn at once: the same numbers as per minibatch
 
 
@@ -51,11 +52,9 @@ class TrainConfig:
     minibatch_size: int
     train_set_size: int
     eval_samples: int
-    learning_rate: float = 0.01
     lambda_start: float = 1e-5
     lambda_factor: float = 2.0
     lambda_max_points: int = 12
-    ser_max: float = 0.95
     seed: int = 0
 
     def __post_init__(self):
@@ -80,7 +79,6 @@ class TrainConfig:
             ("minibatch_size", count(self.minibatch_size)
              and self.minibatch_size <= self.train_set_size,
              "a positive int, at most train_set_size"),
-            ("learning_rate", above(self.learning_rate), "finite and positive"),
             # the widest 7-digit name, 1.000001e+k, spans [1.0000005, 1.0000015)
             # * 10**k, a ratio of 1 + 9.99999e-7; a normal rung start * factor**k
             # rounds within a relative few 1e-16, so a factor >= 1.000001
@@ -90,7 +88,6 @@ class TrainConfig:
             ("lambda_factor", at_least(self.lambda_factor, 1.000001),
              "finite and >= 1.000001"),
             ("lambda_max_points", count(self.lambda_max_points), "a positive int"),
-            ("ser_max", 0.0 < self.ser_max < 1.0, "in (0, 1)"),
             ("seed", count(self.seed, 0), "an int >= 0"),
             ("eval_samples", count(self.eval_samples, evaluator.MIN_SAMPLES),
              f"an int >= {evaluator.MIN_SAMPLES}"),
@@ -128,8 +125,6 @@ class RunRecord:
 
 def total_cost(batch_ce: float, p_del: float, lam: float) -> float:
     """Composite training cost: mean cross entropy plus lam / P_del (clamped)."""
-    if lam == 0.0:
-        return batch_ce
     return batch_ce + lam / max(p_del, EPS_PDEL)
 
 
@@ -240,16 +235,16 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     return cost, info, grads.flat
 
 
-def evaluate(params: NetworkParams, cfg: TrainConfig, num_samples: int, seed: int):
+def evaluate(params: NetworkParams, cfg: TrainConfig, seed: int):
     """(constellation, EvalReport, P_del) of a trained autoencoder: its
-    exported points, their SER over num_samples draws from `seed`, and
+    exported points, their SER over cfg.eval_samples draws from `seed`, and
     pdel_exact. An overflow or invalid operation anywhere, or non-finite
     logits, raises FloatingPointError; an encoder that maps every message to
     the origin, or to non-finite points, raises DegenerateEncoderError."""
     with np.errstate(over="raise", invalid="raise"):
         const = export_constellation(params.encoder, cfg.m, cfg.p_a)
         report = evaluator.estimate_ser(const, params.decoder, cfg.sigma2(),
-                                        num_samples, seed=seed)
+                                        cfg.eval_samples, seed=seed)
         return const, report, pdel_exact(const, cfg.harvester)
 
 
@@ -257,7 +252,7 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
     """One full optimization run at a fixed lambda and restart seed."""
     sigma2 = cfg.sigma2()
     params = init_params(cfg.m, seed)
-    state = AdamState.for_params(params, cfg.learning_rate)
+    state = AdamState.for_params(params)
     data_rng = substream(seed, ROLE_DATA)
     noise_rng = substream(seed, ROLE_NOISE)
     batch = cfg.minibatch_size
@@ -285,7 +280,7 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                                             abs(info["batch_power"] - cfg.p_a))
                     adam_step(params.flat, grads, state)
         ws.clear()   # the step buffers are not needed by the evaluation
-        const, report, p_del = evaluate(params, cfg, cfg.eval_samples, seed)
+        const, report, p_del = evaluate(params, cfg, seed)
     except (FloatingPointError, DegenerateEncoderError):
         # also when every point sits at the origin or is non-finite
         return RunRecord(lam=lam, seed=seed, failed=True)
@@ -321,11 +316,11 @@ def restart_seeds(cfg: TrainConfig, lam_index: int) -> list[int]:
 
 def lambda_sweep(cfg: TrainConfig) -> Iterator[RunRecord]:
     """Yield each lambda point's best-of-restarts record, in schedule order,
-    until one's SER exceeds ser_max: that record is marked terminal and is
+    until one's SER exceeds SER_MAX: that record is marked terminal and is
     the last one."""
     for k, lam in enumerate(lambda_schedule(cfg)):
         rec = multi_restart(cfg, lam, restart_seeds(cfg, k))
-        rec.terminal = rec.ser > cfg.ser_max
+        rec.terminal = rec.ser > SER_MAX
         yield rec
         if rec.terminal:
             return

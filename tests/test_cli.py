@@ -152,11 +152,14 @@ def test_sweep_overflowing_lambda_ladder_exit_2(tmp_path, capsys, ladder):
 @pytest.mark.parametrize("argv", [
     ["train", "CFG", "--paper-scale"], ["sweep", "CFG", "--paper-scale"],
     ["eval", "CKPT", "CFG", "--paper-scale"], ["plot", "CSV", "OUT", "--p-a", "0.001"],
-    ["train", "CFG", "--seed", "1"],
-], ids=["train", "sweep", "eval", "plot", "train-seed"])
+    ["train", "CFG", "--seed", "1"], ["eval", "CKPT", "CFG", "--samples", "2000"],
+    ["gradcheck", "--configs", "20"], ["gradcheck", "--seed", "0"],
+], ids=["train", "sweep", "eval", "plot", "train-seed", "eval-samples",
+        "gradcheck-configs", "gradcheck-seed"])
 def test_removed_flags_exit_2(argv):
     # "profile": "paper" selects the paper scale; plot reads P_a off the CSV;
-    # the config's seed is the only training seed
+    # the config's seed is the only training seed, its eval_samples the only
+    # eval sample count; gradcheck always checks its 20 configs from seed 0
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
@@ -181,7 +184,7 @@ def test_train_bad_lambda_exit_2(tmp_path, capsys, lam):
     assert "--lambda" in err[0] and not out.exists()
 
 
-@pytest.mark.parametrize("key", ["p_a", "learning_rate"])
+@pytest.mark.parametrize("key", ["p_a", "snr"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_train_non_finite_config_value_exit_2(tmp_path, capsys, key, value):
     # Python's json reads the NaN and Infinity literals json.dumps writes
@@ -210,6 +213,16 @@ def test_out_dir_config_key_exit_2(tmp_path, capsys):
         err = capsys.readouterr().err.strip()
         assert err == "config error: unknown config key: out_dir"
     assert not (tmp_path / "o").exists() and not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_networks_too_large_for_memory_exit_4(tmp_path, capsys, command):
+    # M = 10**8 asks for about 284 PiB of parameters, more than any 64-bit
+    # address space: the allocation fails before any memory is touched
+    cfg = _write_cfg(tmp_path, dict(TINY_A, M=10 ** 8))
+    assert cli.main([command, cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("out of memory:") and "\n" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +366,6 @@ def _fuzz_config(rng):
            "snr": _log_uniform(rng, 1e-6, 1e9), "epochs": int(rng.integers(1, 3)),
            "train_set_size": train, "minibatch_size": int(rng.integers(1, train + 1)),
            "restarts": int(rng.integers(1, 3)), "eval_samples": 1000,
-           "learning_rate": _log_uniform(rng, 1e-12, 1e6),
            "lambda.start": _log_uniform(rng, 1e-300, 1e300),
            "lambda.factor": 1.0 + _log_uniform(rng, 1e-6, 1e12),
            "lambda.max_points": int(rng.integers(1, 4)),
@@ -444,8 +456,7 @@ def test_train_eval_plot_fuzz_end_in_a_documented_exit(tmp_path, capsys):
             ckpts.append(tmp_path / f"init{case}.bin")
             save_checkpoint(ckpts[-1], params)
         for ckpt in ckpts:
-            argv = ["eval", str(ckpt), path, "--samples", str(int(rng.integers(1000, 3000))),
-                    "--seed", str(int(rng.integers(0, 2 ** 31)))]
+            argv = ["eval", str(ckpt), path, "--seed", str(int(rng.integers(0, 2 ** 31)))]
             codes["eval"].add(_documented_exit(argv, case, capsys))
         csvs = [point / "constellation.csv"] if code == 0 else []
         csvs.append(tmp_path / f"fuzz{case}.csv")
@@ -482,13 +493,12 @@ def test_eval_reports_and_is_deterministic(trained, capsys):
 
 
 def test_eval_reproduces_the_trained_point(trained, capsys):
-    # eval runs train_run's evaluation: the point's seed and eval_samples give
-    # its meta.json figures exactly
+    # eval runs train_run's evaluation: the point's seed gives its meta.json
+    # figures exactly
     cfg, ckpt = trained
     meta = json.loads((ckpt.parent / "meta.json").read_text())
     capsys.readouterr()
-    assert cli.main(["eval", str(ckpt), cfg, "--seed", str(meta["seed"]),
-                     "--samples", str(TINY_A["eval_samples"])]) == 0
+    assert cli.main(["eval", str(ckpt), cfg, "--seed", str(meta["seed"])]) == 0
     report = json.loads(capsys.readouterr().out)
     keys = ("ser", "p_del", "cross_entropy")
     assert [report[k] for k in keys] == [meta[k] for k in keys]
@@ -521,9 +531,11 @@ def test_eval_wrong_shape_checkpoint_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("samples", ["999", "0"])
-def test_eval_too_few_samples_exit_2(trained, capsys, samples):
-    cfg, ckpt = trained
-    assert cli.main(["eval", str(ckpt), cfg, "--samples", samples]) == 2
+def test_eval_too_few_samples_exit_2(trained, tmp_path, capsys, samples):
+    # the sample count is the config's eval_samples, floored at 1000
+    _, ckpt = trained
+    cfg = _write_cfg(tmp_path, dict(TINY_A, eval_samples=int(samples)), "few.json")
+    assert cli.main(["eval", str(ckpt), cfg]) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("config error") and "1000" in err and "\n" not in err
 
@@ -547,7 +559,7 @@ def test_eval_unusable_checkpoint_exit_4(tmp_path, capsys, layer, value, raised)
     ckpt = tmp_path / "broken.bin"
     save_checkpoint(ckpt, params)
     cfg = _write_cfg(tmp_path, TINY_A)
-    assert cli.main(["eval", str(ckpt), cfg, "--samples", "2000"]) == 4
+    assert cli.main(["eval", str(ckpt), cfg]) == 4
     err = capsys.readouterr().err.strip()
     assert err.startswith("unusable checkpoint") and raised in err
     assert "\n" not in err
@@ -621,24 +633,11 @@ def test_plot_empty_csv_exit_3(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_gradcheck_command_passes(capsys):
-    assert cli.main(["gradcheck", "--configs", "4"]) == 0
+    assert cli.main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
 
 
-@pytest.mark.parametrize("configs", ["0", "-3"])
-def test_gradcheck_too_few_configs_exit_2(capsys, configs):
-    assert cli.main(["gradcheck", f"--configs={configs}"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:") and "--configs" in err[0]
-
-
-def test_gradcheck_negative_seed_exit_2(capsys):
-    assert cli.main(["gradcheck", "--configs", "1", "--seed", "-1"]) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:") and "--seed" in err[0]
-
-
 def test_gradcheck_corrupt_hook_fails(capsys, corrupt_gradients):
-    assert cli.main(["gradcheck", "--configs", "2"]) == 1
+    assert cli.main(["gradcheck"]) == 1
     assert "FAIL" in capsys.readouterr().out

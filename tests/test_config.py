@@ -39,8 +39,6 @@ def test_resolve_fills_desk_defaults():
     assert out["minibatch_size"] == 800       # 100 * M
     assert out["train_set_size"] == 80_000    # 1e4 * M
     assert out["eval_samples"] == 800_000     # 1e5 * M
-    assert out["learning_rate"] == 0.01
-    assert out["ser_max"] == 0.95
 
 
 def test_resolve_paper_profile():
@@ -134,21 +132,23 @@ _BAD_MUTATIONS = [
     {"epochs": 0}, {"epochs": -10}, {"epochs": 3.5},
     {"minibatch_size": 0}, {"minibatch_size": -8},
     {"train_set_size": 0}, {"train_set_size": -1},
-    {"learning_rate": 0.0}, {"learning_rate": -0.01}, {"learning_rate": "fast"},
     {"restarts": 0}, {"restarts": -1}, {"restarts": 1.5},
     {"lambda.start": 0.0}, {"lambda.start": -1e-5},
     {"lambda.factor": 1.0}, {"lambda.factor": 0.5}, {"lambda.factor": "two"},
     {"lambda.max_points": 0}, {"lambda.max_points": -3},
-    {"ser_max": 0.0}, {"ser_max": 1.0}, {"ser_max": 1.5}, {"ser_max": -0.1},
     {"seed": 1.5}, {"seed": "zero"},
     {"p_a": math.inf}, {"snr": math.inf},
-    {"learning_rate": 1e400}, {"lambda.start": math.inf},
-    {"lambda.factor": math.inf},
+    {"lambda.start": math.inf}, {"lambda.factor": math.inf},
     {"harvester.gamma": math.nan}, {"harvester.gamma": -math.inf},
     {"p_a": 10 ** 400}, {"harvester.gamma": -10 ** 400},
     {"eval_samples": 0}, {"eval_samples": -100}, {"eval_samples": 999},
     {"profile": "cluster"}, {"profile": 1},
+    # retired keys, whatever their value: the output root is --out, and the
+    # Adam step size and the SER stop level are constants
     {"out_dir": 3},
+    {"learning_rate": 0.0}, {"learning_rate": -0.01}, {"learning_rate": "fast"},
+    {"learning_rate": 1e400},
+    {"ser_max": 0.0}, {"ser_max": 1.0}, {"ser_max": 1.5}, {"ser_max": -0.1},
     {"unknown_key": 1}, {"harvester": "A"}, {"alpha": 0.3},
 ]
 
@@ -170,9 +170,11 @@ def test_model_b_constants_checked_by_their_type():
 
 
 def test_removed_keys_rejected():
-    # the hidden widths are fixed at 2M, and the noise variance is p_a / snr
+    # the hidden widths are fixed at 2M, the noise variance is p_a / snr, and
+    # the Adam step size and the sweep's SER stop level are constants
     for key, val in (("encoder_hidden", [16]), ("decoder_hidden", [16]),
-                     ("noise_variance", 2e-5)):
+                     ("noise_variance", 2e-5), ("learning_rate", 0.01),
+                     ("ser_max", 0.95)):
         with pytest.raises(ConfigError, match=f"unknown config key: {key}"):
             resolve(dict(VALID_A, **{key: val}))
 

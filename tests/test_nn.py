@@ -13,7 +13,7 @@ import pytest
 from mpmath import mp
 
 import swiptmod
-from swiptmod.nn import (ADAM_EPS, CHECKPOINT_MAGIC, AdamState, CheckpointFormatError,
+from swiptmod.nn import (ADAM_EPS, ADAM_LR, CHECKPOINT_MAGIC, AdamState, CheckpointFormatError,
                          NetworkParams, adam_step, encoder_table, init_params, layout,
                          load_checkpoint, mlp_backward, mlp_forward,
                          save_checkpoint, scratch, softmax, xavier_uniform)
@@ -386,7 +386,7 @@ def _first_only(g, params):
 
 def test_adam_zero_gradient_leaves_params_unchanged():
     params = _scalar_params()
-    state = AdamState.for_params(params, learning_rate=0.01)
+    state = AdamState.for_params(params)
     before = params.flat.copy()
     for _ in range(3):
         adam_step(params.flat, np.zeros_like(params.flat), state)
@@ -395,8 +395,8 @@ def test_adam_zero_gradient_leaves_params_unchanged():
 
 def test_adam_first_step_magnitude_is_learning_rate():
     params = _scalar_params()
-    lr = 0.01
-    state = AdamState.for_params(params, learning_rate=lr)
+    lr = ADAM_LR
+    state = AdamState.for_params(params)
     g = 0.37
     w0 = params.encoder[0][0, 0]
     adam_step(params.flat, _first_only(g, params), state)
@@ -408,8 +408,8 @@ def test_adam_first_step_magnitude_is_learning_rate():
 
 def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
     params = _scalar_params()
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    state = AdamState.for_params(params, learning_rate=lr)
+    lr, b1, b2, eps = ADAM_LR, 0.9, 0.999, 1e-8
+    state = AdamState.for_params(params)
     g = -1.25
     grads = _first_only(g, params)
     # unroll the recurrences independently
@@ -427,7 +427,7 @@ def test_adam_constant_gradient_matches_hand_unrolled_recurrence():
 
 def test_adam_shape_mismatch_rejected():
     params = _scalar_params()
-    state = AdamState.for_params(params, learning_rate=0.01)
+    state = AdamState.for_params(params)
     with pytest.raises(ValueError):
         adam_step(params.flat, np.zeros(5), state)
 
@@ -435,7 +435,7 @@ def test_adam_shape_mismatch_rejected():
 def test_adam_flat_matches_per_array_reference():
     # the flat update is the textbook per-array update, bit for bit
     params = init_params(4, seed=6)
-    state = AdamState.for_params(params, learning_rate=0.01)
+    state = AdamState.for_params(params)
     ref = [a.copy() for a in params.encoder + params.decoder]
     moments = [[np.zeros_like(a) for a in ref] for _ in range(2)]
     rng = substream(6, 1)
@@ -447,7 +447,7 @@ def test_adam_flat_matches_per_array_reference():
             m += (1.0 - 0.9) * g
             v *= 0.999
             v += (1.0 - 0.999) * g * g
-            p -= 0.01 * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
+            p -= ADAM_LR * (m / (1.0 - 0.9 ** t)) / (np.sqrt(v / (1.0 - 0.999 ** t)) + 1e-8)
         assert all(np.array_equal(a, b)
                    for a, b in zip(params.encoder + params.decoder, ref))
 

@@ -12,10 +12,10 @@ import pytest
 from swiptmod.channel import ROLE_DATA, ROLE_MISC, ROLE_NOISE, sample_noise, substream
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import init_params
-from swiptmod.trainer import (EPS_PDEL, RunRecord, TrainConfig, TrainingFailure,
-                              lambda_schedule, lambda_sweep, multi_restart,
-                              network_cost, restart_seeds, step_buffers,
-                              total_cost, train_run)
+from swiptmod.trainer import (EPS_PDEL, SER_MAX, RunRecord, TrainConfig,
+                              TrainingFailure, lambda_schedule, lambda_sweep,
+                              multi_restart, network_cost, restart_seeds,
+                              step_buffers, total_cost, train_run)
 from swiptmod.transceiver import export_constellation
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
@@ -372,11 +372,11 @@ def test_lambda_sweep_stop_rule(monkeypatch):
         return RunRecord(lam=lam, seed=seeds[0], final_cost=1.0, ser=sers[k],
                          p_del=0.01, cross_entropy=1.0, constellation=None)
     monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
-    cfg = _tiny_cfg(lambda_max_points=4, ser_max=0.95)
+    cfg = _tiny_cfg(lambda_max_points=4)
     records = list(lambda_sweep(cfg))
     assert len(records) == 3  # stops at the violating record
     assert records[-1].terminal
-    assert sum(r.ser > 0.95 for r in records) == 1
+    assert sum(r.ser > SER_MAX for r in records) == 1
 
 
 def test_lambda_sweep_runs_full_schedule(monkeypatch):
@@ -409,13 +409,13 @@ def test_config_scale_fields_are_required(name):
 
 @pytest.mark.parametrize("kw", [
     dict(m=1), dict(p_a=0.0), dict(snr=-1.0), dict(epochs=0),
-    dict(restarts=0), dict(ser_max=1.5), dict(learning_rate=0.0),
+    dict(restarts=0),
     dict(minibatch_size=300, train_set_size=200),
     dict(eval_samples=999),
     dict(minibatch_size=0), dict(train_set_size=0),
     dict(lambda_start=0.0), dict(lambda_start=-1.0), dict(lambda_factor=1.0),
     dict(lambda_factor=0.5), dict(lambda_max_points=0),
-    dict(learning_rate=math.inf), dict(p_a=math.nan), dict(snr=math.inf),
+    dict(p_a=math.nan), dict(snr=math.inf),
     dict(lambda_factor=math.inf), dict(seed=-1),
     dict(harvester=None), dict(harvester="A"),
     # a ladder whose top overflows: factor ** 2 raises, start * factor ** 2
@@ -423,12 +423,14 @@ def test_config_scale_fields_are_required(name):
     dict(lambda_factor=1e300, lambda_max_points=4),
     dict(lambda_start=1e308, lambda_factor=10.0, lambda_max_points=3),
     dict(lambda_start=1e-100, lambda_factor=1e200, lambda_max_points=4),
-    dict(ser_max=0.0), dict(ser_max=math.nan), dict(lambda_start=math.inf),
-    dict(learning_rate=-0.01),
+    dict(lambda_start=math.inf),
     # a subnormal start, or a factor whose neighbouring rungs can share a
     # 7-digit lambda_<value> directory name
     dict(lambda_start=math.nextafter(sys.float_info.min, 0)), dict(lambda_start=5e-324),
     dict(lambda_factor=1.0000009999), dict(lambda_factor=1.0000001),
+    # M's own int guard, and NaN or -inf where only +inf was tried
+    dict(m=4.0), dict(m=True), dict(snr=math.nan), dict(p_a=-math.inf),
+    dict(lambda_start=math.nan), dict(lambda_factor=math.nan),
 ])
 def test_config_validate_rejects(kw):
     # checked once, when the config is built
