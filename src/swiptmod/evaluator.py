@@ -16,6 +16,10 @@ MIN_SAMPLES = 1_000
 _TILE = 1 << 13   # samples per compute tile: its (M, tile) buffers stay in cache
 _COLS = np.arange(_TILE)
 _WS = {}   # estimate_ser's buffers; kept between calls, so no call re-faults them
+# decode's mlp_forward keeps the decoder's (2M, tile) hidden block under this
+# key of _WS; minimum-distance detection asks the key for its two (M, tile)
+# distance halves as one (2, M, tile) block, the same 2M * tile floats
+_HIDDEN = ("", "z1")
 # no e = exp(z - max z) at or below this has e / s round to fl(1 / s): 1.0 and
 # 1 - 2^-51 are 4 ulps apart, so their exact quotients are 2 ulps apart or more
 NEAR_ONE = 1.0 - 2.0 ** -51
@@ -69,9 +73,12 @@ def estimate_ser(constellation: Constellation, decoder: list[np.ndarray] | None,
     depends only on (seed, num_samples): not on the tile size, nor on earlier
     calls. decoder=None selects minimum-distance detection; a decoder
     (nn.NetworkParams.decoder) must have M outputs. Each block's messages
-    are drawn whole; its noise is drawn and detected in column tiles of
-    _TILE samples. Every buffer lives in the module workspace _WS, kept from
-    call to call, so this is not thread-safe.
+    are drawn whole, once the previous block's are released, so one message
+    block is alive at a time; its noise is drawn and detected in column
+    tiles of _TILE samples. Every buffer lives in the module workspace _WS,
+    kept from call to call, so this is not thread-safe. Minimum-distance
+    detection keeps its distances in the decoder's hidden block (_HIDDEN),
+    so both detectors share one tile-sized working set.
     """
     if num_samples < MIN_SAMPLES:
         raise ValueError(f"estimate_ser needs at least {MIN_SAMPLES} samples")
@@ -103,9 +110,10 @@ def estimate_ser(constellation: Constellation, decoder: list[np.ndarray] | None,
                 np.take(part, st, out=y[row], mode="clip")
                 y[row] += noise[:, row]
             if decoder is None:
-                a = np.subtract(y[0], pr[:, None], out=scratch(ws, "d2", (m, w)))
+                a, d = scratch(ws, _HIDDEN, (2, m, w))
+                np.subtract(y[0], pr[:, None], out=a)
                 np.square(a, out=a)
-                d = np.subtract(y[1], pi[:, None], out=scratch(ws, "d", (m, w)))
+                np.subtract(y[1], pi[:, None], out=d)
                 a += np.square(d, out=d)
                 top = a.min(axis=0, out=scratch(ws, "top", (w,)))
                 hits = np.equal(a, top, out=scratch(ws, "hits", (m, w), ranks.dtype))
@@ -120,6 +128,7 @@ def estimate_ser(constellation: Constellation, decoder: list[np.ndarray] | None,
                 s_hat = _decide(e, sums, ranks, ws)
             wrong = np.not_equal(s_hat, st, out=scratch(ws, "wrong", (w,), bool))
             errors += int(np.count_nonzero(wrong))
+        del s, st   # so the next block's draw is the only message block alive
         if decoder is not None:   # one sum per block keeps the summation order
             p = np.maximum(picked, EPS_LOG, out=picked)
             ce_sum -= float(np.log(p, out=p).sum())

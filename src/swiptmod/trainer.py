@@ -279,7 +279,8 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
                         max_power_err = max(max_power_err,
                                             abs(info["batch_power"] - cfg.p_a))
                     adam_step(params.flat, grads, state)
-        ws.clear()   # the step buffers are not needed by the evaluation
+        # the evaluation needs neither the step buffers nor the last draw chunk
+        del ws, msgs_k, noise_k, msgs, noise
         const, report, p_del = evaluate(params, cfg, seed)
     except (FloatingPointError, DegenerateEncoderError):
         # also when every point sits at the origin or is non-finite

@@ -265,9 +265,54 @@ def test_estimate_ser_warm_workspace_allocates_little(ml, monkeypatch):
         finally:
             tracemalloc.stop()
     cold, warm = peak(), peak()
-    # a (2^16,) block of messages is 0.5 MB; the cold NN call also fills the
-    # decoder's (32, 8192) hidden buffer, 2 MB
-    assert warm < 1.5e6 and warm < cold / 2
+    # a (2^16,) block of messages is 0.5 MB, and only one is alive at a time;
+    # the cold call also fills the (32, 8192) hidden block, 2 MB
+    assert warm < 0.9e6 and warm < cold / 2
+
+
+def test_estimate_ser_ml_after_nn_allocates_no_tile_block(monkeypatch):
+    # ML's two (16, 8192) distance halves are the decoder's (32, 8192)
+    # hidden block, so a first ML call after an NN call adds no 2 MB block
+    monkeypatch.setattr("swiptmod.evaluator._WS", {})
+    const = classical_baseline("QAM", 16, 0.01)
+    estimate_ser(const, init_params(16, seed=1).decoder, 1e-3, 1 << 17, seed=0)
+    tracemalloc.start()
+    try:
+        estimate_ser(const, None, 1e-3, 1 << 17, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.0e6   # 3.2e6 with ML's own distance blocks
+
+
+# a full RNG block, then a short one; tiles of 1000 and 3000 samples leave a
+# tail tile in both blocks, the 8192-sample tile in the short one
+TILE_SAMPLES = (1 << 16) + 20_037
+
+
+@pytest.mark.parametrize("m", [5, 16])
+def test_estimate_ser_does_not_depend_on_the_tile(m, monkeypatch):
+    const = _uniform(0.01 * np.exp(2j * np.pi * np.arange(m) / m))
+    decoder = init_params(m, seed=m).decoder
+    for w in decoder[::2]:
+        w *= 20.0
+    detectors = (None, decoder, None)   # ML, NN, then ML on the NN's block
+
+    def reports():
+        monkeypatch.setattr("swiptmod.evaluator._WS", {})
+        return [estimate_ser(const, d, 3e-3, TILE_SAMPLES, seed=11) for d in detectors]
+    ref = reports()   # at the 8192-sample tile
+    assert all(0.0 < r.ser < 1.0 for r in ref) and np.isfinite(ref[1].cross_entropy)
+    for tile in (1000, 3000):
+        monkeypatch.setattr("swiptmod.evaluator._TILE", tile)
+        monkeypatch.setattr("swiptmod.evaluator._COLS", np.arange(tile))
+        for got, want in zip(reports(), ref):
+            assert got.ser.hex() == want.ser.hex()
+            assert got.cross_entropy.hex() == want.cross_entropy.hex()
+    monkeypatch.setattr("swiptmod.evaluator._WS", {})   # the NN call alone, cold
+    cold = estimate_ser(const, decoder, 3e-3, TILE_SAMPLES, seed=11)
+    assert cold.ser.hex() == ref[1].ser.hex()
+    assert cold.cross_entropy.hex() == ref[1].cross_entropy.hex()
 
 
 @pytest.mark.parametrize("sigma2", [-1.0, np.nan, np.inf])

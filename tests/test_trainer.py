@@ -5,6 +5,7 @@ import math
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,9 +14,9 @@ from swiptmod.channel import ROLE_DATA, ROLE_MISC, ROLE_NOISE, sample_noise, sub
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import init_params
 from swiptmod.trainer import (EPS_PDEL, SER_MAX, RunRecord, TrainConfig,
-                              TrainingFailure, lambda_schedule, lambda_sweep,
-                              multi_restart, network_cost, restart_seeds,
-                              step_buffers, total_cost, train_run)
+                              TrainingFailure, evaluate, lambda_schedule,
+                              lambda_sweep, multi_restart, network_cost,
+                              restart_seeds, step_buffers, total_cost, train_run)
 from swiptmod.transceiver import export_constellation
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
@@ -285,6 +286,24 @@ def test_train_run_does_not_depend_on_the_draw_chunk(chunk, monkeypatch):
     assert rec.params.flat.tobytes() == ref.params.flat.tobytes()
     assert (rec.final_cost, rec.ser, rec.max_power_err) == \
         (ref.final_cost, ref.ser, ref.max_power_err)
+
+
+def test_train_run_drops_its_draw_chunks_before_the_evaluation(monkeypatch):
+    chunks, evaluated = [], []
+
+    def draw(*args, **kw):
+        out = sample_noise(*args, **kw)
+        chunks.append(weakref.ref(out))
+        return out
+
+    def evaluate_after_drops(*args):
+        assert len(chunks) >= 2 and all(c() is None for c in chunks)
+        evaluated.append(True)
+        return evaluate(*args)
+    monkeypatch.setattr("swiptmod.trainer.sample_noise", draw)
+    monkeypatch.setattr("swiptmod.trainer.evaluate", evaluate_after_drops)
+    rec = train_run(_tiny_cfg(epochs=100), 1e-4, seed=2)   # 200 steps, 2 chunks
+    assert evaluated and not rec.failed
 
 
 def test_train_run_improves_over_initialization():
