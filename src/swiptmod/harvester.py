@@ -16,10 +16,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .nn import scratch
 from .transceiver import Constellation
 
 
@@ -69,9 +69,20 @@ def _rows(points) -> np.ndarray:
     return np.array([z.real, z.imag])
 
 
-def _model_a(x, prm: ModelAParams, w, ws):
+class PdelBuffers(NamedTuple):
+    """The buffers one pdel_with_grads call on M points writes."""
+    powers: np.ndarray   # (10, M) Model A's power rows
+    coef: np.ndarray     # (3, 2, 1) Model A's gradient cubic, one column per axis
+    grad: np.ndarray     # (2, M) the gradient
+
+
+def pdel_buffers(m: int) -> PdelBuffers:
+    return PdelBuffers(np.empty((10, m)), np.empty((3, 2, 1)), np.empty((2, m)))
+
+
+def _model_a(x, prm: ModelAParams, w, bufs: PdelBuffers):
     # rows: re, im, their squares, cubes and fourth powers, |x|^4, then |x|^2
-    pw = scratch(ws, "pdel_pow", (10, x.shape[1]))
+    pw, c, g = bufs
     sq = np.multiply(x, x, out=pw[2:4])
     pw[0:2] = x
     np.multiply(sq, x, out=pw[4:6])
@@ -89,12 +100,12 @@ def _model_a(x, prm: ModelAParams, w, ws):
     #   al * (4/3 a^3 + 2 mu_a a^2 + (4 |x_k|^2 + 4 p_b + 8 p_a - 4 mu_a^2) a
     #         + 2/3 t_a - 4 p_a mu_a) + 2 be a,
     # evaluated by Horner's rule from the coefficients c[j], one per row k
-    c = scratch(ws, "pdel_coef", (3, 2, 1))
-    for k, (mu, pa, pb, t) in enumerate(((mu_r, p_r, p_i, t_r), (mu_i, p_i, p_r, t_i))):
-        c[0, k, 0] = 2.0 * al * mu
-        c[1, k, 0] = al * (4.0 * pb + 8.0 * pa - 4.0 * mu * mu) + 2.0 * be
-        c[2, k, 0] = al * (2.0 * t / 3.0 - 4.0 * pa * mu)
-    g = np.multiply(x, 4.0 * al / 3.0, out=scratch(ws, "pdel_grad", x.shape))
+    c.flat = (2.0 * al * mu_r, 2.0 * al * mu_i,
+              al * (4.0 * p_i + 8.0 * p_r - 4.0 * mu_r * mu_r) + 2.0 * be,
+              al * (4.0 * p_r + 8.0 * p_i - 4.0 * mu_i * mu_i) + 2.0 * be,
+              al * (2.0 * t_r / 3.0 - 4.0 * p_r * mu_r),
+              al * (2.0 * t_i / 3.0 - 4.0 * p_i * mu_i))
+    np.multiply(x, 4.0 * al / 3.0, out=g)
     g += c[0]
     g *= x
     m2 *= 4.0 * al
@@ -114,25 +125,30 @@ def _model_b_terms(p_in, prm: ModelBParams):
             prm.ls * prm.a * sig * (1.0 - sig) / (1.0 - omega))
 
 
-def _model_b(x, prm: ModelBParams, w, ws):
+def _model_b(x, prm: ModelBParams, w, bufs: PdelBuffers):
     value, slope = _model_b_terms(x[0] * x[0] + x[1] * x[1], prm)
-    g = np.multiply(x, w * slope * 2.0, out=scratch(ws, "pdel_grad", x.shape))
+    g = np.multiply(x, w * slope * 2.0, out=bufs.grad)
     return float(w @ value), g
 
 
-def pdel_with_grads(x, model: HarvesterModel, weights, ws: dict | None = None):
+def pdel_with_grads(x, model: HarvesterModel, weights, bufs: PdelBuffers | None = None):
     """(P_del, (2, M) gradient) of the real rows x = (re, im) weighted by the
     M `weights` (a message's probability, or its share of a batch): the one
-    delivered-power code, training and evaluation alike. With a workspace
-    the gradient is its buffer, overwritten by the next call."""
-    x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] == 0 or x.dtype.kind != "f":
-        raise ValueError(f"pdel_with_grads needs non-empty (2, M) real rows, "
-                         f"got {x.dtype} {x.shape}")
-    w = np.asarray(weights, dtype=float)
+    delivered-power code, training and evaluation alike. Without `bufs` the
+    rows and weights are checked and every buffer is new. With them,
+    pdel_buffers(M) made once by a caller whose rows and weights are its own
+    float64 arrays of M columns, nothing is checked and the gradient is
+    bufs.grad, overwritten by the next call."""
+    if bufs is None:
+        x = np.asarray(x)
+        if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] == 0 or x.dtype.kind != "f":
+            raise ValueError(f"pdel_with_grads needs non-empty (2, M) real rows, "
+                             f"got {x.dtype} {x.shape}")
+        weights = np.asarray(weights, dtype=float)
+        bufs = pdel_buffers(x.shape[1])
     if isinstance(model, ModelAParams):
-        return _model_a(x, model, w, ws)
-    return _model_b(x, model, w, ws)
+        return _model_a(x, model, weights, bufs)
+    return _model_b(x, model, weights, bufs)
 
 
 def pdel_exact(constellation: Constellation, model: HarvesterModel) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,7 +108,35 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-def mlp_forward(net, x: np.ndarray, ws: dict | None = None, key: str = ""):
+class NetBuffers(NamedTuple):
+    """Every buffer a net's forward and backward pass write for B columns,
+    made once by net_buffers and passed as `ws` to mlp_forward (or
+    encoder_table) and mlp_backward."""
+    x: np.ndarray | None        # (in, B) input: the first rows of xb
+    xb: np.ndarray | None       # (in + 1, B) input over a row of ones
+    wb: np.ndarray | None       # (2M, in + 1) [W1 | b1]
+    hidden: np.ndarray          # (2M, B)
+    out: np.ndarray             # (out, B)
+    d_hidden: np.ndarray        # (2M, B) the hidden layer's gradient
+    mask: np.ndarray            # (2M, B) bool ReLU mask
+
+
+def net_buffers(net, batch: int, table: bool = False) -> NetBuffers:
+    """New NetBuffers for `net` (only its shapes are read) on `batch`
+    columns, the input block's ones row written. table=True gives
+    encoder_table's, for batch M, with no input block or [W1 | b1]."""
+    w1, _, w2, _ = net
+    width, rows = w1.shape
+    x = xb = wb = None
+    if not table:
+        xb = np.empty((rows + 1, batch))
+        xb[rows] = 1.0
+        x, wb = xb[:rows], np.empty((width, rows + 1))
+    return NetBuffers(x, xb, wb, np.empty((width, batch)), np.empty((w2.shape[0], batch)),
+                      np.empty((width, batch)), np.empty((width, batch), bool))
+
+
+def mlp_forward(net, x: np.ndarray, ws: NetBuffers | dict | None = None, key: str = ""):
     """Run a net [W1, b1, W2, b2] on (features, batch) columns.
 
     The hidden pre-activation W1 @ x + b1[:, None] is one matmul of [W1 | b1],
@@ -116,44 +145,54 @@ def mlp_forward(net, x: np.ndarray, ws: dict | None = None, key: str = ""):
     rounds as the matmul plus the add. Its ReLU is applied in place. The
     output layer is linear and adds its bias after the matmul, as BLAS may
     split its wider dot products into partial sums. Returns
-    (output, (x, hidden)), which mlp_backward takes. Every result lands in
-    workspace buffers under `key`, which must differ between nets sharing
-    one workspace; with ws=None they are all new.
+    (output, (x, hidden)), which mlp_backward takes. `ws` is the net's bound
+    NetBuffers, whose input block x is not copied when it is passed as x
+    itself; or a workspace dict, whose buffers under `key` (which must
+    differ between nets sharing one) hold every result; or None, for new
+    buffers.
     """
     w1, b1, w2, b2 = net
-    x = np.asarray(x, dtype=float)
-    rows, batch = x.shape
-    xb = scratch(ws, (key, "x"), (rows + 1, batch))
-    xb[:rows] = x
-    xb[rows] = 1.0
-    wb = scratch(ws, (key, "wb"), (w1.shape[0], rows + 1))
-    wb[:, :rows] = w1
-    wb[:, rows] = b1
-    hidden = np.matmul(wb, xb, out=scratch(ws, (key, "z1"), (w1.shape[0], batch)))
+    if isinstance(ws, NetBuffers):
+        x_in, xb, wb, hidden, out = ws[:5]
+    else:
+        x = np.asarray(x, dtype=float)
+        rows, batch = x.shape
+        xb = scratch(ws, (key, "x"), (rows + 1, batch))
+        xb[rows] = 1.0
+        x_in, wb = xb[:rows], scratch(ws, (key, "wb"), (w1.shape[0], rows + 1))
+        hidden = scratch(ws, (key, "z1"), (w1.shape[0], batch))
+        out = scratch(ws, (key, "z2"), (w2.shape[0], batch))
+    if x is not x_in:
+        x_in[...] = x
+    wb[:, :-1] = w1
+    wb[:, -1] = b1
+    np.matmul(wb, xb, out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
-    out = np.matmul(w2, hidden, out=scratch(ws, (key, "z2"), (w2.shape[0], batch)))
+    np.matmul(w2, hidden, out=out)
     out += b2[:, None]
-    return out, (x, hidden)
+    return out, (x_in, hidden)
 
 
-def encoder_table(enc, ws: dict | None = None):
+def encoder_table(enc, ws: NetBuffers | None = None):
     """The encoder on its M one-hot messages, one column each: the hidden
     layer relu(W1 + b1[:, None]), then the points W2 @ hidden + b2[:, None].
     These are the bits of mlp_forward(enc, I) on the M x M identity, whose
     products are exact zeros but one, with no identity and no [W1 | b1]
     copy. Returns (points, (None, hidden)); mlp_backward reads the None input
-    as the identity. Buffers are the workspace's under the key "enc".
+    as the identity. The results land in `ws`, net_buffers(enc, M,
+    table=True), or with ws=None in new arrays.
     """
     w1, b1, w2, b2 = enc
-    hidden = np.add(w1, b1[:, None], out=scratch(ws, ("enc", "z1"), w1.shape))
+    hidden, out = ((np.empty(w1.shape), np.empty((2, w1.shape[1]))) if ws is None
+                   else (ws.hidden, ws.out))
+    np.add(w1, b1[:, None], out=hidden)
     np.maximum(hidden, 0.0, out=hidden)
-    out = np.matmul(w2, hidden, out=scratch(ws, ("enc", "z2"), (2, w1.shape[1])))
+    np.matmul(w2, hidden, out=out)
     out += b2[:, None]
     return out, (None, hidden)
 
 
-def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: dict | None = None,
-                 key: str = ""):
+def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: NetBuffers | None = None):
     """Backpropagate through a net given d(cost)/d(output).
 
     All arrays are (features, batch). For a softmax+cross-entropy head the
@@ -164,15 +203,18 @@ def mlp_backward(net, saved, d_out: np.ndarray, grads, ws: dict | None = None,
     output is positive, which is where its pre-activation was. Writes the
     gradients into `grads`, the views [dW1, db1, dW2, db2], and returns the
     hidden pre-activation's gradient dz, from which a caller that needs
-    d(cost)/d(x) forms W1.T @ dz. `ws` and `key` are as in mlp_forward.
+    d(cost)/d(x) forms W1.T @ dz. dz and the mask are the net's NetBuffers
+    `ws`, or new with ws=None.
     """
     _, _, w2, _ = net
     x, hidden = saved
     gw1, gb1, gw2, gb2 = grads
+    dz, mask = ((np.empty(hidden.shape), np.empty(hidden.shape, bool)) if ws is None
+                else (ws.d_hidden, ws.mask))
     np.matmul(d_out, hidden.T, out=gw2)
     np.add.reduce(d_out, axis=1, out=gb2)
-    dz = np.matmul(w2.T, d_out, out=scratch(ws, (key, "d_hidden"), hidden.shape))
-    dz *= np.greater(hidden, 0.0, out=scratch(ws, (key, "mask"), hidden.shape, bool))
+    np.matmul(w2.T, d_out, out=dz)
+    dz *= np.greater(hidden, 0.0, out=mask)
     if x is None:
         np.add(dz, 0.0, out=gw1)
     else:

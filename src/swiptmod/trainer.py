@@ -18,9 +18,10 @@ import numpy as np
 
 from . import evaluator
 from .channel import ROLE_DATA, ROLE_NOISE, derive_seed, sample_noise, substream
-from .harvester import HarvesterModel, pdel_exact, pdel_with_grads
-from .nn import (AdamState, NetworkParams, adam_step, encoder_table,
-                 init_params, mlp_backward, mlp_forward, softmax)
+from .harvester import (HarvesterModel, PdelBuffers, pdel_buffers, pdel_exact,
+                        pdel_with_grads)
+from .nn import (AdamState, NetBuffers, NetworkParams, adam_step, encoder_table,
+                 init_params, mlp_backward, mlp_forward, net_buffers, softmax)
 from .transceiver import (EPS_LOG, Constellation, DegenerateEncoderError,
                           export_constellation, normalize_power)
 
@@ -128,24 +129,28 @@ def total_cost(batch_ce: float, p_del: float, lam: float) -> float:
     return batch_ce + lam / max(p_del, EPS_PDEL)
 
 
-class StepBuffers(NamedTuple):
-    """network_cost's constants and own buffers for M messages and batch B."""
+class StepWorkspace(NamedTuple):
+    """Every buffer one network_cost step writes, for M messages and batch B."""
     cols: np.ndarray       # arange(B)
     grads: NetworkParams   # the backward pass's targets
-    y: np.ndarray          # (2, B) channel output
     pick_at: np.ndarray    # (B,) int: msgs * B + cols
     pick: np.ndarray       # (B,) each sample's probability of its message
     logp: np.ndarray       # (B,) its clamped log
     weights: np.ndarray    # (M,) counts / B
     dy: np.ndarray         # (2, B) the decoder's input gradient
     fold_at: np.ndarray    # (2, B) int: bincount bins (msgs, msgs + M)
+    enc: NetBuffers        # the encoder table's
+    dec: NetBuffers        # the decoder's; its input block x is the channel output
+    pdel: PdelBuffers      # the harvester's
 
 
-def step_buffers(m: int, batch: int) -> StepBuffers:
-    """New StepBuffers: train_run builds them once per restart."""
-    return StepBuffers(np.arange(batch), NetworkParams(m), np.empty((2, batch)),
-                       np.empty(batch, int), np.empty(batch), np.empty(batch),
-                       np.empty(m), np.empty((2, batch)), np.empty((2, batch), int))
+def step_workspace(m: int, batch: int) -> StepWorkspace:
+    """New StepWorkspace: a Restart builds it once."""
+    grads = NetworkParams(m)
+    return StepWorkspace(np.arange(batch), grads, np.empty(batch, int), np.empty(batch),
+                         np.empty(batch), np.empty(m), np.empty((2, batch)),
+                         np.empty((2, batch), int), net_buffers(grads.encoder, m, table=True),
+                         net_buffers(grads.decoder, batch), pdel_buffers(m))
 
 
 def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
@@ -155,31 +160,35 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     messages are 0-based indices, noise is (B, 2) real/imag components.
     Returns (cost, info, grads) where grads is a vector laid out like
-    params.flat (split it with params.views) or None. A workspace dict `ws`,
-    reused from step to step, holds every buffer of the nets and the
-    harvester. Its "step" entry, which train_run sets once per restart to
-    step_buffers(M, B), holds this function's own; grads then is its
-    gradient vector, valid until the next call. Without that entry they are
-    built for the call and grads is a new vector.
+    params.flat (split it with params.views) or None. Every buffer the step
+    writes is in a StepWorkspace, which a Restart makes once, as
+    step_workspace(M, B), and keeps as the "step" entry of the workspace
+    dict `ws`. With it, the messages must be an int array of B and nothing
+    is checked or looked up; grads is its gradient vector, valid until the
+    next call. Without it the messages are converted, one-off buffers are
+    made for the call and grads is a new vector.
     """
     enc, dec = params.encoder, params.decoder
     m = params.m
-    msgs = np.asarray(messages, dtype=int)
-    batch = msgs.shape[0]
+    msgs = messages
     step = None if ws is None else ws.get("step")
     if step is None:
-        step = step_buffers(m, batch)
-    cols, grads, y, pick_at, pick, logp, weights, dy, fold_at = step
+        msgs = np.asarray(messages, dtype=int)
+        step = step_workspace(m, msgs.shape[0])
+    cols, grads, pick_at, pick, logp, weights, dy, fold_at, enc_ws, dec_ws, pdel_ws = step
+    batch = cols.shape[0]
 
     # encoder on the M one-hot messages; the batch is a gather of its points
-    u, saved_e = encoder_table(enc, ws)
+    u, saved_e = encoder_table(enc, enc_ws)
 
     xk, scale, energy, degenerate, counts = normalize_power(u, msgs, p_a)
+    # the channel output lands in the decoder's input block, over its ones row;
     # mode="clip" writes into `out` unbuffered; bincount/energy reject bad msgs
+    y = dec_ws.x
     xk.take(msgs, axis=1, out=y, mode="clip")
     y += noise.T
 
-    logits, saved_d = mlp_forward(dec, y, ws, "dec")
+    logits, saved_d = mlp_forward(dec, y, dec_ws)
     probs = softmax(logits, out=logits)
 
     # each sample's probability of its own message, at msgs * B + cols of the
@@ -192,7 +201,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # per-point gradients weighted by counts/B are sums over that message's rows
     np.divide(counts, batch, out=weights)
-    p_del, dpdel = pdel_with_grads(xk, harvester, weights, ws)
+    p_del, dpdel = pdel_with_grads(xk, harvester, weights, pdel_ws)
     cost = total_cost(ce, p_del, lam)
     info = {
         "cross_entropy": ce,
@@ -209,7 +218,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
     pick -= 1.0
     dlogits.put(pick_at, pick)
     dlogits /= batch
-    dz = mlp_backward(dec, saved_d, dlogits, grads.decoder, ws, "dec")
+    dz = mlp_backward(dec, saved_d, dlogits, grads.decoder, dec_ws)
     # the decoder's input gradient; the encoder's input is the fixed one-hot
     # messages, so its own is never formed
     np.matmul(dec[0].T, dz, out=dy)
@@ -231,7 +240,7 @@ def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
 
     # the encoder output layer is linear, so d(cost)/d(output) is du itself;
     # its input is one-hot, so d(cost)/d(W1) is the hidden gradient exactly
-    mlp_backward(enc, saved_e, du, grads.encoder, ws, "enc")
+    mlp_backward(enc, saved_e, du, grads.encoder, enc_ws)
     return cost, info, grads.flat
 
 
@@ -248,48 +257,93 @@ def evaluate(params: NetworkParams, cfg: TrainConfig, seed: int):
         return const, report, pdel_exact(const, cfg.harvester)
 
 
-def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
-    """One full optimization run at a fixed lambda and restart seed."""
-    sigma2 = cfg.sigma2()
-    params = init_params(cfg.m, seed)
-    state = AdamState.for_params(params)
-    data_rng = substream(seed, ROLE_DATA)
-    noise_rng = substream(seed, ROLE_NOISE)
-    batch = cfg.minibatch_size
-    steps = cfg.epochs * (cfg.train_set_size // batch)
-    per_draw = max(1, _DRAW_CHUNK // batch)
-    max_power_err = 0.0
-    ws = {"step": step_buffers(cfg.m, batch)}
+class Restart:
+    """One optimization run at a fixed lambda and restart seed, stepped in
+    pieces: its parameters, Adam state, data and noise streams, step count,
+    max_power_err and step workspace, all made once, when it is built.
 
-    # divergence shows as a non-finite cost, as softmax rejecting its logits,
-    # or as an overflow or invalid operation in a step or in the final
-    # evaluation; each raises, and the one except below fails the restart
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for first in range(0, steps, per_draw):
-                k = min(per_draw, steps - first)
-                msgs_k = data_rng.integers(0, cfg.m, size=(k, batch))
-                noise_k = sample_noise(k * batch, sigma2, noise_rng).reshape(k, batch, 2)
-                for msgs, noise in zip(msgs_k, noise_k):
-                    cost, info, grads = network_cost(params, msgs, noise, cfg.p_a,
-                                                     lam, cfg.harvester, ws=ws)
-                    if not math.isfinite(cost):
-                        raise FloatingPointError(f"non-finite cost {cost}")
-                    if not info["degenerate"]:
-                        max_power_err = max(max_power_err,
-                                            abs(info["batch_power"] - cfg.p_a))
-                    adam_step(params.flat, grads, state)
-        # the evaluation needs neither the step buffers nor the last draw chunk
-        del ws, msgs_k, noise_k, msgs, noise
-        const, report, p_del = evaluate(params, cfg, seed)
-    except (FloatingPointError, DegenerateEncoderError):
-        # also when every point sits at the origin or is non-finite
-        return RunRecord(lam=lam, seed=seed, failed=True)
-    final_cost = total_cost(report.cross_entropy, p_del, lam)
-    return RunRecord(lam=lam, seed=seed, final_cost=final_cost, ser=report.ser,
-                     p_del=p_del, cross_entropy=report.cross_entropy,
-                     constellation=const, max_power_err=max_power_err,
-                     params=params)
+    advance(steps) trains up to that many more steps and returns the
+    Restart; finish() ends it: it drops the step workspace and the last draw
+    chunk, evaluates the net and returns its RunRecord. Divergence shows as a
+    non-finite cost, as softmax rejecting its logits, or as an overflow or
+    invalid operation in a step or in the final evaluation; it fails the
+    restart, so later advances do nothing and finish returns a failed record.
+    """
+
+    def __init__(self, cfg: TrainConfig, lam: float, seed: int):
+        self.cfg, self.lam, self.seed = cfg, lam, seed
+        self.params = init_params(cfg.m, seed)
+        self.adam = AdamState.for_params(self.params)
+        self.data_rng = substream(seed, ROLE_DATA)
+        self.noise_rng = substream(seed, ROLE_NOISE)
+        self.total_steps = cfg.epochs * (cfg.train_set_size // cfg.minibatch_size)
+        self.step = 0
+        self.max_power_err = 0.0
+        self.failed = False
+        self.ws = {"step": step_workspace(cfg.m, cfg.minibatch_size)}
+        self.chunk = None   # (messages, noise) of the draw chunk being walked
+
+    def advance(self, steps: int) -> Restart:
+        """Train min(steps, the steps left) more steps. The messages and noise
+        of up to _DRAW_CHUNK samples (whole minibatches, at least one) are
+        drawn at once, in chunks counted from the first step, so a restart
+        advanced in pieces draws and trains as one advanced whole."""
+        cfg, lam, params, state, ws = self.cfg, self.lam, self.params, self.adam, self.ws
+        p_a, harvester, batch = cfg.p_a, cfg.harvester, cfg.minibatch_size
+        per_draw = max(1, _DRAW_CHUNK // batch)
+        end = min(self.step + steps, self.total_steps)
+        max_power_err = self.max_power_err
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                while not self.failed and self.step < end:
+                    at = self.step % per_draw
+                    if at == 0:
+                        k = min(per_draw, self.total_steps - self.step)
+                        msgs_k = self.data_rng.integers(0, cfg.m, size=(k, batch))
+                        noise_k = sample_noise(k * batch, cfg.sigma2(), self.noise_rng)
+                        self.chunk = msgs_k, noise_k.reshape(k, batch, 2)
+                    msgs_k, noise_k = self.chunk
+                    stop = min(len(msgs_k), at + end - self.step)
+                    for msgs, noise in zip(msgs_k[at:stop], noise_k[at:stop]):
+                        cost, info, grads = network_cost(params, msgs, noise, p_a, lam,
+                                                         harvester, ws=ws)
+                        if not math.isfinite(cost):
+                            raise FloatingPointError(f"non-finite cost {cost}")
+                        if not info["degenerate"]:
+                            max_power_err = max(max_power_err,
+                                                abs(info["batch_power"] - p_a))
+                        adam_step(params.flat, grads, state)
+                    self.step += stop - at
+            self.max_power_err = max_power_err
+        except FloatingPointError:
+            self.failed = True
+        return self
+
+    def finish(self) -> RunRecord:
+        """The RunRecord of the restart: failed, or its net evaluated with
+        trainer.evaluate, which needs neither the step workspace nor the
+        last draw chunk, so both are dropped first."""
+        self.ws = self.chunk = None
+        if not self.failed:
+            try:
+                const, report, p_del = evaluate(self.params, self.cfg, self.seed)
+            except (FloatingPointError, DegenerateEncoderError):
+                # also when every point sits at the origin or is non-finite
+                self.failed = True
+        if self.failed:
+            return RunRecord(lam=self.lam, seed=self.seed, failed=True)
+        return RunRecord(lam=self.lam, seed=self.seed,
+                         final_cost=total_cost(report.cross_entropy, p_del, self.lam),
+                         ser=report.ser, p_del=p_del, cross_entropy=report.cross_entropy,
+                         constellation=const, max_power_err=self.max_power_err,
+                         params=self.params)
+
+
+def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
+    """One full optimization run at a fixed lambda and restart seed: a
+    Restart advanced through all its steps, then finished."""
+    restart = Restart(cfg, lam, seed)
+    return restart.advance(restart.total_steps).finish()
 
 
 def multi_restart(cfg: TrainConfig, lam: float, seeds: list[int]) -> RunRecord:

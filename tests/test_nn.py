@@ -15,7 +15,7 @@ from mpmath import mp
 import swiptmod
 from swiptmod.nn import (ADAM_EPS, ADAM_LR, CHECKPOINT_MAGIC, AdamState, CheckpointFormatError,
                          NetworkParams, adam_step, encoder_table, init_params, layout,
-                         load_checkpoint, mlp_backward, mlp_forward,
+                         load_checkpoint, mlp_backward, mlp_forward, net_buffers,
                          save_checkpoint, scratch, softmax, xavier_uniform)
 from swiptmod.channel import substream
 from swiptmod.transceiver import decode
@@ -143,7 +143,7 @@ def _encoder_table_mismatches() -> list:
         for seed in range(20):
             enc = _planted_encoder(m, seed)
             want, (eye, want_hidden) = mlp_forward(enc, np.eye(m))
-            got, saved = encoder_table(enc, {})
+            got, saved = encoder_table(enc)
             rng = substream(m, 24, seed)
             d_out = rng.standard_normal((2, m))
             d_out[rng.random(d_out.shape) < 0.2] = -0.0
@@ -239,7 +239,7 @@ def test_forward_softmax_head_in_place_and_workspace_reuse():
     again, _ = mlp_forward(net, x, ws, "dec")
     assert again is first   # the same buffers are refilled
     grads, ref = _grads(net), _grads(net)
-    mlp_backward(net, saved_ws, out - 0.25, grads, {}, "dec")
+    mlp_backward(net, saved_ws, out - 0.25, grads, net_buffers(net, 5))
     mlp_backward(net, saved, out - 0.25, ref)
     assert all(np.array_equal(a, b) for a, b in zip(grads, ref))
 

@@ -15,8 +15,8 @@ from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import init_params
 from swiptmod.trainer import (EPS_PDEL, SER_MAX, RunRecord, TrainConfig,
                               TrainingFailure, evaluate, lambda_schedule,
-                              lambda_sweep, multi_restart, network_cost,
-                              restart_seeds, step_buffers, total_cost, train_run)
+                              lambda_sweep, multi_restart, network_cost, Restart,
+                              restart_seeds, step_workspace, total_cost, train_run)
 from swiptmod.transceiver import export_constellation
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
@@ -111,8 +111,8 @@ def _desk_step(seed, m=16, batch=1600, p_a=0.004):
 
 
 def _step_workspace(m, batch):
-    """A workspace with its step buffers, as train_run builds it."""
-    return {"step": step_buffers(m, batch)}
+    """A workspace with its step buffers, as a Restart builds it."""
+    return {"step": step_workspace(m, batch)}
 
 
 def test_network_cost_workspace_step_allocates_no_batch_matrix():
@@ -312,6 +312,71 @@ def test_train_run_improves_over_initialization():
                                 eval_samples=4000), 0.0, seed=2)
     rec = train_run(cfg, 0.0, seed=2)
     assert rec.final_cost < short.final_cost
+
+
+# ---------------------------------------------------------------------------
+# Restart
+# ---------------------------------------------------------------------------
+
+def _restart_bytes(restart):
+    """Everything a Restart carries from step to step, as comparable bytes."""
+    adam = restart.adam
+    return (restart.params.flat.tobytes(), adam.first_moment.tobytes(),
+            adam.second_moment.tobytes(), adam.step_count, restart.step,
+            # the Philox counters, keys and buffers print in full
+            repr(restart.data_rng.bit_generator.state),
+            repr(restart.noise_rng.bit_generator.state), restart.max_power_err)
+
+
+def _record_fields(rec):
+    out = {}
+    for field in dataclasses.fields(rec):
+        value = getattr(rec, field.name)
+        if field.name == "constellation":
+            value = (value.points.tobytes(), value.probabilities.tobytes())
+        elif field.name == "params":
+            value = value.flat.tobytes()
+        out[field.name] = value
+    return out
+
+
+@pytest.mark.parametrize("model", [MODEL_A, MODEL_B], ids=["modelA", "modelB"])
+def test_restart_advanced_in_pieces_ends_in_the_bytes_of_one_advanced_whole(model):
+    # batch 400 draws 40 steps per chunk: the pieces 1, 38 and 61 of 100 steps
+    # stop inside the first chunk, and the last piece crosses two chunk starts
+    p_a = 0.001 if model is MODEL_A else 0.004
+    cfg = _tiny_cfg(m=8, p_a=p_a, harvester=model, epochs=20, minibatch_size=400,
+                    train_set_size=2000)
+    whole = Restart(cfg, 1e-4, seed=4)
+    assert whole.advance(whole.total_steps) is whole and whole.total_steps == 100
+    pieces = Restart(cfg, 1e-4, seed=4)
+    for steps in (1, 38, 61):
+        pieces.advance(steps)
+    assert pieces.advance(5).step == 100   # past the end: no more steps
+    assert _restart_bytes(pieces) == _restart_bytes(whole)
+    rec, ref = pieces.finish(), whole.finish()
+    assert not rec.failed
+    assert _record_fields(rec) == _record_fields(ref)
+    assert _record_fields(ref) == _record_fields(train_run(cfg, 1e-4, seed=4))
+
+
+@pytest.mark.parametrize("model", [MODEL_A, MODEL_B], ids=["modelA", "modelB"])
+def test_restart_warm_step_makes_no_workspace_lookups(model, monkeypatch):
+    # every buffer a step writes is bound when the Restart is built
+    p_a = 0.001 if model is MODEL_A else 0.004
+    restart = Restart(_tiny_cfg(m=8, p_a=p_a, harvester=model, epochs=2,
+                                minibatch_size=400, train_set_size=2000), 1e-4, seed=5)
+    restart.advance(1)
+    calls = []
+    for name, module in list(sys.modules.items()):
+        scratch = getattr(module, "scratch", None)
+        if name.startswith("swiptmod") and scratch is not None:
+            def counted(*args, scratch=scratch, **kw):
+                calls.append(args[1])
+                return scratch(*args, **kw)
+            monkeypatch.setattr(module, "scratch", counted)
+    assert restart.advance(9).step == 10 and not restart.failed
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
