@@ -47,14 +47,20 @@ class NetworkParams:
 
     `encoder` and `decoder` are the views [W1, b1, W2, b2] into `flat`, laid
     out as layout(m); that order is also the checkpoint payload. Update the
-    arrays in place, never rebind them.
+    arrays in place, never rebind them. A pickle holds (m, flat) only, so an
+    unpickled copy's views share its own `flat`.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, flat: np.ndarray | None = None):
         self.m = m
-        self.flat = np.zeros(sum(math.prod(s) for s in layout(m)))
+        if flat is None:
+            flat = np.zeros(sum(math.prod(s) for s in layout(m)))
+        self.flat = flat
         views = self.views(self.flat)
         self.encoder, self.decoder = views[:4], views[4:]
+
+    def __reduce__(self):
+        return NetworkParams, (self.m, self.flat)
 
     def views(self, vec: np.ndarray) -> list[np.ndarray]:
         """Views of a vector laid out like `flat`, shaped as layout(m)."""

@@ -9,7 +9,10 @@ backpropagation.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 import sys
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -347,14 +350,89 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
 
 
 def multi_restart(cfg: TrainConfig, lam: float, seeds: list[int]) -> RunRecord:
-    """Best-of-restarts: the record minimizing final cost, ties to lowest seed."""
+    """Best-of-restarts: the record minimizing final cost, ties to lowest seed.
+
+    With two or more seeds, two usable CPUs and no other Python thread
+    running, a forked worker trains the odd-numbered seeds (seeds[1::2])
+    through train_run and pickles their records back, while this process
+    trains the even-numbered ones; otherwise every seed trains here, in
+    order. Each restart is seeded by its own seed, so both paths give the
+    same records, bit for bit. A worker that dies, or cannot send its
+    records, raises TrainingFailure; an exception raised in the worker's
+    restarts is raised again here. The worker is reaped on every path.
+    """
     if not seeds:
         raise ValueError("multi_restart needs at least one seed")
-    records = [train_run(cfg, lam, s) for s in seeds]
+    records = _train_records(cfg, lam, seeds)
     ok = [r for r in records if not r.failed]
     if not ok:
         raise TrainingFailure(f"all {len(seeds)} restarts diverged at lambda={lam}")
     return min(ok, key=lambda r: (r.final_cost, r.seed))
+
+
+def _end_with(parent: int) -> None:
+    """In the worker: have the kernel SIGKILL it when the parent ends, even
+    by a signal. Linux only; elsewhere such a worker trains its restarts
+    out, then ends on the closed pipe."""
+    import ctypes   # loaded with NumPy already
+    try:
+        ctypes.CDLL(None).prctl(1, 9)   # PR_SET_PDEATHSIG, SIGKILL
+    except AttributeError:   # no prctl
+        return
+    if os.getppid() != parent:   # it ended before prctl
+        os._exit(1)
+
+
+def _train_records(cfg: TrainConfig, lam: float, seeds: list[int]) -> list[RunRecord]:
+    """train_run's record for each seed, in seed order (see multi_restart)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    # a fork copies only this thread: any other would be left in an unknown state
+    if (len(seeds) < 2 or affinity is None or len(affinity(0)) < 2
+            or threading.active_count() > 1):
+        return [train_run(cfg, lam, s) for s in seeds]
+    parent = os.getpid()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:   # the worker never returns from here
+        code = 1
+        try:
+            os.close(read_fd)
+            _end_with(parent)
+            try:
+                result = True, [train_run(cfg, lam, s) for s in seeds[1::2]]
+            except BaseException as exc:   # say, a MemoryError: raised in the parent
+                result = False, exc
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    with open(read_fd, "rb") as pipe:
+        try:
+            records = [train_run(cfg, lam, s) for s in seeds[::2]]
+            data = pipe.read()
+        except BaseException:
+            import signal   # here only: a module-level import adds to every RSS
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        ended = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
+        raise TrainingFailure(f"the restart worker at lambda={lam} {ended} "
+                              "before sending its records")
+    sent, odd = pickle.loads(data)
+    if not sent:
+        raise odd
+    merged = [None] * len(seeds)
+    merged[::2], merged[1::2] = records, odd
+    return merged
 
 
 def lambda_schedule(cfg: TrainConfig) -> Iterator[float]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import platform
 import struct
 import subprocess
@@ -18,6 +19,7 @@ from swiptmod.nn import (ADAM_EPS, ADAM_LR, CHECKPOINT_MAGIC, AdamState, Checkpo
                          load_checkpoint, mlp_backward, mlp_forward, net_buffers,
                          save_checkpoint, scratch, softmax, xavier_uniform)
 from swiptmod.channel import substream
+from swiptmod.trainer import RunRecord
 from swiptmod.transceiver import decode
 from test_golden import GOLDEN, _openblas_core, stack
 
@@ -512,6 +514,21 @@ def test_params_are_views_of_one_flat_vector(tmp_path):
     assert all(a.base is loaded.flat for a in loaded.encoder + loaded.decoder)
     save_checkpoint(tmp_path / "again.bin", loaded)
     assert (tmp_path / "again.bin").read_bytes() == blob
+
+
+def test_pickle_round_trip_keeps_the_flat_bytes_and_the_views():
+    # multi_restart's worker sends its records back pickled
+    params = init_params(5, seed=7)
+    record = RunRecord(lam=0.5, seed=7, final_cost=1.25, params=params)
+    for copy in (pickle.loads(pickle.dumps(params)),
+                 pickle.loads(pickle.dumps(record)).params):
+        assert copy.m == 5 and copy.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(copy.flat, params.flat)
+        arrays = copy.encoder + copy.decoder
+        assert [a.shape for a in arrays] == list(layout(5))
+        assert all(np.shares_memory(a, copy.flat) for a in arrays)
+        copy.flat[:] = np.arange(copy.flat.size)   # writes show through the views
+        assert copy.encoder[0][0, 1] == 1.0 and copy.decoder[-1][-1] == copy.flat.size - 1
 
 
 def test_checkpoint_bad_magic(tmp_path):

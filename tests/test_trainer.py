@@ -2,7 +2,12 @@
 
 import dataclasses
 import math
+import os
+import signal
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -10,6 +15,7 @@ import weakref
 import numpy as np
 import pytest
 
+from swiptmod import cli
 from swiptmod.channel import ROLE_DATA, ROLE_MISC, ROLE_NOISE, sample_noise, substream
 from swiptmod.harvester import ModelAParams, ModelBParams, pdel_exact
 from swiptmod.nn import init_params
@@ -18,6 +24,7 @@ from swiptmod.trainer import (EPS_PDEL, SER_MAX, RunRecord, TrainConfig,
                               lambda_sweep, multi_restart, network_cost, Restart,
                               restart_seeds, step_workspace, total_cost, train_run)
 from swiptmod.transceiver import export_constellation
+from test_cli import TINY_A, _write_cfg
 
 MODEL_A = ModelAParams(alpha=0.3829, beta=0.0034, gamma=0.0)
 MODEL_B = ModelBParams(ls=0.02, a=6400.0, b=0.003)
@@ -428,6 +435,237 @@ def test_multi_restart_all_failed_raises(monkeypatch):
 def test_multi_restart_needs_seeds():
     with pytest.raises(ValueError):
         multi_restart(_tiny_cfg(), 0.0, [])
+
+
+# ---------------------------------------------------------------------------
+# multi_restart in two processes: a forked worker trains seeds[1::2]
+# ---------------------------------------------------------------------------
+
+two_cpus = pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+    reason="the two-process path needs two usable CPUs")
+
+
+def _count_forks(monkeypatch) -> list:
+    """os.fork, counted in the calling process: one entry per fork."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_record(a: RunRecord, b: RunRecord):
+    for field in dataclasses.fields(RunRecord):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "params":
+            assert x.m == y.m and x.flat.tobytes() == y.flat.tobytes()
+            assert all(np.shares_memory(v, x.flat) for v in x.encoder + x.decoder)
+        elif field.name == "constellation":
+            assert x.points.tobytes() == y.points.tobytes()
+            assert x.probabilities.tobytes() == y.probabilities.tobytes()
+        elif isinstance(x, float):
+            assert x.hex() == y.hex(), field.name
+        else:
+            assert x == y, field.name
+
+
+@two_cpus
+@pytest.mark.parametrize("model", [MODEL_A, MODEL_B], ids=["modelA", "modelB"])
+def test_multi_restart_two_processes_give_the_serial_winner(model, monkeypatch):
+    cfg = _tiny_cfg(harvester=model, restarts=2)
+    pair = restart_seeds(cfg, 1)
+    forks = _count_forks(monkeypatch)
+    # in one of the two orders the winner is the worker's, sent back pickled
+    forked = [multi_restart(cfg, 1e-4, seeds) for seeds in (pair, pair[::-1])]
+    assert forks == [os.getpid()] * 2
+    _one_cpu(monkeypatch)
+    serial = [multi_restart(cfg, 1e-4, seeds) for seeds in (pair, pair[::-1])]
+    assert len(forks) == 2
+    assert forked[0].seed == forked[1].seed
+    for a, b in zip(forked, serial):
+        _assert_same_record(a, b)
+    _assert_same_record(serial[0], train_run(cfg, 1e-4, serial[0].seed))
+    _assert_no_child_left()
+
+
+@two_cpus
+def test_sweep_trees_are_byte_identical_in_one_and_two_processes(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, dict(TINY_A, restarts=3))
+    forks = _count_forks(monkeypatch)
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "two")]) == 0
+    assert len(forks) == TINY_A["lambda.max_points"]
+    _one_cpu(monkeypatch)
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
+    assert len(forks) == TINY_A["lambda.max_points"]
+    two, one = ({p.relative_to(tmp_path / run): p.read_bytes()
+                 for p in (tmp_path / run).rglob("*") if p.is_file()}
+                for run in ("two", "one"))
+    assert len(two) == 1 + 4 * TINY_A["lambda.max_points"]   # summary.csv, 4 per point
+    assert two == one
+    _assert_no_child_left()
+
+
+def _pid_run(cfg, lam, seed):
+    """A record of cost 1 (0.5 for seed 0) that names the process it ran in."""
+    return RunRecord(lam=lam, seed=seed, final_cost=0.5 if seed == 0 else 1.0,
+                     ser=0.1, p_del=0.01, cross_entropy=1.0,
+                     max_power_err=float(os.getpid()))
+
+
+@two_cpus
+def test_multi_restart_worker_trains_the_odd_numbered_seeds(monkeypatch):
+    monkeypatch.setattr("swiptmod.trainer.train_run", _pid_run)
+    forks = _count_forks(monkeypatch)
+    seeds = [4, 3, 2, 1]
+    for k in range(4):   # seed 0 wins, at each place in turn
+        best = multi_restart(_tiny_cfg(), 0.0, seeds[:k] + [0] + seeds[k:3])
+        assert best.seed == 0
+        assert (best.max_power_err == os.getpid()) == (k % 2 == 0)
+    assert len(forks) == 4
+    best = multi_restart(_tiny_cfg(), 0.0, [0])   # one seed: no worker
+    assert best.max_power_err == os.getpid() and len(forks) == 4
+    _assert_no_child_left()
+
+
+@two_cpus
+def test_multi_restart_stays_serial_beside_another_thread(monkeypatch):
+    monkeypatch.setattr("swiptmod.trainer.train_run", _pid_run)
+    forks = _count_forks(monkeypatch)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        best = multi_restart(_tiny_cfg(), 0.0, [1, 0, 2])
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == [] and best.seed == 0 and best.max_power_err == os.getpid()
+    assert multi_restart(_tiny_cfg(), 0.0, [1, 0, 2]).max_power_err != os.getpid()
+    assert len(forks) == 1
+
+
+@two_cpus
+def test_an_exception_in_this_process_kills_and_reaps_the_worker(monkeypatch):
+    parent = os.getpid()
+
+    def run(cfg, lam, seed):
+        if os.getpid() == parent:
+            raise RuntimeError("this process's restart failed")
+        time.sleep(60)   # the worker is still training when it is killed
+    monkeypatch.setattr("swiptmod.trainer.train_run", run)
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="this process's restart failed"):
+        multi_restart(_tiny_cfg(), 0.0, [1, 2])
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+# the calling process forks a worker, waits until the worker has written its
+# pid, then SIGKILLs itself: nothing of it runs after that
+_KILLED_CALLER = """
+import os, signal, sys, time
+from swiptmod import trainer
+from swiptmod.harvester import ModelAParams
+caller, pid_file = os.getpid(), sys.argv[1]
+
+def run(cfg, lam, seed):
+    if os.getpid() != caller:
+        with open(pid_file + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(pid_file + ".tmp", pid_file)
+        time.sleep(60)
+    while not os.path.exists(pid_file):
+        time.sleep(0.01)
+    os.kill(caller, signal.SIGKILL)
+trainer.train_run = run
+cfg = trainer.TrainConfig(m=4, p_a=0.001, snr=50.0, harvester=ModelAParams(0.38, 0.0034, 0.0),
+                          epochs=1, restarts=2, minibatch_size=100, train_set_size=100,
+                          eval_samples=2000)
+trainer.multi_restart(cfg, 0.0, [1, 2])
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether process pid exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@two_cpus
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux's")
+def test_a_worker_ends_with_a_killed_caller(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    code = subprocess.run([sys.executable, "-c", _KILLED_CALLER, str(pid_file)],
+                          timeout=60).returncode
+    assert code == -signal.SIGKILL
+    worker = int(pid_file.read_text())
+    try:
+        deadline = time.monotonic() + 10
+        while _running(worker) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not _running(worker)
+    finally:
+        if _running(worker):
+            os.kill(worker, signal.SIGKILL)
+
+
+@two_cpus
+def test_a_worker_that_cannot_pickle_its_records_is_a_training_failure(monkeypatch):
+    def run(cfg, lam, seed):
+        return RunRecord(lam=lam, seed=seed, final_cost=1.0, params=lambda: None)
+    monkeypatch.setattr("swiptmod.trainer.train_run", run)
+    with pytest.raises(TrainingFailure, match="worker .* exited 1"):
+        multi_restart(_tiny_cfg(), 0.0, [1, 2])
+    _assert_no_child_left()
+
+
+@two_cpus
+def test_sweep_exits_4_when_the_worker_is_killed(tmp_path, monkeypatch, capsys):
+    parent, run = os.getpid(), train_run
+
+    def killed_in_the_worker(cfg, lam, seed):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(cfg, lam, seed)
+    monkeypatch.setattr("swiptmod.trainer.train_run", killed_in_the_worker)
+    cfg = _write_cfg(tmp_path, dict(TINY_A, restarts=2))
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "s")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("training failure:") and len(err.splitlines()) == 1
+    assert f"signal {int(signal.SIGKILL)}" in err
+    _assert_no_child_left()
+
+
+@two_cpus
+def test_sweep_exits_4_on_a_memory_error_in_the_worker(tmp_path, monkeypatch, capsys):
+    parent, run = os.getpid(), train_run
+
+    def out_of_memory_in_the_worker(cfg, lam, seed):
+        if os.getpid() != parent:
+            raise MemoryError("the worker's networks do not fit")
+        return run(cfg, lam, seed)
+    monkeypatch.setattr("swiptmod.trainer.train_run", out_of_memory_in_the_worker)
+    cfg = _write_cfg(tmp_path, dict(TINY_A, restarts=2))
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "s")]) == 4
+    err = capsys.readouterr().err
+    assert err == "out of memory: the worker's networks do not fit\n"
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
