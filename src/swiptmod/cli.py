@@ -7,6 +7,7 @@ import json
 import math
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -85,23 +86,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    """Writes each point, then its summary.csv row, as soon as it is chosen."""
+    """Writes each point, then its summary.csv row, as soon as it is chosen;
+    the sweep is closed on every path, which ends its restart worker."""
     resolved, cfg = _load_config(args)
     root = _out_root(resolved, args.out)
     summary = root / "summary.csv"
     lines = ["lambda,seed,final_cost,cross_entropy,ser,p_del,terminal"]
     written = set()
-    for rec in lambda_sweep(cfg):
-        print(f"lambda={rec.lam:.6e} cost={rec.final_cost:.6g} "
-              f"ser={rec.ser:.6g} p_del={rec.p_del:.6g}", flush=True)
-        written.add(_write_record(rec, resolved, root).name)
-        lines.append(f"{rec.lam:.17g},{rec.seed},{rec.final_cost:.17g},"
-                     f"{rec.cross_entropy:.17g},{rec.ser:.17g},"
-                     f"{rec.p_del:.17g},{int(rec.terminal)}")
-        # renamed over the old file, so a kill leaves the old rows or the new
-        tmp = root / "summary.csv.tmp"
-        tmp.write_text("\n".join(lines) + "\n")
-        os.replace(tmp, summary)
+    with closing(lambda_sweep(cfg)) as records:
+        for rec in records:
+            print(f"lambda={rec.lam:.6e} cost={rec.final_cost:.6g} "
+                  f"ser={rec.ser:.6g} p_del={rec.p_del:.6g}", flush=True)
+            written.add(_write_record(rec, resolved, root).name)
+            lines.append(f"{rec.lam:.17g},{rec.seed},{rec.final_cost:.17g},"
+                         f"{rec.cross_entropy:.17g},{rec.ser:.17g},"
+                         f"{rec.p_del:.17g},{int(rec.terminal)}")
+            # renamed over the old file, so a kill leaves the old rows or the new
+            tmp = root / "summary.csv.tmp"
+            tmp.write_text("\n".join(lines) + "\n")
+            os.replace(tmp, summary)
     print(f"sweep: {len(lines) - 1} lambda points -> {summary}")
     stale = sorted(p.name for p in root.glob("lambda_*") if p.name not in written)
     if stale:   # left by an earlier run into the same root; kept, not listed

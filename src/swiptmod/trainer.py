@@ -13,7 +13,8 @@ import os
 import pickle
 import sys
 import threading
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
+from contextlib import closing
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -352,28 +353,33 @@ def train_run(cfg: TrainConfig, lam: float, seed: int) -> RunRecord:
 def multi_restart(cfg: TrainConfig, lam: float, seeds: list[int]) -> RunRecord:
     """Best-of-restarts: the record minimizing final cost, ties to lowest seed.
 
-    With two or more seeds, two usable CPUs and no other Python thread
-    running, a forked worker trains the odd-numbered seeds (seeds[1::2])
-    through train_run and pickles their records back, while this process
-    trains the even-numbered ones; otherwise every seed trains here, in
-    order. Each restart is seeded by its own seed, so both paths give the
-    same records, bit for bit. A worker that dies, or cannot send its
-    records, raises TrainingFailure; an exception raised in the worker's
-    restarts is raised again here. The worker is reaped on every path.
+    The one-point case of lambda_sweep's path (see _point_records): with two
+    or more seeds, two usable CPUs and no other Python thread running, a
+    forked worker trains the odd-numbered seeds (seeds[1::2]) and this
+    process the even-numbered ones; otherwise every seed trains here, in
+    order. Both give the same records, bit for bit.
     """
     if not seeds:
         raise ValueError("multi_restart needs at least one seed")
-    records = _train_records(cfg, lam, seeds)
+    with closing(_point_records(cfg, [(lam, seeds)], len(seeds))) as points:
+        return _best(next(points))
+
+
+def _best(records: list[RunRecord]) -> RunRecord:
+    """The record of least final cost, ties to the lowest seed; all failed
+    raises TrainingFailure."""
     ok = [r for r in records if not r.failed]
     if not ok:
-        raise TrainingFailure(f"all {len(seeds)} restarts diverged at lambda={lam}")
+        raise TrainingFailure(f"all {len(records)} restarts diverged "
+                              f"at lambda={records[0].lam}")
     return min(ok, key=lambda r: (r.final_cost, r.seed))
 
 
 def _end_with(parent: int) -> None:
     """In the worker: have the kernel SIGKILL it when the parent ends, even
-    by a signal. Linux only; elsewhere such a worker trains its restarts
-    out, then ends on the closed pipe."""
+    by a signal. Linux only; elsewhere such a worker walks on through its
+    points until its next point's records meet the closed pipe, or to the
+    end of its ladder."""
     import ctypes   # loaded with NumPy already
     try:
         ctypes.CDLL(None).prctl(1, 9)   # PR_SET_PDEATHSIG, SIGKILL
@@ -383,61 +389,93 @@ def _end_with(parent: int) -> None:
         os._exit(1)
 
 
-def _train_records(cfg: TrainConfig, lam: float, seeds: list[int]) -> list[RunRecord]:
-    """train_run's record for each seed, in seed order (see multi_restart)."""
+def _point_records(cfg: TrainConfig, points: Iterable[tuple[float, list[int]]],
+                   jobs: int) -> Iterator[list[RunRecord]]:
+    """train_run's records for each (lam, seeds) of `points`, in seed order,
+    one list a point; `jobs` counts the restarts of all the points.
+
+    The restarts are one list of jobs, numbered across the points. With two
+    or more jobs, two usable CPUs and no other Python thread running, one
+    worker is forked at the first point. It walks `points` itself, trains
+    the odd-numbered jobs and pickles each point's records (or the
+    exception its restarts raised) down a pipe as soon as it has trained
+    them, so it trains ahead while this process trains the even-numbered
+    jobs and reads the points in order. Each restart is seeded by its own
+    seed, so the serial path, taken otherwise or when the fork fails, gives
+    the same records. A worker that dies, or cannot send a point's records,
+    raises TrainingFailure once it is reaped. Closing the generator, or an
+    exception here, SIGKILLs and reaps the worker: what it trained ahead is
+    discarded.
+    """
     affinity = getattr(os, "sched_getaffinity", None)
     # a fork copies only this thread: any other would be left in an unknown state
-    if (len(seeds) < 2 or affinity is None or len(affinity(0)) < 2
+    pid = None
+    if not (jobs < 2 or affinity is None or len(affinity(0)) < 2
             or threading.active_count() > 1):
-        return [train_run(cfg, lam, s) for s in seeds]
-    parent = os.getpid()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+        parent = os.getpid()
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:   # EAGAIN, ENOMEM: serial training gives the same bytes
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        for lam, seeds in points:
+            yield [train_run(cfg, lam, s) for s in seeds]
+        return
     if pid == 0:   # the worker never returns from here
         code = 1
         try:
             os.close(read_fd)
             _end_with(parent)
-            try:
-                result = True, [train_run(cfg, lam, s) for s in seeds[1::2]]
-            except BaseException as exc:   # say, a MemoryError: raised in the parent
-                result = False, exc
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
+                first = 0   # the number of the point's first job
+                for lam, seeds in points:
+                    try:
+                        sent = True, [train_run(cfg, lam, s)
+                                      for s in seeds[1 - first % 2::2]]
+                    except BaseException as exc:   # say, a MemoryError: raised in the caller
+                        sent = False, exc
+                    pipe.write(pickle.dumps(sent))   # whole, or not at all
+                    pipe.flush()
+                    if not sent[0]:
+                        break
+                    first += len(seeds)
             code = 0
         finally:
             os._exit(code)
     os.close(write_fd)
-    with open(read_fd, "rb") as pipe:
-        try:
-            records = [train_run(cfg, lam, s) for s in seeds[::2]]
-            data = pipe.read()
-        except BaseException:
+    try:
+        with open(read_fd, "rb") as pipe:
+            first = 0
+            for lam, seeds in points:
+                mine = [train_run(cfg, lam, s) for s in seeds[first % 2::2]]
+                try:
+                    ok, theirs = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):   # the worker has ended
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    pid = None
+                    ended = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
+                    raise TrainingFailure(f"the restart worker at lambda={lam} {ended} "
+                                          "before sending its records") from None
+                if not ok:
+                    raise theirs
+                merged = [None] * len(seeds)
+                merged[first % 2::2], merged[1 - first % 2::2] = mine, theirs
+                yield merged
+                first += len(seeds)
+    finally:
+        if pid is not None:
             import signal   # here only: a module-level import adds to every RSS
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            raise
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        ended = f"was killed by signal {-code}" if code < 0 else f"exited {code}"
-        raise TrainingFailure(f"the restart worker at lambda={lam} {ended} "
-                              "before sending its records")
-    sent, odd = pickle.loads(data)
-    if not sent:
-        raise odd
-    merged = [None] * len(seeds)
-    merged[::2], merged[1::2] = records, odd
-    return merged
 
 
 def lambda_schedule(cfg: TrainConfig) -> Iterator[float]:
     """0 followed by start * factor^k, capped at lambda_max_points values;
-    lazy, so a long ladder cut short by the stop rule is never built."""
+    lazy, so a long ladder cut short by the stop rule is never built. A
+    sweep's restart worker walks its own copy, ahead of the caller by the
+    points it trains before the caller reads them."""
     yield 0.0
     for k in range(cfg.lambda_max_points - 1):
         yield cfg.lambda_start * cfg.lambda_factor ** k
@@ -450,10 +488,14 @@ def restart_seeds(cfg: TrainConfig, lam_index: int) -> list[int]:
 def lambda_sweep(cfg: TrainConfig) -> Iterator[RunRecord]:
     """Yield each lambda point's best-of-restarts record, in schedule order,
     until one's SER exceeds SER_MAX: that record is marked terminal and is
-    the last one."""
-    for k, lam in enumerate(lambda_schedule(cfg)):
-        rec = multi_restart(cfg, lam, restart_seeds(cfg, k))
-        rec.terminal = rec.ser > SER_MAX
-        yield rec
-        if rec.terminal:
-            return
+    the last one. The points' restarts train as _point_records trains them,
+    with one worker for the whole sweep; closing the generator (as the
+    stop rule does) ends that worker."""
+    points = ((lam, restart_seeds(cfg, k)) for k, lam in enumerate(lambda_schedule(cfg)))
+    with closing(_point_records(cfg, points, cfg.lambda_max_points * cfg.restarts)) as trained:
+        for records in trained:
+            rec = _best(records)
+            rec.terminal = rec.ser > SER_MAX
+            yield rec
+            if rec.terminal:
+                return

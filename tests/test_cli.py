@@ -316,7 +316,7 @@ def test_unwritable_out_exit_3_before_training(tmp_path, monkeypatch, capsys,
     def no_training(*args):
         raise AssertionError("trained before checking the output root")
     monkeypatch.setattr("swiptmod.cli.multi_restart", no_training)
-    monkeypatch.setattr("swiptmod.trainer.multi_restart", no_training)
+    monkeypatch.setattr("swiptmod.trainer.train_run", no_training)
     cfg = _write_cfg(tmp_path, TINY_A)
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -331,15 +331,13 @@ def test_sweep_failure_keeps_finished_points(tmp_path, monkeypatch, capsys):
     cfg = _write_cfg(tmp_path, TINY_A)
     full, out = tmp_path / "full", tmp_path / "s"
     assert cli.main(["sweep", cfg, "--out", str(full)]) == 0
-    multi_restart = trainer.multi_restart
-    calls = []
+    train_run = trainer.train_run
 
-    def fail_second(cfg, lam, seeds):
-        calls.append(lam)
-        if len(calls) == 2:
-            raise trainer.TrainingFailure(f"all restarts diverged at lambda={lam}")
-        return multi_restart(cfg, lam, seeds)
-    monkeypatch.setattr("swiptmod.trainer.multi_restart", fail_second)
+    def fail_second(cfg, lam, seed):   # its one restart diverges
+        if lam == 1e-4:
+            return trainer.RunRecord(lam=lam, seed=seed, failed=True)
+        return train_run(cfg, lam, seed)
+    monkeypatch.setattr("swiptmod.trainer.train_run", fail_second)
     capsys.readouterr()
     assert cli.main(["sweep", cfg, "--out", str(out)]) == 4
     assert capsys.readouterr().out.count("lambda=") == 1

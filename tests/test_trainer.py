@@ -1,6 +1,7 @@
 """Tests for the training loop, restart selection and the lambda schedule."""
 
 import dataclasses
+import errno
 import math
 import os
 import signal
@@ -500,20 +501,38 @@ def test_multi_restart_two_processes_give_the_serial_winner(model, monkeypatch):
     _assert_no_child_left()
 
 
+def _tree(root) -> dict:
+    """Every file under root, by its path relative to root: its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @two_cpus
 def test_sweep_trees_are_byte_identical_in_one_and_two_processes(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, dict(TINY_A, restarts=3))
     forks = _count_forks(monkeypatch)
     assert cli.main(["sweep", cfg, "--out", str(tmp_path / "two")]) == 0
-    assert len(forks) == TINY_A["lambda.max_points"]
+    assert forks == [os.getpid()]   # one worker for the whole sweep
     _one_cpu(monkeypatch)
     assert cli.main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
-    assert len(forks) == TINY_A["lambda.max_points"]
-    two, one = ({p.relative_to(tmp_path / run): p.read_bytes()
-                 for p in (tmp_path / run).rglob("*") if p.is_file()}
-                for run in ("two", "one"))
+    assert len(forks) == 1
+    two, one = _tree(tmp_path / "two"), _tree(tmp_path / "one")
     assert len(two) == 1 + 4 * TINY_A["lambda.max_points"]   # summary.csv, 4 per point
     assert two == one
+    _assert_no_child_left()
+
+
+@two_cpus
+def test_a_failed_fork_trains_serially(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    cfg = _write_cfg(tmp_path, dict(TINY_A, restarts=3))
+    fds = len(os.listdir("/dev/fd"))
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "failed")]) == 0
+    assert len(os.listdir("/dev/fd")) == fds   # both pipe ends closed
+    _one_cpu(monkeypatch)
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
+    assert _tree(tmp_path / "failed") == _tree(tmp_path / "one")
     _assert_no_child_left()
 
 
@@ -668,6 +687,127 @@ def test_sweep_exits_4_on_a_memory_error_in_the_worker(tmp_path, monkeypatch, ca
     _assert_no_child_left()
 
 
+# the worker walks the whole ladder: job j of the flattened (point, restart)
+# list is the worker's when j is odd, and it trains ahead of this process
+
+_LADDER4 = dict(TINY_A, restarts=3, **{"lambda.max_points": 4})
+
+
+def _fault(kind: str):
+    if kind == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
+    raise MemoryError("the worker's networks do not fit")
+
+
+@two_cpus
+def test_the_worker_trains_the_odd_numbered_jobs_of_the_ladder(tmp_path, monkeypatch):
+    log = tmp_path / "jobs.log"
+
+    def logged(cfg, lam, seed):   # appends from both processes
+        with open(log, "a") as fh:
+            fh.write(f"{lam!r} {seed} {os.getpid()}\n")
+        return _pid_run(cfg, lam, seed)
+    monkeypatch.setattr("swiptmod.trainer.train_run", logged)
+    forks = _count_forks(monkeypatch)
+    cfg = _tiny_cfg(restarts=3, lambda_max_points=4)
+    assert len(list(lambda_sweep(cfg))) == 4 and len(forks) == 1
+    jobs = [(lam, s) for k, lam in enumerate(lambda_schedule(cfg))
+            for s in restart_seeds(cfg, k)]
+    lines = [line.split() for line in log.read_text().splitlines()]
+    pid_of = {(float(lam), int(seed)): int(pid) for lam, seed, pid in lines}
+    assert len(lines) == len(pid_of) == 12
+    worker = [job for job in jobs if pid_of[job] != os.getpid()]
+    assert worker == jobs[1::2] and len({pid_of[job] for job in worker}) == 1
+    _assert_no_child_left()
+
+
+@two_cpus
+@pytest.mark.parametrize("kind", ["memory", "kill"])
+def test_a_worker_fault_past_the_terminal_point_is_discarded(kind, tmp_path, monkeypatch):
+    # point 2 is terminal; the worker faults in point 3, which the caller
+    # never reads: its point 2 job waits until the worker has faulted
+    parent, run, marker = os.getpid(), train_run, tmp_path / "faulted"
+    waits = [True]
+
+    def run_ahead(cfg, lam, seed):
+        k = list(lambda_schedule(cfg)).index(lam)
+        if k == 3 and os.getpid() != parent:
+            marker.touch()
+            _fault(kind)
+        deadline = time.monotonic() + 30
+        while (k == 2 and waits[0] and os.getpid() == parent and not marker.exists()
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        rec = run(cfg, lam, seed)
+        if k == 2:
+            rec.ser = 0.99
+        return rec
+    monkeypatch.setattr("swiptmod.trainer.train_run", run_ahead)
+    cfg = _write_cfg(tmp_path, _LADDER4)
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "two")]) == 0
+    assert marker.exists()
+    waits[0] = False
+    _one_cpu(monkeypatch)
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "one")]) == 0
+    two = _tree(tmp_path / "two")
+    assert len(two) == 1 + 4 * 3 and two == _tree(tmp_path / "one")
+    _assert_no_child_left()
+
+
+@two_cpus
+@pytest.mark.parametrize("kind", ["memory", "kill"])
+def test_a_worker_fault_at_a_reached_point_exits_4_after_the_points_before(
+        kind, tmp_path, monkeypatch, capsys):
+    parent, run = os.getpid(), train_run
+
+    def fault_at_point_2(cfg, lam, seed):
+        if lam == 1e-3 and os.getpid() != parent:
+            _fault(kind)
+        return run(cfg, lam, seed)
+    cfg = _write_cfg(tmp_path, _LADDER4)
+    full, out = tmp_path / "full", tmp_path / "s"
+    assert cli.main(["sweep", cfg, "--out", str(full)]) == 0
+    monkeypatch.setattr("swiptmod.trainer.train_run", fault_at_point_2)
+    capsys.readouterr()
+    assert cli.main(["sweep", cfg, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("out of memory:" if kind == "memory" else "training failure:")
+    rows = (out / "desk" / "summary.csv").read_text().splitlines()
+    assert rows == (full / "desk" / "summary.csv").read_text().splitlines()[:3]
+    tree, whole = _tree(out), _tree(full)
+    assert len(tree) == 1 + 4 * 2
+    assert all(tree[p] == whole[p] for p in tree if p.name != "summary.csv")
+    _assert_no_child_left()
+
+
+@two_cpus
+def test_a_sweep_that_ends_early_kills_its_worker(tmp_path, monkeypatch, capsys):
+    # writing the second point fails while the worker is in a 30 s restart:
+    # only a kill, not the closed pipe, ends it before that restart does
+    parent, written = os.getpid(), []
+
+    def slow_in_the_worker(cfg, lam, seed):
+        if lam > 1e-4 and os.getpid() != parent:
+            time.sleep(30)
+        return _pid_run(cfg, lam, seed)
+
+    def write(rec, resolved, root):
+        written.append(rec.lam)
+        if len(written) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return root / "point"
+    monkeypatch.setattr("swiptmod.trainer.train_run", slow_in_the_worker)
+    monkeypatch.setattr(cli, "_write_record", write)
+    cfg = _write_cfg(tmp_path, dict(TINY_A, restarts=3, **{"lambda.max_points": 10}))
+    t0 = time.monotonic()
+    assert cli.main(["sweep", cfg, "--out", str(tmp_path / "s")]) == 3
+    assert time.monotonic() - t0 < 10
+    assert capsys.readouterr().err.startswith("i/o error:")
+    assert written == [0.0, 1e-4]
+    _assert_no_child_left()
+
+
 # ---------------------------------------------------------------------------
 # schedule + sweep
 # ---------------------------------------------------------------------------
@@ -689,27 +829,29 @@ def test_restart_seeds_distinct_per_lambda_index():
 def test_lambda_sweep_stop_rule(monkeypatch):
     sers = {0: 0.01, 1: 0.5, 2: 0.97, 3: 0.1}
 
-    def fake_restart(cfg, lam, seeds):
+    def fake_run(cfg, lam, seed):
         k = list(lambda_schedule(cfg)).index(lam)
-        return RunRecord(lam=lam, seed=seeds[0], final_cost=1.0, ser=sers[k],
+        return RunRecord(lam=lam, seed=seed, final_cost=1.0, ser=sers[k],
                          p_del=0.01, cross_entropy=1.0, constellation=None)
-    monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
+    monkeypatch.setattr("swiptmod.trainer.train_run", fake_run)
     cfg = _tiny_cfg(lambda_max_points=4)
     records = list(lambda_sweep(cfg))
     assert len(records) == 3  # stops at the violating record
     assert records[-1].terminal
     assert sum(r.ser > SER_MAX for r in records) == 1
+    _assert_no_child_left()
 
 
 def test_lambda_sweep_runs_full_schedule(monkeypatch):
-    def fake_restart(cfg, lam, seeds):
-        return RunRecord(lam=lam, seed=seeds[0], final_cost=1.0, ser=0.1,
+    def fake_run(cfg, lam, seed):
+        return RunRecord(lam=lam, seed=seed, final_cost=1.0, ser=0.1,
                          p_del=0.01, cross_entropy=1.0, constellation=None)
-    monkeypatch.setattr("swiptmod.trainer.multi_restart", fake_restart)
+    monkeypatch.setattr("swiptmod.trainer.train_run", fake_run)
     cfg = _tiny_cfg(lambda_max_points=4)
     records = list(lambda_sweep(cfg))
     assert [r.lam for r in records] == list(lambda_schedule(cfg))
     assert not records[-1].terminal
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
