@@ -52,7 +52,6 @@ def _write_record(rec: RunRecord, resolved: dict, root: Path) -> Path:
         "P_a": resolved["p_a"],
         "snr": resolved["snr"],
         "harvester_model": resolved["harvester.model"],
-        "terminal": rec.terminal,
         "max_power_err": rec.max_power_err,
     }
     with open(out_dir / "meta.json", "w") as fh:
@@ -98,9 +97,9 @@ def cmd_sweep(args) -> int:
             print(f"lambda={rec.lam:.6e} cost={rec.final_cost:.6g} "
                   f"ser={rec.ser:.6g} p_del={rec.p_del:.6g}", flush=True)
             written.add(_write_record(rec, resolved, root).name)
+            # a constant terminal field: perfbench/child.py unpacks seven fields
             lines.append(f"{rec.lam:.17g},{rec.seed},{rec.final_cost:.17g},"
-                         f"{rec.cross_entropy:.17g},{rec.ser:.17g},"
-                         f"{rec.p_del:.17g},{int(rec.terminal)}")
+                         f"{rec.cross_entropy:.17g},{rec.ser:.17g},{rec.p_del:.17g},0")
             # renamed over the old file, so a kill leaves the old rows or the new
             tmp = root / "summary.csv.tmp"
             tmp.write_text("\n".join(lines) + "\n")
@@ -170,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="runs", help="output root")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("sweep", help="incremental lambda sweep with SER stop rule")
+    p = sub.add_parser("sweep", help="best-of-restarts training at each lambda of the ladder")
     p.add_argument("config")
     p.add_argument("--out", default="runs", help="output root")
     p.set_defaults(func=cmd_sweep)

@@ -30,7 +30,6 @@ from .transceiver import (EPS_LOG, Constellation, DegenerateEncoderError,
                           export_constellation, normalize_power)
 
 EPS_PDEL = 1e-12   # clamp on P_del inside the cost
-SER_MAX = 0.95   # a sweep stops after the first point whose SER exceeds this
 _DRAW_CHUNK = 1 << 14   # samples drawn at once: the same numbers as per minibatch
 
 
@@ -123,7 +122,6 @@ class RunRecord:
     cross_entropy: float = math.nan
     constellation: Constellation | None = None
     failed: bool = False
-    terminal: bool = False
     max_power_err: float = 0.0
     params: NetworkParams | None = None
 
@@ -159,27 +157,25 @@ def step_workspace(m: int, batch: int) -> StepWorkspace:
 
 def network_cost(params: NetworkParams, messages: np.ndarray, noise: np.ndarray,
                  p_a: float, lam: float, harvester: HarvesterModel,
-                 want_grads: bool = True, ws: dict | None = None):
+                 want_grads: bool = True, ws: StepWorkspace | None = None):
     """Cost of one minibatch with frozen noise; optionally its gradients.
 
     messages are 0-based indices, noise is (B, 2) real/imag components.
     Returns (cost, info, grads) where grads is a vector laid out like
     params.flat (split it with params.views) or None. Every buffer the step
-    writes is in a StepWorkspace, which a Restart makes once, as
-    step_workspace(M, B), and keeps as the "step" entry of the workspace
-    dict `ws`. With it, the messages must be an int array of B and nothing
-    is checked or looked up; grads is its gradient vector, valid until the
+    writes is in the StepWorkspace `ws`, which a Restart makes once, as
+    step_workspace(M, B). With it, the messages must be an int array of B
+    and nothing is checked; grads is its gradient vector, valid until the
     next call. Without it the messages are converted, one-off buffers are
     made for the call and grads is a new vector.
     """
     enc, dec = params.encoder, params.decoder
     m = params.m
     msgs = messages
-    step = None if ws is None else ws.get("step")
-    if step is None:
+    if ws is None:
         msgs = np.asarray(messages, dtype=int)
-        step = step_workspace(m, msgs.shape[0])
-    cols, grads, pick_at, pick, logp, weights, dy, fold_at, enc_ws, dec_ws, pdel_ws = step
+        ws = step_workspace(m, msgs.shape[0])
+    cols, grads, pick_at, pick, logp, weights, dy, fold_at, enc_ws, dec_ws, pdel_ws = ws
     batch = cols.shape[0]
 
     # encoder on the M one-hot messages; the batch is a gather of its points
@@ -284,7 +280,7 @@ class Restart:
         self.step = 0
         self.max_power_err = 0.0
         self.failed = False
-        self.ws = {"step": step_workspace(cfg.m, cfg.minibatch_size)}
+        self.ws = step_workspace(cfg.m, cfg.minibatch_size)
         self.chunk = None   # (messages, noise) of the draw chunk being walked
 
     def advance(self, steps: int) -> Restart:
@@ -403,7 +399,8 @@ def _point_records(cfg: TrainConfig, points: Iterable[tuple[float, list[int]]],
     jobs and reads the points in order. Each restart is seeded by its own
     seed, so the serial path, taken otherwise or when the fork fails, gives
     the same records. A worker that dies, or cannot send a point's records,
-    raises TrainingFailure once it is reaped. Closing the generator, or an
+    raises TrainingFailure once it is reaped. Closing the generator before
+    its last point (a caller that fails, say, to write a point), or an
     exception here, SIGKILLs and reaps the worker: what it trained ahead is
     discarded.
     """
@@ -472,10 +469,10 @@ def _point_records(cfg: TrainConfig, points: Iterable[tuple[float, list[int]]],
 
 
 def lambda_schedule(cfg: TrainConfig) -> Iterator[float]:
-    """0 followed by start * factor^k, capped at lambda_max_points values;
-    lazy, so a long ladder cut short by the stop rule is never built. A
-    sweep's restart worker walks its own copy, ahead of the caller by the
-    points it trains before the caller reads them."""
+    """0 followed by start * factor^k, lambda_max_points values in all;
+    lazy, so a sweep that ends early never builds the rest. A sweep's
+    restart worker walks its own copy, ahead of the caller by the points it
+    trains before the caller reads them."""
     yield 0.0
     for k in range(cfg.lambda_max_points - 1):
         yield cfg.lambda_start * cfg.lambda_factor ** k
@@ -487,15 +484,10 @@ def restart_seeds(cfg: TrainConfig, lam_index: int) -> list[int]:
 
 def lambda_sweep(cfg: TrainConfig) -> Iterator[RunRecord]:
     """Yield each lambda point's best-of-restarts record, in schedule order,
-    until one's SER exceeds SER_MAX: that record is marked terminal and is
-    the last one. The points' restarts train as _point_records trains them,
-    with one worker for the whole sweep; closing the generator (as the
-    stop rule does) ends that worker."""
+    for every point of the ladder. The points' restarts train as
+    _point_records trains them, with one worker for the whole sweep;
+    closing the generator early, or an exception, ends that worker."""
     points = ((lam, restart_seeds(cfg, k)) for k, lam in enumerate(lambda_schedule(cfg)))
     with closing(_point_records(cfg, points, cfg.lambda_max_points * cfg.restarts)) as trained:
         for records in trained:
-            rec = _best(records)
-            rec.terminal = rec.ser > SER_MAX
-            yield rec
-            if rec.terminal:
-                return
+            yield _best(records)

@@ -124,7 +124,7 @@ def test_criterion_5_model_a_endpoint(sweep_a):
         axis_err = float("nan")
     ok = one_on and axis_err <= 10.0
     _report("criterion 5: Model A one-point On-Off endpoint", ok,
-            f"terminal lambda {rec.lam:.3g}: {above.size} point(s) above P_a, "
+            f"last lambda {rec.lam:.3g}: {above.size} point(s) above P_a, "
             f"{below}/{SWEEP_A_CFG.m - 1} below 0.1*P_a, axis offset "
             f"{axis_err:.2f} deg")
 
@@ -139,7 +139,7 @@ def test_criterion_6_model_b_endpoint(sweep_b):
     ok = (on.size >= 2 and spread <= 0.10
           and np.all(off ** 2 < 0.1 * SWEEP_B_CFG.p_a))
     _report("criterion 6: Model B multi-point On-Off endpoint", ok,
-            f"terminal lambda {rec.lam:.3g}: {on.size} On points "
+            f"last lambda {rec.lam:.3g}: {on.size} On points "
             f"(amplitude spread {100 * spread:.1f}%), "
             f"{off.size} Off points all below 0.1*P_a="
             f"{np.all(off ** 2 < 0.1 * SWEEP_B_CFG.p_a)}")

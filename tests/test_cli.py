@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import os
 import re
 import sys
 import warnings
@@ -49,6 +50,11 @@ def _write_cfg(tmp_path, payload, name="cfg.json"):
 
 def _run_dir(out, lam=0.0):
     return out / "desk" / f"lambda_{lam:.6e}"
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +356,28 @@ def test_sweep_failure_keeps_finished_points(tmp_path, monkeypatch, capsys):
     assert rows == (full / "desk" / "summary.csv").read_text().splitlines()[:2]
     assert sorted(p.name for p in (out / "desk").iterdir()) == \
         [_run_dir(out).name, "summary.csv"]
+
+
+def test_sweep_walks_the_whole_ladder_at_ser_1(tmp_path, monkeypatch):
+    # the fuzz sweep whose M=2 decoder swaps its two messages (SER 1.0, worse
+    # than a constant guess) still trains and writes every lambda point
+    train_run = trainer.train_run
+
+    def swapped(cfg, lam, seed):
+        rec = train_run(cfg, lam, seed)
+        rec.ser = 1.0
+        return rec
+    monkeypatch.setattr("swiptmod.trainer.train_run", swapped)
+    ladder = dict(TINY_A, M=2, restarts=2, **{"lambda.max_points": 4})
+    out = tmp_path / "s"
+    assert cli.main(["sweep", _write_cfg(tmp_path, ladder), "--out", str(out)]) == 0
+    rows = [row.split(",") for row in
+            (out / "desk" / "summary.csv").read_text().splitlines()[1:]]
+    assert len(rows) == ladder["lambda.max_points"]
+    assert all(row[4] == "1" and row[-1] == "0" for row in rows)
+    metas = [json.loads(p.read_text()) for p in (out / "desk").glob("lambda_*/meta.json")]
+    assert len(metas) == len(rows) and not any("terminal" in meta for meta in metas)
+    _assert_no_child_left()
 
 
 def _log_uniform(rng, lo, hi):

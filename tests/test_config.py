@@ -143,8 +143,8 @@ _BAD_MUTATIONS = [
     {"p_a": 10 ** 400}, {"harvester.gamma": -10 ** 400},
     {"eval_samples": 0}, {"eval_samples": -100}, {"eval_samples": 999},
     {"profile": "cluster"}, {"profile": 1},
-    # retired keys, whatever their value: the output root is --out, and the
-    # Adam step size and the SER stop level are constants
+    # retired keys, whatever their value: the output root is --out, the
+    # Adam step size is a constant and a sweep has no SER stop level
     {"out_dir": 3},
     {"learning_rate": 0.0}, {"learning_rate": -0.01}, {"learning_rate": "fast"},
     {"learning_rate": 1e400},
@@ -170,8 +170,8 @@ def test_model_b_constants_checked_by_their_type():
 
 
 def test_removed_keys_rejected():
-    # the hidden widths are fixed at 2M, the noise variance is p_a / snr, and
-    # the Adam step size and the sweep's SER stop level are constants
+    # the hidden widths are fixed at 2M, the noise variance is p_a / snr, the
+    # Adam step size is a constant and a sweep has no SER stop level
     for key, val in (("encoder_hidden", [16]), ("decoder_hidden", [16]),
                      ("noise_variance", 2e-5), ("learning_rate", 0.01),
                      ("ser_max", 0.95)):

@@ -109,7 +109,7 @@ def _network_costs():
                 noise = sample_noise(batch, P_A[model] / 50.0, rng)
                 yield (f"network_cost/{model}/M{m}/B{batch}",
                        *network_cost(params, msgs, noise, P_A[model], LAM[model],
-                                     MODELS[model], ws={}))
+                                     MODELS[model]))
 
 
 def _network_cost_entries(out: dict) -> None:
